@@ -12,7 +12,8 @@ Subcommands:
               written as a line-oriented report.
 
 Configs are JSON files; numeric output uses 12 significant digits and no
-timestamps, so reruns with the same config and seed are byte identical.
+timestamps, so reruns with the same config and seed are byte identical
+at a fixed BLAS thread count.
 Relative output paths are resolved against ``RRDPS_OUT_DIR`` when that is
 set.  Exit codes: 0 on success, 1 on usage or config errors, 2 when a
 verification campaign reports violations (or fault injection fails to

@@ -10,8 +10,10 @@ flipped with the configured channel error probability.
 Randomness is drawn from counter-keyed streams in fixed-size chunks with
 fixed shapes, so results are reproducible, independent of chunking, and a
 longer run extends a shorter one with the same seed.  The record iterator
-and the aggregate runner consume the same draws and therefore agree
-exactly.
+and the aggregate runner consume the same per-group draws and therefore
+agree exactly.  The pulse bits have a stream of their own, which only the
+record iterator draws: a flip decides an error whatever the bits are, so
+the aggregate counts never read them.
 """
 
 from __future__ import annotations
@@ -75,31 +77,32 @@ class BlockRecord:
     outcomes: tuple[GroupOutcome, ...]
 
 
+def _stream(seed: int, key: int, chunk: int) -> np.random.Generator:
+    # Key 0 draws the pulse bits, key w the draws of group w.
+    return np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(key, chunk)))
+    )
+
+
 def _chunks(
     cfg: ProtocolConfig, q_success: float, n_blocks: int, seed: int
-) -> Iterator[tuple[int, int, np.ndarray, list[dict[str, np.ndarray]]]]:
-    # Yields (start, count, bits, per-group draws).  All draws have the
-    # full chunk shape regardless of count or success, which is what makes
+) -> Iterator[tuple[int, int, list[dict[str, np.ndarray]]]]:
+    # Yields (start, count, per-group draws).  All draws have the full
+    # chunk shape regardless of count or success, which is what makes
     # results independent of n_blocks and chunk boundaries.
     size = cfg.group_size
     for c in range(0, (n_blocks + _CHUNK - 1) // _CHUNK):
         start = c * _CHUNK
         count = min(_CHUNK, n_blocks - start)
-        bit_rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(0, c)))
-        )
-        bits = bit_rng.integers(0, 2, size=(_CHUNK, cfg.block_size), dtype=np.int8)
         groups = []
         for w in range(1, cfg.n_groups + 1):
-            rng = np.random.Generator(
-                np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(w, c)))
-            )
+            rng = _stream(seed, w, c)
             succ = rng.random(_CHUNK) < q_success
             delay = rng.integers(1, size, size=_CHUNK, dtype=np.int64)
             u = 1 + (rng.random(_CHUNK) * (size - delay)).astype(np.int64)
             flip = rng.random(_CHUNK) < cfg.e_bit
             groups.append({"succ": succ, "delay": delay, "u": u, "flip": flip})
-        yield start, count, bits, groups
+        yield start, count, groups
 
 
 def iter_block_records(
@@ -107,7 +110,10 @@ def iter_block_records(
 ) -> Iterator[BlockRecord]:
     """Per-block protocol transcript, mainly for inspection and tests."""
     stride = cfg.n_groups
-    for start, count, bits, groups in _chunks(cfg, q_success, n_blocks, seed):
+    for start, count, groups in _chunks(cfg, q_success, n_blocks, seed):
+        bits = _stream(seed, 0, start // _CHUNK).integers(
+            0, 2, size=(_CHUNK, cfg.block_size), dtype=np.int8
+        )
         for b in range(count):
             block = start + b + 1
             outcomes = []
@@ -197,7 +203,7 @@ def run_simulation(
         raise ValueError(f"need at least one block, got {n_blocks}")
     n_success = np.zeros(cfg.n_groups, dtype=np.int64)
     n_errors = np.zeros(cfg.n_groups, dtype=np.int64)
-    for _start, count, _bits, groups in _chunks(cfg, q_success, n_blocks, seed):
+    for _start, count, groups in _chunks(cfg, q_success, n_blocks, seed):
         # A flip always turns the sifted parity into an error, so the
         # counts need only the success and flip draws.
         for w in range(1, cfg.n_groups + 1):

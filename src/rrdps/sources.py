@@ -15,7 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import golden
+# Only the bare package (~10 ms): perfbench/invoke.py reads scipy's version
+# from sys.modules, and scipy.optimize is deferred to optimize_mu.
+import scipy  # noqa: F401
 
 from .security import (
     KeyRateResult,
@@ -130,6 +132,9 @@ def optimize_mu(
     (mu_opt, result) : tuple of float and KeyRateResult
         The refined rate is never below the best grid rate.
     """
+    # Deferred: scipy.optimize is most of the package import time, used only here.
+    from scipy.optimize import golden
+
     if not 0.0 < mu_min <= mu_max:
         raise ValueError(f"need 0 < mu_min <= mu_max, got [{mu_min}, {mu_max}]")
     if grid_points < 3:

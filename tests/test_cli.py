@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -217,6 +220,18 @@ class TestTopLevel:
             cli.main(["--version"])
         assert exc.value.code == 0
         assert __version__ in capsys.readouterr().out
+
+    def test_import_leaves_optimizer_unloaded(self):
+        # scipy.optimize dominates start-up; only mu optimisation needs it.
+        code = "import sys, rrdps.cli; print('scipy.optimize' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+            check=True,
+        )
+        assert out.stdout.strip() == "False"
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):

@@ -1,0 +1,91 @@
+"""Byte-for-byte golden outputs of the CLI and the block-record iterator.
+
+The files under ``tests/golden/`` pin the exact bytes of a sweep that
+reaches group size 1024, a short corr_len = 10 simulate session and a
+prefix of the per-block transcript (bits included) on both sides of a
+chunk boundary.  A change that only reorganises computation must leave
+them untouched.  Regenerate, after a deliberate output change, with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import dataclasses
+import json
+import tempfile
+from pathlib import Path
+
+from rrdps import cli
+from rrdps import simulate as sim
+from rrdps.security import ProtocolConfig
+
+GOLDEN = Path(__file__).parent / "golden"
+
+SWEEP_CFG = {
+    "group_size_list": [3, 32, 1024],
+    "delta_list": [0.2],
+    "corr_len_list": [0, 10],
+    "e_bit": 0.03,
+    "eta_grid": {"min": 0.01, "max": 0.5, "points": 2, "log": True},
+    "mu_mode": {"fixed": 0.05},
+}
+
+SIMULATE_CFG = {
+    "group_size": 32,
+    "corr_len": 10,
+    "delta": 0.2,
+    "e_bit": 0.03,
+    "eta": 0.2,
+    "mu_mode": {"fixed": 0.05},
+    "n_blocks": 5000,
+    "seed": 11,
+}
+
+# Blocks 1-4 come from chunk 0, blocks 4097-4100 from chunk 1.
+RECORD_BLOCKS = (1, 2, 3, 4, 4097, 4098, 4099, 4100)
+
+
+def _cli_output(command: str, config: dict, work: Path) -> bytes:
+    cfg_path = work / f"{command}.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    out = work / f"{command}.csv"
+    assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+def _records() -> bytes:
+    cfg = ProtocolConfig(group_size=4, corr_len=2, e_bit=0.25)
+    lines = [
+        json.dumps(dataclasses.asdict(rec)) + "\n"
+        for rec in sim.iter_block_records(cfg, 0.5, max(RECORD_BLOCKS), seed=3)
+        if rec.block in RECORD_BLOCKS
+    ]
+    return "".join(lines).encode("utf-8")
+
+
+def _outputs(work: Path) -> dict[str, bytes]:
+    return {
+        "sweep.csv": _cli_output("sweep", SWEEP_CFG, work),
+        "simulate-lc10.csv": _cli_output("simulate", SIMULATE_CFG, work),
+        "records.jsonl": _records(),
+    }
+
+
+def test_sweep_up_to_group_size_1024(tmp_path):
+    assert _cli_output("sweep", SWEEP_CFG, tmp_path) == (GOLDEN / "sweep.csv").read_bytes()
+
+
+def test_simulate_corr_len_10(tmp_path):
+    got = _cli_output("simulate", SIMULATE_CFG, tmp_path)
+    assert got == (GOLDEN / "simulate-lc10.csv").read_bytes()
+
+
+def test_block_record_prefix():
+    assert _records() == (GOLDEN / "records.jsonl").read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as work:
+        for name, data in _outputs(Path(work)).items():
+            (GOLDEN / name).write_bytes(data)
+            print(f"wrote {GOLDEN / name}")

@@ -153,6 +153,11 @@ class TestBinomialTail:
         # Median-ish threshold keeps a tail near one half.
         assert 0.3 < sec.binomial_tail(1024, 306, 0.3) < 0.7
 
+    def test_cached_row_is_read_only(self):
+        row = sec._log_binom_row(16)
+        with pytest.raises(ValueError):
+            row[0] = 0.0
+
     def test_domain(self):
         with pytest.raises(ValueError):
             sec.binomial_tail(0, 0, 0.5)
@@ -344,6 +349,26 @@ class TestKeyRate:
         cfg = sec.ProtocolConfig(group_size=4, corr_len=1, e_bit=0.0)
         with pytest.raises(ValueError):
             sec.key_rate(cfg, self._bounds((0.0,), 1.0), [0.5])
+
+    def test_bound_evaluated_once_per_distinct_rate(self, monkeypatch):
+        calls = []
+        real = sec.phase_error_upper
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(sec, "phase_error_upper", counting)
+        cfg = sec.ProtocolConfig(group_size=8, corr_len=3, e_bit=0.02)
+        bounds = self._bounds((0.01, 0.005, 0.002), 0.95)
+        res = sec.key_rate(cfg, bounds, [0.2, 0.3, 0.2, 0.0])
+        assert [a[2] for a in calls] == [0.2, 0.3]
+        assert res.per_group[0] == res.per_group[2]
+        assert res.per_group[0].e_ph_upper == real(8, bounds.minus_act, 0.2)
+        calls.clear()
+        cfg = sec.ProtocolConfig(group_size=8, corr_len=10, e_bit=0.02)
+        sec.key_rate(cfg, self._bounds((0.01,) * 10, 0.95), [0.2] * 11)
+        assert len(calls) == 1
 
     def test_mu_recorded(self):
         cfg = sec.ProtocolConfig(group_size=4, corr_len=0, e_bit=0.0)

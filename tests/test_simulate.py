@@ -86,6 +86,21 @@ class TestRecords:
 class TestRunSimulation:
     CFG = sec.ProtocolConfig(group_size=8, corr_len=1, e_bit=0.05)
 
+    def test_counts_draw_no_pulse_bits(self, monkeypatch):
+        keys = []
+        real = sim._stream
+
+        def recording(seed, key, chunk):
+            keys.append(key)
+            return real(seed, key, chunk)
+
+        monkeypatch.setattr(sim, "_stream", recording)
+        sim.run_simulation(self.CFG, _bounds(0.2, 0.2, 1), 0.4, 5000, seed=6)
+        assert sorted(set(keys)) == [1, 2]
+        keys.clear()
+        list(sim.iter_block_records(self.CFG, 0.4, 5000, seed=6))
+        assert sorted(set(keys)) == [0, 1, 2]
+
     def test_counts_match_records(self):
         bounds = _bounds(0.2, 0.2, 1)
         res = sim.run_simulation(self.CFG, bounds, 0.4, 700, seed=6)
