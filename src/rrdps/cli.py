@@ -71,8 +71,11 @@ def _write_csv(path: Path, tag: str, header: list[str], rows: list[list]) -> Non
 
 
 def _load_config(path: str) -> dict:
+    def reject_constant(name: str):
+        raise ValueError(f"{path}: non-finite number {name} is not allowed")
+
     with open(path, "r", encoding="utf-8") as f:
-        cfg = json.load(f)
+        cfg = json.load(f, parse_constant=reject_constant)
     if not isinstance(cfg, dict):
         raise ValueError("config root must be a JSON object")
     return cfg

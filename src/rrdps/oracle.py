@@ -14,13 +14,15 @@ is real nonnegative and the overlaps between near-history variants are
 phase aligned.  The canonicalization is applied here explicitly, so the
 stored family vectors may carry arbitrary phases.
 
-Dense vectors only; at this scale clarity beats cleverness.
+States are dense vectors filled by indexed outer products of the pulse
+vectors, since every ancilla factor is a basis vector and only picks an index.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import product
 from typing import Mapping, Optional, Sequence
 
@@ -37,8 +39,6 @@ from .security import (
 
 # Dense joint vectors above this total dimension are rejected.
 MAX_STATE_DIM = 2**21
-
-_QUBIT = (np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -158,27 +158,13 @@ def build_joint_state(family: EmissionFamily) -> JointState:
     strings.  The result is exactly normalized because ancilla basis states
     of different bit strings are orthogonal.
     """
-    n, f = family.n_pulses, family.fock_dim
-    total = (2 * f) ** n
+    total = (2 * family.fock_dim) ** family.n_pulses
     if total > MAX_STATE_DIM:
         raise ValueError(
             f"joint state dimension {total} exceeds the dense budget "
             f"{MAX_STATE_DIM}"
         )
-    amp = np.zeros(total, dtype=complex)
-    for bits in product((0, 1), repeat=n):
-        vec = np.ones(1, dtype=complex)
-        for k in range(1, n + 1):
-            hist = tuple(reversed(bits[max(0, k - 1 - family.corr_len): k - 1]))
-            vec = np.kron(vec, _QUBIT[bits[k - 1]])
-            vec = np.kron(vec, family.pulse_state(k, bits[k - 1], hist))
-        amp += vec
-    amp /= math.sqrt(2**n)
-    layout = []
-    for k in range(1, n + 1):
-        layout.append(Subsystem("qubit", 2, f"A{k}"))
-        layout.append(Subsystem("fock", f, f"B{k}"))
-    return JointState(amplitudes=amp, layout=tuple(layout))
+    return _tail_state(_CanonicalStates(family, 0, enabled=False), 0, ())
 
 
 def condition_on_z(state: JointState, assignments: Mapping[int, int]) -> JointState:
@@ -286,32 +272,45 @@ class _CanonicalStates:
         return vec
 
 
+def _layout(fock_dim: int, first: int, last: int) -> tuple[Subsystem, ...]:
+    """Ancilla qubit and Fock mode of each pulse first..last, in order."""
+    return tuple(
+        sub
+        for k in range(first, last + 1)
+        for sub in (
+            Subsystem("qubit", 2, f"A{k}"),
+            Subsystem("fock", fock_dim, f"B{k}"),
+        )
+    )
+
+
 def _tail_state(
     states: _CanonicalStates, jt: int, history: Sequence[int]
 ) -> JointState:
     """Uniform superposition over the bits of pulses after t, each carrying
-    its ancilla qubit and emitted state, conditioned on jt and the history."""
+    its ancilla qubit and emitted state, conditioned on jt and the history.
+
+    Each ancilla is a basis vector, so a branch only fills the slice
+    ``amp[b1, :, b2, :, ...]``, with the outer product of its pulse vectors
+    taken left to right in pulse order.
+    """
     fam, t = states.family, states.t
     n, f = fam.n_pulses, fam.fock_dim
     m = n - t
-    total = (2 * f) ** m
-    amp = np.zeros(total, dtype=complex)
+    amp = np.zeros((2, f) * m, dtype=complex)
     for branch in product((0, 1), repeat=m):
-        vec = np.ones(1, dtype=complex)
+        pulses = []
         for zeta in range(t + 1, n + 1):
             w = fam.window(zeta)
             hist = tuple(
                 _bit_at(zeta - 1 - i, t, jt, history, branch) for i in range(w)
             )
-            vec = np.kron(vec, _QUBIT[branch[zeta - t - 1]])
-            vec = np.kron(vec, states.pulse_state(zeta, branch[zeta - t - 1], hist))
-        amp += vec
+            pulses.append(states.pulse_state(zeta, branch[zeta - t - 1], hist))
+        index = tuple(ix for b in branch for ix in (b, slice(None)))
+        amp[index] = reduce(np.multiply.outer, pulses, np.ones((), dtype=complex))
+    amp = amp.reshape(-1)
     amp /= math.sqrt(2**m)
-    layout = []
-    for zeta in range(t + 1, n + 1):
-        layout.append(Subsystem("qubit", 2, f"A{zeta}"))
-        layout.append(Subsystem("fock", f, f"B{zeta}"))
-    return JointState(amplitudes=amp, layout=tuple(layout))
+    return JointState(amplitudes=amp, layout=_layout(f, t + 1, n))
 
 
 def _check_analysis_args(family: EmissionFamily, t: int, history: Sequence[int]) -> None:
@@ -343,17 +342,28 @@ def conditioned_state(
     """
     _check_analysis_args(family, t, history)
     states = _CanonicalStates(family, t, enabled=canonical)
-    branches = []
+    return _block_state(states, history, _tails(states, history))
+
+
+def _tails(
+    states: _CanonicalStates, history: Sequence[int]
+) -> tuple[JointState, JointState]:
+    return _tail_state(states, 0, history), _tail_state(states, 1, history)
+
+
+def _block_state(
+    states: _CanonicalStates,
+    history: Sequence[int],
+    tails: tuple[JointState, JointState],
+) -> JointState:
+    """Block state of pulses t..n whose bit-jt branch carries ``tails[jt]``."""
+    fam, t = states.family, states.t
+    amp = np.zeros((2, fam.fock_dim, tails[0].amplitudes.size), dtype=complex)
     for jt in (0, 1):
         base = states.pulse_state(t, jt, history)
-        tail = _tail_state(states, jt, history)
-        branches.append(np.kron(_QUBIT[jt], np.kron(base, tail.amplitudes)))
-    amp = (branches[0] + branches[1]) / math.sqrt(2.0)
-    layout = [Subsystem("qubit", 2, f"A{t}"), Subsystem("fock", family.fock_dim, f"B{t}")]
-    for zeta in range(t + 1, family.n_pulses + 1):
-        layout.append(Subsystem("qubit", 2, f"A{zeta}"))
-        layout.append(Subsystem("fock", family.fock_dim, f"B{zeta}"))
-    return JointState(amplitudes=amp, layout=tuple(layout))
+        amp[jt] = np.multiply.outer(base, tails[jt].amplitudes)
+    amp = amp.reshape(-1) / math.sqrt(2.0)
+    return JointState(amplitudes=amp, layout=_layout(fam.fock_dim, t, fam.n_pulses))
 
 
 @dataclass(frozen=True)
@@ -381,11 +391,13 @@ def decompose_side_channel(
     from the projection coefficients by more than 1e-9.
     """
     _check_analysis_args(family, t, history)
-    states = _CanonicalStates(family, t, enabled=True)
-    phi = _tail_state(states, 0, history)
+    return _decompose(_tails(_CanonicalStates(family, t, enabled=True), history))
+
+
+def _decompose(tails: tuple[JointState, JointState]) -> SideChannelDecomposition:
+    phi = tails[0]
     coeffs = []
-    for jt in (0, 1):
-        tail = _tail_state(states, jt, history)
+    for tail in tails:
         a_c = phi.overlap(tail)
         if abs(a_c.imag) > 1e-9:
             raise ArithmeticError(
@@ -420,16 +432,7 @@ def reference_state(
     _check_analysis_args(family, t, history)
     states = _CanonicalStates(family, t, enabled=True)
     phi = _tail_state(states, 0, history)
-    branches = []
-    for jt in (0, 1):
-        base = states.pulse_state(t, jt, history)
-        branches.append(np.kron(_QUBIT[jt], np.kron(base, phi.amplitudes)))
-    amp = (branches[0] + branches[1]) / math.sqrt(2.0)
-    layout = [Subsystem("qubit", 2, f"A{t}"), Subsystem("fock", family.fock_dim, f"B{t}")]
-    for zeta in range(t + 1, family.n_pulses + 1):
-        layout.append(Subsystem("qubit", 2, f"A{zeta}"))
-        layout.append(Subsystem("fock", family.fock_dim, f"B{zeta}"))
-    return JointState(amplitudes=amp, layout=tuple(layout))
+    return _block_state(states, history, (phi, phi))
 
 
 def measured_characterization(family: EmissionFamily) -> SourceCharacterization:
@@ -578,9 +581,13 @@ def check_proof_chain(
     for e in char.eps:
         a1_floor *= math.sqrt(1.0 - e)
 
-    act = conditioned_state(family, t, history, canonical=True)
-    ref = reference_state(family, t, history)
-    deco = decompose_side_channel(family, t, history)
+    # Both canonical tails are built once and shared by the actual block
+    # state, the reference block state and the side-channel split.
+    states = _CanonicalStates(family, t, enabled=True)
+    tails = _tails(states, history)
+    act = _block_state(states, history, tails)
+    ref = _block_state(states, history, (tails[0], tails[0]))
+    deco = _decompose(tails)
 
     p_act = minus_probability(act, 0)
     p_ref = minus_probability(ref, 0)

@@ -127,6 +127,11 @@ def optimize_mu(
     no grid point yields a positive rate the grid optimum is returned as is,
     with rate 0.  Deterministic; grid points may be evaluated in any order.
 
+    The golden-section refinement runs at scipy's default tolerance, so it
+    stops once the bracket is about 1.5e-8 of mu wide.  In an optimised
+    row, digits of ``mu``, ``q``, ``e_ph_upper`` and ``f_pa`` past about
+    the 8th significant one therefore follow rounding, not the optimum.
+
     Returns
     -------
     (mu_opt, result) : tuple of float and KeyRateResult

@@ -78,6 +78,15 @@ class TestKeyrateCommand:
         cfg = write_config(tmp_path / "c.json", payload)
         assert cli.main(["keyrate", "--config", cfg, "--out", "x.csv"]) == 1
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_number_is_usage_error(self, tmp_path, capsys, constant):
+        payload = dict(KEYRATE_CFG, mu_mode={"fixed": json.loads(constant)})
+        cfg = write_config(tmp_path / "c.json", payload)
+        out = tmp_path / "r.csv"
+        assert cli.main(["keyrate", "--config", cfg, "--out", str(out)]) == 1
+        assert f"non-finite number {constant} is not allowed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_rotation_reduces_to_memoryless(self, tmp_path):
         payload = dict(KEYRATE_CFG, delta=0.0)
         cfg = write_config(tmp_path / "c.json", payload)

@@ -1,16 +1,20 @@
 """Byte-for-byte golden outputs of the CLI and the block-record iterator.
 
 The files under ``tests/golden/`` pin the exact bytes of a sweep that
-reaches group size 1024, a short corr_len = 10 simulate session and a
+reaches group size 1024, a short corr_len = 10 simulate session, a
 prefix of the per-block transcript (bits included) on both sides of a
-chunk boundary.  A change that only reorganises computation must leave
-them untouched.  Regenerate, after a deliberate output change, with
+chunk boundary, and a 300-trial oracle report.  A change that only
+reorganises computation must leave them untouched.  Regenerate, after a
+deliberate output change, with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -43,6 +47,15 @@ SIMULATE_CFG = {
 # Blocks 1-4 come from chunk 0, blocks 4097-4100 from chunk 1.
 RECORD_BLOCKS = (1, 2, 3, 4, 4097, 4098, 4099, 4100)
 
+ORACLE_ARGS = ["oracle", "--trials", "300", "--seed", "1"]
+# The report's transfer digits depend on the BLAS thread count, which is
+# fixed when the library loads, so the oracle runs in a fresh interpreter.
+ONE_BLAS_THREAD = {
+    "OPENBLAS_NUM_THREADS": "1",
+    "OMP_NUM_THREADS": "1",
+    "MKL_NUM_THREADS": "1",
+}
+
 
 def _cli_output(command: str, config: dict, work: Path) -> bytes:
     cfg_path = work / f"{command}.json"
@@ -62,11 +75,24 @@ def _records() -> bytes:
     return "".join(lines).encode("utf-8")
 
 
+def _oracle_report() -> bytes:
+    code = "import sys; from rrdps.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), **ONE_BLAS_THREAD)
+    done = subprocess.run(
+        [sys.executable, "-c", code, *ORACLE_ARGS],
+        env=env,
+        capture_output=True,
+        check=True,
+    )
+    return done.stdout
+
+
 def _outputs(work: Path) -> dict[str, bytes]:
     return {
         "sweep.csv": _cli_output("sweep", SWEEP_CFG, work),
         "simulate-lc10.csv": _cli_output("simulate", SIMULATE_CFG, work),
         "records.jsonl": _records(),
+        "oracle-seed1.txt": _oracle_report(),
     }
 
 
@@ -81,6 +107,10 @@ def test_simulate_corr_len_10(tmp_path):
 
 def test_block_record_prefix():
     assert _records() == (GOLDEN / "records.jsonl").read_bytes()
+
+
+def test_oracle_report_seed_1():
+    assert _oracle_report() == (GOLDEN / "oracle-seed1.txt").read_bytes()
 
 
 if __name__ == "__main__":

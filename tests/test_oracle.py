@@ -1,5 +1,6 @@
 """Tests for the exact small-system verification engine."""
 
+import itertools
 import math
 
 import numpy as np
@@ -236,6 +237,112 @@ class TestDecomposition:
         d = orc.decompose_side_channel(fam, t=2, history=())
         assert d.a1 == pytest.approx(1.0, abs=1e-12)
         assert d.b1 == pytest.approx(0.0, abs=1e-9)
+
+
+# Reference construction: every ancilla enters as a kron by its basis
+# vector, and each branch is added into a zero vector.  The module fills
+# the same amplitudes by indexed outer products, which must match bit for
+# bit because every product with an ancilla entry is by an exact 1 or 0.
+KRON_QUBIT = (np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex))
+
+
+def kron_joint_state(fam):
+    n = fam.n_pulses
+    amp = np.zeros((2 * fam.fock_dim) ** n, dtype=complex)
+    for bits in itertools.product((0, 1), repeat=n):
+        vec = np.ones(1, dtype=complex)
+        for k in range(1, n + 1):
+            hist = tuple(reversed(bits[max(0, k - 1 - fam.corr_len): k - 1]))
+            vec = np.kron(vec, KRON_QUBIT[bits[k - 1]])
+            vec = np.kron(vec, fam.pulse_state(k, bits[k - 1], hist))
+        amp += vec
+    amp /= math.sqrt(2**n)
+    return amp
+
+
+def kron_tail(states, jt, history):
+    fam, t = states.family, states.t
+    n = fam.n_pulses
+    m = n - t
+    amp = np.zeros((2 * fam.fock_dim) ** m, dtype=complex)
+    for branch in itertools.product((0, 1), repeat=m):
+        vec = np.ones(1, dtype=complex)
+        for zeta in range(t + 1, n + 1):
+            hist = tuple(
+                orc._bit_at(zeta - 1 - i, t, jt, history, branch)
+                for i in range(fam.window(zeta))
+            )
+            vec = np.kron(vec, KRON_QUBIT[branch[zeta - t - 1]])
+            vec = np.kron(vec, states.pulse_state(zeta, branch[zeta - t - 1], hist))
+        amp += vec
+    amp /= math.sqrt(2**m)
+    return amp
+
+
+def kron_block(states, history, tails):
+    branches = []
+    for jt in (0, 1):
+        base = states.pulse_state(states.t, jt, history)
+        branches.append(np.kron(KRON_QUBIT[jt], np.kron(base, tails[jt])))
+    return (branches[0] + branches[1]) / math.sqrt(2.0)
+
+
+def sample_families():
+    """Perturbed, free and coherent families for n <= 4, corr_len <= 2."""
+    for n in range(1, 5):
+        for lc in range(min(2, n - 1) + 1):
+            fock = 3 if n < 4 else 2
+            seed = 10 * n + lc
+            yield orc.random_family(n, lc, fock, seed=seed, style="perturbed")
+            yield orc.random_family(n, lc, fock, seed=seed, style="free")
+            yield orc.coherent_family(n, lc, mu=0.2, delta=0.4, fock_dim=fock + 3)
+
+
+def analysis_cases():
+    """Every valid (t, history) of every sample family."""
+    for fam in sample_families():
+        for t in range(1, fam.n_pulses - fam.corr_len + 1):
+            for hist in itertools.product((0, 1), repeat=fam.window(t)):
+                yield fam, t, hist
+
+
+class TestKronFreeConstruction:
+    def test_joint_state_bitwise(self):
+        for fam in sample_families():
+            got = orc.build_joint_state(fam).amplitudes
+            assert np.array_equal(got, kron_joint_state(fam))
+
+    def test_block_states_bitwise(self):
+        n_cases = 0
+        for fam, t, hist in analysis_cases():
+            for canonical in (False, True):
+                states = orc._CanonicalStates(fam, t, enabled=canonical)
+                tails = [kron_tail(states, jt, hist) for jt in (0, 1)]
+                got = orc.conditioned_state(fam, t, hist, canonical=canonical)
+                assert np.array_equal(got.amplitudes, kron_block(states, hist, tails))
+            # The loop leaves the canonical states and tails in place.
+            ref = orc.reference_state(fam, t, hist)
+            assert np.array_equal(
+                ref.amplitudes, kron_block(states, hist, (tails[0], tails[0]))
+            )
+            phi = orc.decompose_side_channel(fam, t, hist).phi_ref
+            assert np.array_equal(phi.amplitudes, tails[0])
+            n_cases += 1
+        assert n_cases == 3 * 23  # 23 (n, lc, t, history) per family kind
+
+    def test_two_tails_per_check(self, monkeypatch):
+        built = []
+        real = orc._tail_state
+
+        def counting(states, jt, history):
+            built.append(jt)
+            return real(states, jt, history)
+
+        monkeypatch.setattr(orc, "_tail_state", counting)
+        for fam, t, hist in analysis_cases():
+            built.clear()
+            orc.check_proof_chain(fam, t, hist)
+            assert sorted(built) == [0, 1]
 
 
 class TestMeasuredCharacterization:
