@@ -15,9 +15,9 @@ Configs are JSON files; numeric output uses 12 significant digits and no
 timestamps, so reruns with the same config and seed are byte identical
 at a fixed BLAS thread count.
 Relative output paths are resolved against ``RRDPS_OUT_DIR`` when that is
-set.  Exit codes: 0 on success, 1 on usage or config errors, 2 when a
-verification campaign reports violations (or fault injection fails to
-produce them).
+set.  Exit codes: 0 on success, 1 on usage or config errors (unknown
+keys and non-finite numbers included), 2 when a verification campaign
+reports violations (or fault injection fails to produce them).
 """
 
 from __future__ import annotations
@@ -81,6 +81,23 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+# Every key each config may hold; anything else is a config error.
+_COMMON_KEYS = {"e_bit", "mu_mode", "f_ec_mode", "f_ec_fixed", "output_path"}
+_RATE_KEYS = _COMMON_KEYS | {"corr_len_list", "eta_grid"}
+_KEYRATE_KEYS = _RATE_KEYS | {"group_size", "delta"}
+_SWEEP_KEYS = _RATE_KEYS | {"group_size_list", "delta_list"}
+_SIMULATE_KEYS = _COMMON_KEYS | {
+    "group_size", "corr_len", "delta", "eta", "n_blocks", "seed"
+}
+_ETA_GRID_KEYS = {"min", "max", "points", "log"}
+
+
+def _reject_unknown(cfg: dict, known: set, where: str) -> None:
+    unknown = sorted(set(cfg) - known)
+    if unknown:
+        raise ValueError(f"{where}: unknown key {', '.join(map(repr, unknown))}")
+
+
 def _get(cfg: dict, key: str, kinds, where: str):
     if key not in cfg:
         raise ValueError(f"{where}: missing required key {key!r}")
@@ -92,10 +109,13 @@ def _get(cfg: dict, key: str, kinds, where: str):
 
 def _eta_grid(cfg: dict, where: str) -> list[float]:
     grid = _get(cfg, "eta_grid", dict, where)
+    _reject_unknown(grid, _ETA_GRID_KEYS, where + ".eta_grid")
     lo = float(_get(grid, "min", (int, float), where + ".eta_grid"))
     hi = float(_get(grid, "max", (int, float), where + ".eta_grid"))
     points = _get(grid, "points", int, where + ".eta_grid")
-    log = bool(grid.get("log", True))
+    log = grid.get("log", True)
+    if not isinstance(log, bool):
+        raise ValueError(f"{where}.eta_grid: key 'log' must be true or false")
     if points < 1:
         raise ValueError(f"{where}: eta grid needs at least one point")
     if not 0.0 <= lo <= hi <= 1.0:
@@ -207,6 +227,7 @@ _RATE_HEADER = [
 def _cmd_keyrate(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     where = args.config
+    _reject_unknown(cfg, _KEYRATE_KEYS, where)
     group_size = _get(cfg, "group_size", int, where)
     delta = float(_get(cfg, "delta", (int, float), where))
     e_bit = float(_get(cfg, "e_bit", (int, float), where))
@@ -231,6 +252,7 @@ def _cmd_keyrate(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     where = args.config
+    _reject_unknown(cfg, _SWEEP_KEYS, where)
     group_sizes = _get(cfg, "group_size_list", list, where)
     deltas = _get(cfg, "delta_list", list, where)
     if not group_sizes or not all(isinstance(g, int) and g >= 3 for g in group_sizes):
@@ -272,6 +294,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     where = args.config
+    _reject_unknown(cfg, _SIMULATE_KEYS, where)
     group_size = _get(cfg, "group_size", int, where)
     corr_len = _get(cfg, "corr_len", int, where)
     delta = float(_get(cfg, "delta", (int, float), where))

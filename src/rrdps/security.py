@@ -223,33 +223,28 @@ def minus_act_bound(minus_ref: float, fidelity: float) -> float:
 
 @dataclass(frozen=True)
 class SecurityBounds:
-    """The three bound values the key-rate formula consumes.
+    """The bound values the key-rate formula consumes.
 
-    ``minus_act`` must be consistent with the other two fields; construct
-    through :meth:`from_source` unless recreating stored values.
+    ``minus_act`` is derived from the other two fields through
+    :func:`minus_act_bound`, so it cannot disagree with them.
     """
 
     minus_ref: float
     fidelity: float
-    minus_act: float
 
     def __post_init__(self) -> None:
-        for name in ("minus_ref", "fidelity", "minus_act"):
+        for name in ("minus_ref", "fidelity"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        expected = minus_act_bound(self.minus_ref, self.fidelity)
-        if abs(expected - self.minus_act) > 1e-12:
-            raise ValueError(
-                f"inconsistent bounds: transferring {self.minus_ref} through "
-                f"fidelity {self.fidelity} gives {expected}, not {self.minus_act}"
-            )
+
+    @property
+    def minus_act(self) -> float:
+        return minus_act_bound(self.minus_ref, self.fidelity)
 
     @classmethod
     def from_source(cls, source: SourceCharacterization) -> "SecurityBounds":
-        t = minus_ref_bound(source)
-        s = fidelity_bound(source)
-        return cls(minus_ref=t, fidelity=s, minus_act=minus_act_bound(t, s))
+        return cls(minus_ref=minus_ref_bound(source), fidelity=fidelity_bound(source))
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# Only the bare package (~10 ms): perfbench/invoke.py reads scipy's version
-# from sys.modules, and scipy.optimize is deferred to optimize_mu.
+# Imported bare (~10 ms) and never used for computation: the benchmark
+# harness reads scipy's version from sys.modules after a run.
 import scipy  # noqa: F401
 
 from .security import (
@@ -108,6 +108,41 @@ def rate_at_mu(
     return key_rate(cfg, bounds, [q] * cfg.n_groups, mu=mu)
 
 
+# scipy.optimize.golden's constants and default xtol (sqrt of the double
+# machine epsilon); keep them as scipy spells them so iterates match bitwise.
+_GOLDEN_R = 0.61803399
+_GOLDEN_C = 1.0 - _GOLDEN_R
+_GOLDEN_XTOL = 1.4901161193847656e-08
+
+
+def _golden(func, xa: float, xb: float, xc: float, maxiter: int = 5000) -> float:
+    """Minimise ``func`` by golden-section search on the bracket ``xa < xb < xc``.
+
+    Reproduces the 3-point-bracket branch of ``scipy.optimize.golden`` at its
+    default tolerance operation for operation, so it returns the same float,
+    but trusts the caller's bracket (``func(xb)`` below both ends) instead of
+    evaluating its three points: ``func`` runs scipy's ``nfev - 3`` times.
+    """
+    x0, x3 = xa, xc
+    if abs(xc - xb) > abs(xb - xa):
+        x1, x2 = xb, xb + _GOLDEN_C * (xc - xb)
+    else:
+        x1, x2 = xb - _GOLDEN_C * (xb - xa), xb
+    f1, f2 = func(x1), func(x2)
+    for _ in range(maxiter):
+        if abs(x3 - x0) <= _GOLDEN_XTOL * (abs(x1) + abs(x2)):
+            break
+        if f2 < f1:
+            x0, x1, f1 = x1, x2, f2
+            x2 = _GOLDEN_R * x1 + _GOLDEN_C * x3
+            f2 = func(x2)
+        else:
+            x3, x2, f2 = x2, x1, f1
+            x1 = _GOLDEN_R * x2 + _GOLDEN_C * x0
+            f1 = func(x1)
+    return x1 if f1 < f2 else x2
+
+
 def optimize_mu(
     group_size: int,
     corr_len: int,
@@ -127,19 +162,19 @@ def optimize_mu(
     no grid point yields a positive rate the grid optimum is returned as is,
     with rate 0.  Deterministic; grid points may be evaluated in any order.
 
-    The golden-section refinement runs at scipy's default tolerance, so it
-    stops once the bracket is about 1.5e-8 of mu wide.  In an optimised
-    row, digits of ``mu``, ``q``, ``e_ph_upper`` and ``f_pa`` past about
-    the 8th significant one therefore follow rounding, not the optimum.
+    The refinement reproduces the iterates of ``scipy.optimize.golden`` at
+    its default ``xtol`` of 1.4901161193847656e-08 bit for bit, without
+    importing ``scipy.optimize``; it stops once the bracket is about 1.5e-8
+    of mu wide.  In an optimised row, digits of ``mu``, ``q``,
+    ``e_ph_upper`` and ``f_pa`` past about the 8th significant one therefore
+    follow rounding, not the optimum.  Each mu is evaluated once, except the
+    grid's best point, which the search re-evaluates as scipy does.
 
     Returns
     -------
     (mu_opt, result) : tuple of float and KeyRateResult
         The refined rate is never below the best grid rate.
     """
-    # Deferred: scipy.optimize is most of the package import time, used only here.
-    from scipy.optimize import golden
-
     if not 0.0 < mu_min <= mu_max:
         raise ValueError(f"need 0 < mu_min <= mu_max, got [{mu_min}, {mu_max}]")
     if grid_points < 3:
@@ -151,24 +186,23 @@ def optimize_mu(
         f_ec_mode=f_ec_mode,
         f_ec_fixed=f_ec_fixed,
     )
-    grid = np.geomspace(mu_min, mu_max, grid_points)
-    rates = np.array(
-        [rate_at_mu(cfg, delta, eta, mu).rate_per_pulse for mu in grid]
-    )
+    grid = [float(mu) for mu in np.geomspace(mu_min, mu_max, grid_points)]
+    results = [rate_at_mu(cfg, delta, eta, mu) for mu in grid]
+    rates = np.array([res.rate_per_pulse for res in results])
     best = int(np.argmax(rates))
-    mu_opt = float(grid[best])
+    mu_opt, result = grid[best], results[best]
     if rates[best] > 0.0 and 0 < best < grid_points - 1:
         if rates[best] > rates[best - 1] and rates[best] > rates[best + 1]:
-            refined = float(
-                golden(
-                    lambda m: -rate_at_mu(cfg, delta, eta, float(m)).rate_per_pulse,
-                    brack=(float(grid[best - 1]), mu_opt, float(grid[best + 1])),
-                )
-            )
+            searched = {}
+
+            def neg_rate(mu: float) -> float:
+                searched[mu] = res = rate_at_mu(cfg, delta, eta, mu)
+                return -res.rate_per_pulse
+
+            refined = _golden(neg_rate, grid[best - 1], mu_opt, grid[best + 1])
             if (
                 mu_min <= refined <= mu_max
-                and rate_at_mu(cfg, delta, eta, refined).rate_per_pulse
-                > rates[best]
+                and searched[refined].rate_per_pulse > rates[best]
             ):
-                mu_opt = refined
-    return mu_opt, rate_at_mu(cfg, delta, eta, mu_opt)
+                mu_opt, result = refined, searched[refined]
+    return mu_opt, result

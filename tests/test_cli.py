@@ -230,18 +230,74 @@ class TestTopLevel:
         assert exc.value.code == 0
         assert __version__ in capsys.readouterr().out
 
-    def test_import_leaves_optimizer_unloaded(self):
-        # scipy.optimize dominates start-up; only mu optimisation needs it.
-        code = "import sys, rrdps.cli; print('scipy.optimize' in sys.modules)"
+    def test_import_leaves_optimizer_unloaded(self, tmp_path):
+        # mu optimisation runs an in-package golden-section search, so not
+        # even an optimising keyrate run loads scipy.optimize.
+        payload = dict(
+            KEYRATE_CFG,
+            eta_grid={"min": 0.2, "max": 0.2, "points": 1},
+            mu_mode="optimize",
+        )
+        cfg = write_config(tmp_path / "c.json", payload)
+        code = (
+            "import sys, rrdps.cli\n"
+            "loaded = ['scipy.optimize' in sys.modules]\n"
+            "assert rrdps.cli.main(sys.argv[1:]) == 0\n"
+            "loaded.append('scipy.optimize' in sys.modules)\n"
+            "print(loaded)"
+        )
+        args = ["keyrate", "--config", cfg, "--out", str(tmp_path / "r.csv")]
         out = subprocess.run(
-            [sys.executable, "-c", code],
+            [sys.executable, "-c", code, *args],
             capture_output=True,
             text=True,
             env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
             check=True,
         )
-        assert out.stdout.strip() == "False"
+        assert out.stdout.splitlines()[-1] == "[False, False]"
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             cli.main(["frobnicate"])
+
+
+SWEEP_CFG = {
+    "group_size_list": [8],
+    "delta_list": [0.2],
+    "corr_len_list": [1],
+    "e_bit": 0.03,
+    "eta_grid": {"min": 0.2, "max": 0.2, "points": 1},
+    "mu_mode": {"fixed": 0.08},
+}
+
+
+class TestStrictConfigs:
+    @pytest.mark.parametrize(
+        "command, payload, message",
+        [
+            (
+                "keyrate",
+                dict(KEYRATE_CFG, f_ec_mod="fixed"),
+                "unknown key 'f_ec_mod'",
+            ),
+            ("sweep", dict(SWEEP_CFG, group_size=8), "unknown key 'group_size'"),
+            ("simulate", dict(SIM_CFG, blocks=10), "unknown key 'blocks'"),
+            (
+                "keyrate",
+                dict(KEYRATE_CFG, eta_grid=dict(KEYRATE_CFG["eta_grid"], step=0.1)),
+                "eta_grid: unknown key 'step'",
+            ),
+            (
+                "sweep",
+                dict(SWEEP_CFG, eta_grid=dict(SWEEP_CFG["eta_grid"], log="no")),
+                "eta_grid: key 'log' must be true or false",
+            ),
+        ],
+        ids=["keyrate", "sweep", "simulate", "eta-grid-key", "eta-grid-log"],
+    )
+    def test_rejected(self, tmp_path, capsys, command, payload, message):
+        cfg = write_config(tmp_path / "c.json", payload)
+        out = tmp_path / "r.csv"
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()

@@ -1,11 +1,12 @@
 """Byte-for-byte golden outputs of the CLI and the block-record iterator.
 
-The files under ``tests/golden/`` pin the exact bytes of a sweep that
-reaches group size 1024, a short corr_len = 10 simulate session, a
-prefix of the per-block transcript (bits included) on both sides of a
-chunk boundary, and a 300-trial oracle report.  A change that only
-reorganises computation must leave them untouched.  Regenerate, after a
-deliberate output change, with
+The files under ``tests/golden/`` pin the exact bytes of the README
+keyrate run (mu optimised, 100 rows), a sweep that reaches group size
+1024, a short corr_len = 10 simulate session, a prefix of the per-block
+transcript (bits included) on both sides of a chunk boundary, and a
+300-trial oracle report.  A change that only reorganises computation
+must leave them untouched.  Regenerate, after a deliberate output
+change, with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -23,6 +24,16 @@ from rrdps import simulate as sim
 from rrdps.security import ProtocolConfig
 
 GOLDEN = Path(__file__).parent / "golden"
+
+# The README keyrate example: 4 corr_len x 25 eta, mu optimised per row.
+KEYRATE_CFG = {
+    "group_size": 32,
+    "corr_len_list": [0, 1, 2, 10],
+    "delta": 0.2,
+    "e_bit": 0.03,
+    "eta_grid": {"min": 1e-3, "max": 1.0, "points": 25, "log": True},
+    "mu_mode": "optimize",
+}
 
 SWEEP_CFG = {
     "group_size_list": [3, 32, 1024],
@@ -48,8 +59,9 @@ SIMULATE_CFG = {
 RECORD_BLOCKS = (1, 2, 3, 4, 4097, 4098, 4099, 4100)
 
 ORACLE_ARGS = ["oracle", "--trials", "300", "--seed", "1"]
-# The report's transfer digits depend on the BLAS thread count, which is
-# fixed when the library loads, so the oracle runs in a fresh interpreter.
+# The oracle report's transfer digits depend on the BLAS thread count,
+# which is fixed when the library loads, so the oracle and the README
+# keyrate run are pinned in a fresh one-thread interpreter.
 ONE_BLAS_THREAD = {
     "OPENBLAS_NUM_THREADS": "1",
     "OMP_NUM_THREADS": "1",
@@ -75,11 +87,12 @@ def _records() -> bytes:
     return "".join(lines).encode("utf-8")
 
 
-def _oracle_report() -> bytes:
+def _fresh_cli(args: list[str]) -> bytes:
+    """Stdout of the CLI run in a one-BLAS-thread interpreter."""
     code = "import sys; from rrdps.cli import main; sys.exit(main(sys.argv[1:]))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), **ONE_BLAS_THREAD)
     done = subprocess.run(
-        [sys.executable, "-c", code, *ORACLE_ARGS],
+        [sys.executable, "-c", code, *args],
         env=env,
         capture_output=True,
         check=True,
@@ -87,13 +100,27 @@ def _oracle_report() -> bytes:
     return done.stdout
 
 
+def _keyrate_readme(work: Path) -> bytes:
+    cfg_path = work / "keyrate.json"
+    cfg_path.write_text(json.dumps(KEYRATE_CFG), encoding="utf-8")
+    out = work / "keyrate.csv"
+    _fresh_cli(["keyrate", "--config", str(cfg_path), "--out", str(out)])
+    return out.read_bytes()
+
+
 def _outputs(work: Path) -> dict[str, bytes]:
     return {
+        "keyrate-readme.csv": _keyrate_readme(work),
         "sweep.csv": _cli_output("sweep", SWEEP_CFG, work),
         "simulate-lc10.csv": _cli_output("simulate", SIMULATE_CFG, work),
         "records.jsonl": _records(),
-        "oracle-seed1.txt": _oracle_report(),
+        "oracle-seed1.txt": _fresh_cli(ORACLE_ARGS),
     }
+
+
+def test_keyrate_readme_mu_optimised(tmp_path):
+    got = _keyrate_readme(tmp_path)
+    assert got == (GOLDEN / "keyrate-readme.csv").read_bytes()
 
 
 def test_sweep_up_to_group_size_1024(tmp_path):
@@ -110,7 +137,7 @@ def test_block_record_prefix():
 
 
 def test_oracle_report_seed_1():
-    assert _oracle_report() == (GOLDEN / "oracle-seed1.txt").read_bytes()
+    assert _fresh_cli(ORACLE_ARGS) == (GOLDEN / "oracle-seed1.txt").read_bytes()
 
 
 if __name__ == "__main__":

@@ -236,18 +236,6 @@ class TestSecurityBounds:
         assert b.fidelity == sec.fidelity_bound(src)
         assert b.minus_act == sec.transfer_bound(b.minus_ref, b.fidelity)
 
-    def test_inconsistent_triple_rejected(self):
-        src = sec.SourceCharacterization(
-            corr_len=1, eps=(0.1,), p_vac0=0.9, p_vac1=0.85
-        )
-        good = sec.SecurityBounds.from_source(src)
-        with pytest.raises(ValueError):
-            sec.SecurityBounds(
-                minus_ref=good.minus_ref,
-                fidelity=good.fidelity,
-                minus_act=good.minus_act + 0.01,
-            )
-
 
 class TestProtocolConfig:
     def test_block_structure(self):

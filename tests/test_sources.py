@@ -1,7 +1,9 @@
 """Unit tests for the coherent phase-rotation source model."""
 
+import inspect
 import math
 
+import numpy as np
 import pytest
 
 from rrdps import security as sec
@@ -170,3 +172,86 @@ class TestOptimizeMu:
     def test_domain(self):
         with pytest.raises(ValueError):
             src.optimize_mu(16, 0, 0.2, 0.3, 0.03, mu_min=0.5, mu_max=0.1)
+
+    def test_result_is_the_rate_at_the_returned_mu(self):
+        cfg = sec.ProtocolConfig(group_size=16, corr_len=1, e_bit=0.03)
+        mu_opt, res = src.optimize_mu(16, 1, 0.2, 0.3, 0.03)
+        assert res == src.rate_at_mu(cfg, 0.2, 0.3, mu_opt)
+
+
+# The README keyrate config: group size 32, delta 0.2, e_bit 0.03.
+README_ROWS = [
+    (corr_len, float(eta))
+    for corr_len in (0, 1, 2, 10)
+    for eta in np.geomspace(1e-3, 1.0, 25)
+]
+
+
+class TestGoldenSection:
+    """``_golden`` against ``scipy.optimize.golden``, imported only here."""
+
+    @staticmethod
+    def _compare(func, brack):
+        from scipy.optimize import golden
+
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return func(x)
+
+        got = src._golden(counted, *brack)
+        want, _, nfev = golden(func, brack=brack, full_output=True)
+        assert got == want
+        assert len(calls) == nfev - 3
+
+    def test_stop_rule_is_scipys_default(self):
+        # A slightly different xtol changes no iterate on most objectives.
+        from scipy.optimize import golden
+
+        defaults = inspect.signature(golden).parameters
+        assert src._GOLDEN_XTOL == defaults["tol"].default
+        assert inspect.signature(src._golden).parameters["maxiter"].default == (
+            defaults["maxiter"].default
+        )
+
+    def test_readme_rows_match_scipy(self, monkeypatch):
+        real_golden, real_rate = src._golden, src.rate_at_mu
+        searches = []  # (objective, bracket, rate evaluations in the search)
+        n_rate = 0
+
+        def count_rate(*args):
+            nonlocal n_rate
+            n_rate += 1
+            return real_rate(*args)
+
+        def record_golden(func, *brack):
+            start = n_rate
+            x = real_golden(func, *brack)
+            searches.append((func, brack, n_rate - start))
+            return x
+
+        monkeypatch.setattr(src, "rate_at_mu", count_rate)
+        monkeypatch.setattr(src, "_golden", record_golden)
+        for corr_len, eta in README_ROWS:
+            start = n_rate
+            src.optimize_mu(32, corr_len, 0.2, eta, 0.03)
+            # The grid and the search; nothing is re-evaluated afterwards.
+            assert n_rate - start == 200 + searches[-1][2]
+        assert len(searches) == len(README_ROWS)
+        monkeypatch.undo()
+        for func, brack, _ in searches:
+            self._compare(func, brack)
+
+    @pytest.mark.parametrize(
+        "brack",
+        [(0.1, 0.85, 1.2), (0.5, 0.85, 3.0), (0.5, 0.85, 1.2)],
+        ids=["wider-left", "wider-right", "even"],
+    )
+    @pytest.mark.parametrize(
+        "func",
+        [lambda x: (x - 0.7) ** 2, lambda x: -x * math.exp(-x)],
+        ids=["parabola", "exposure"],
+    )
+    def test_analytic_objectives_match_scipy(self, func, brack):
+        self._compare(func, brack)
