@@ -10,115 +10,20 @@ against the analytic predictions.
 
 __version__ = "0.1.0"
 
-from .oracle import (
-    EmissionFamily,
-    JointState,
-    MAX_STATE_DIM,
-    OracleCampaign,
-    ProofChainCheck,
-    SideChannelDecomposition,
-    Subsystem,
-    build_joint_state,
-    check_proof_chain,
-    coherent_family,
-    condition_on_z,
-    conditioned_state,
-    decompose_side_channel,
-    measured_characterization,
-    minus_probability,
-    plus_vacuum_probability,
-    random_family,
-    reference_state,
-    run_family_campaign,
-    verify_fidelity_proposition,
-)
-from .security import (
-    GroupRate,
-    KeyRateResult,
-    ProtocolConfig,
-    SecurityBounds,
-    SourceCharacterization,
-    binary_entropy,
-    binomial_tail,
-    fidelity_bound,
-    key_rate,
-    minus_act_bound,
-    minus_ref_bound,
-    pa_fraction,
-    phase_error_upper,
-    transfer_bound,
-    vacuum_epsilon,
-    vacuum_fidelity_bound,
-)
-from .simulate import (
-    BlockRecord,
-    GroupOutcome,
-    SimResult,
-    analytic_prediction,
-    group_indices,
-    iter_block_records,
-    run_simulation,
-    simulate_coherent,
-)
-from .sources import (
-    PhaseRotationModel,
-    characterize,
-    coherent_overlap_mag,
-    detection_rate,
-    optimize_mu,
-    rate_at_mu,
-)
+from .security import ProtocolConfig, SecurityBounds, key_rate
+from .simulate import simulate_coherent
+from .sources import PhaseRotationModel, characterize, detection_rate, optimize_mu
 
+# The Python API that the README documents; everything else is reached
+# through its module (``rrdps.oracle``, ``rrdps.security``, ...).
 __all__ = [
     "__version__",
-    "BlockRecord",
-    "EmissionFamily",
-    "GroupOutcome",
-    "GroupRate",
-    "JointState",
-    "KeyRateResult",
-    "MAX_STATE_DIM",
-    "OracleCampaign",
     "PhaseRotationModel",
-    "ProofChainCheck",
     "ProtocolConfig",
     "SecurityBounds",
-    "SideChannelDecomposition",
-    "SimResult",
-    "SourceCharacterization",
-    "Subsystem",
-    "analytic_prediction",
-    "binary_entropy",
-    "binomial_tail",
-    "build_joint_state",
     "characterize",
-    "check_proof_chain",
-    "coherent_family",
-    "coherent_overlap_mag",
-    "condition_on_z",
-    "conditioned_state",
-    "decompose_side_channel",
     "detection_rate",
-    "fidelity_bound",
-    "group_indices",
-    "iter_block_records",
     "key_rate",
-    "measured_characterization",
-    "minus_act_bound",
-    "minus_probability",
-    "minus_ref_bound",
     "optimize_mu",
-    "pa_fraction",
-    "phase_error_upper",
-    "plus_vacuum_probability",
-    "random_family",
-    "rate_at_mu",
-    "reference_state",
-    "run_family_campaign",
-    "run_simulation",
     "simulate_coherent",
-    "transfer_bound",
-    "vacuum_epsilon",
-    "vacuum_fidelity_bound",
-    "verify_fidelity_proposition",
 ]

@@ -3,17 +3,22 @@
 Subcommands:
 
 ``keyrate``   analytic rate curves over a detector-efficiency grid,
-              one row per (corr_len, eta), written as CSV.
+              one row per (corr_len, eta), written as CSV: the sweep at
+              one group size and one rotation strength, without the two
+              columns that would only repeat them.
 ``sweep``     the same rates over grids of group size and rotation
               strength as well.
 ``simulate``  one Monte Carlo session compared against the analytic
-              prediction, written as a single CSV row.
+              rate at the same mu, written as a single CSV row.
 ``oracle``    randomized exact verification of the bound derivation,
               written as a line-oriented report.
 
 Configs are JSON files; numeric output uses 12 significant digits and no
 timestamps, so reruns with the same config and seed are byte identical
-at a fixed BLAS thread count.
+at a fixed BLAS thread count.  The CLI checks the type of each config
+value; ``ProtocolConfig`` checks the ranges of the protocol parameters,
+and its message is printed with the config path in front.  Every config
+error is raised before the first rate is evaluated.
 Relative output paths are resolved against ``RRDPS_OUT_DIR`` when that is
 set.  Exit codes: 0 on success, 1 on usage or config errors (unknown
 keys and non-finite numbers included), 2 when a verification campaign
@@ -27,6 +32,8 @@ import csv
 import json
 import os
 import sys
+from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -34,15 +41,9 @@ import numpy as np
 
 from . import __version__
 from .oracle import run_family_campaign, verify_fidelity_proposition
-from .security import ProtocolConfig, SecurityBounds
-from .simulate import analytic_prediction, run_simulation
-from .sources import (
-    PhaseRotationModel,
-    characterize,
-    detection_rate,
-    optimize_mu,
-    rate_at_mu,
-)
+from .security import KeyRateResult, ProtocolConfig
+from .simulate import simulate_coherent
+from .sources import optimize_mu, rate_at_mu
 
 
 def _fmt(value) -> str:
@@ -90,6 +91,7 @@ _SIMULATE_KEYS = _COMMON_KEYS | {
     "group_size", "corr_len", "delta", "eta", "n_blocks", "seed"
 }
 _ETA_GRID_KEYS = {"min", "max", "points", "log"}
+_NUMBER = (int, float)
 
 
 def _reject_unknown(cfg: dict, known: set, where: str) -> None:
@@ -98,20 +100,33 @@ def _reject_unknown(cfg: dict, known: set, where: str) -> None:
         raise ValueError(f"{where}: unknown key {', '.join(map(repr, unknown))}")
 
 
+def _is(value, kinds) -> bool:
+    # JSON true and false load as bools, which Python counts as ints.
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def _get(cfg: dict, key: str, kinds, where: str):
     if key not in cfg:
         raise ValueError(f"{where}: missing required key {key!r}")
     value = cfg[key]
-    if not isinstance(value, kinds) or isinstance(value, bool):
+    if not _is(value, kinds):
         raise ValueError(f"{where}: key {key!r} has wrong type")
     return value
+
+
+def _get_list(cfg: dict, key: str, kinds, where: str) -> list:
+    values = _get(cfg, key, list, where)
+    if not values or not all(_is(v, kinds) for v in values):
+        what = "integers" if kinds is int else "numbers"
+        raise ValueError(f"{where}: {key} must be a nonempty list of {what}")
+    return values
 
 
 def _eta_grid(cfg: dict, where: str) -> list[float]:
     grid = _get(cfg, "eta_grid", dict, where)
     _reject_unknown(grid, _ETA_GRID_KEYS, where + ".eta_grid")
-    lo = float(_get(grid, "min", (int, float), where + ".eta_grid"))
-    hi = float(_get(grid, "max", (int, float), where + ".eta_grid"))
+    lo = float(_get(grid, "min", _NUMBER, where + ".eta_grid"))
+    hi = float(_get(grid, "max", _NUMBER, where + ".eta_grid"))
     points = _get(grid, "points", int, where + ".eta_grid")
     log = grid.get("log", True)
     if not isinstance(log, bool):
@@ -129,89 +144,91 @@ def _eta_grid(cfg: dict, where: str) -> list[float]:
     return [float(x) for x in np.linspace(lo, hi, points)]
 
 
-def _mu_mode(cfg: dict, where: str):
+def _mu_mode(cfg: dict, where: str) -> Optional[float]:
+    """The fixed mu, or None when mu is to be optimised."""
     mode = cfg.get("mu_mode", "optimize")
     if mode == "optimize":
-        return ("optimize", None)
-    if isinstance(mode, (int, float)) and not isinstance(mode, bool):
-        if mode <= 0:
-            raise ValueError(f"{where}: fixed mu must be > 0")
-        return ("fixed", float(mode))
+        return None
     if isinstance(mode, dict) and set(mode) == {"fixed"}:
-        v = mode["fixed"]
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or v <= 0:
-            raise ValueError(f"{where}: fixed mu must be a number > 0")
-        return ("fixed", float(v))
+        mu = mode["fixed"]
+        if _is(mu, _NUMBER) and mu > 0:
+            return float(mu)
     raise ValueError(
-        f"{where}: mu_mode must be \"optimize\", a number, or {{\"fixed\": mu}}"
+        f"{where}: mu_mode must be \"optimize\" or {{\"fixed\": mu}} with mu > 0"
     )
 
 
-def _f_ec_options(cfg: dict, where: str):
-    mode = cfg.get("f_ec_mode", "shannon")
-    if mode not in ("shannon", "fixed"):
-        raise ValueError(f"{where}: f_ec_mode must be \"shannon\" or \"fixed\"")
-    fixed = cfg.get("f_ec_fixed")
-    if mode == "fixed":
-        if not isinstance(fixed, (int, float)) or isinstance(fixed, bool):
-            raise ValueError(f"{where}: f_ec_mode \"fixed\" needs f_ec_fixed")
-        fixed = float(fixed)
-    elif fixed is not None:
-        raise ValueError(f"{where}: f_ec_fixed is only valid with f_ec_mode \"fixed\"")
-    return mode, fixed
+@dataclass(frozen=True)
+class _Common:
+    """The keys that keyrate, sweep and simulate share, read once."""
 
+    where: str
+    e_bit: float
+    f_ec_mode: str
+    f_ec_fixed: Optional[float]
+    fixed_mu: Optional[float]
+    out: str
 
-def _rate_rows(
-    group_size: int,
-    delta: float,
-    e_bit: float,
-    corr_lens: list[int],
-    etas: list[float],
-    mu_mode: tuple,
-    f_ec_mode: str,
-    f_ec_fixed: Optional[float],
-) -> list[list]:
-    rows = []
-    for corr_len in sorted(corr_lens):
-        cfg = ProtocolConfig(
-            group_size=group_size,
-            corr_len=corr_len,
-            e_bit=e_bit,
-            f_ec_mode=f_ec_mode,
-            f_ec_fixed=f_ec_fixed,
-        )
-        for eta in etas:
-            if mu_mode[0] == "optimize":
-                mu, res = optimize_mu(
-                    group_size,
-                    corr_len,
-                    delta,
-                    eta,
-                    e_bit,
-                    f_ec_mode=f_ec_mode,
-                    f_ec_fixed=f_ec_fixed,
-                )
-            else:
-                mu = mu_mode[1]
-                res = rate_at_mu(cfg, delta, eta, mu)
-            g = res.per_group[0]
-            rows.append(
-                [
-                    corr_len,
-                    eta,
-                    mu,
-                    cfg.n_groups,
-                    g.q,
-                    g.e_ph_upper,
-                    g.f_pa,
-                    res.f_ec,
-                    res.rate_per_pulse,
-                ]
+    def protocol(self, group_size: int, corr_len: int) -> ProtocolConfig:
+        """The protocol at one grid point; ``ProtocolConfig`` range-checks it."""
+        try:
+            return ProtocolConfig(
+                group_size=group_size,
+                corr_len=corr_len,
+                e_bit=self.e_bit,
+                f_ec_mode=self.f_ec_mode,
+                f_ec_fixed=self.f_ec_fixed,
             )
-    return rows
+        except ValueError as exc:
+            raise ValueError(f"{self.where}: {exc}") from None
+
+
+def _read_config(args: argparse.Namespace, known: set) -> tuple[dict, _Common]:
+    where = args.config
+    cfg = _load_config(where)
+    _reject_unknown(cfg, known, where)
+    f_ec_mode = cfg.get("f_ec_mode", "shannon")
+    if not isinstance(f_ec_mode, str):
+        raise ValueError(f"{where}: key 'f_ec_mode' has wrong type")
+    f_ec_fixed = None
+    if "f_ec_fixed" in cfg:
+        f_ec_fixed = float(_get(cfg, "f_ec_fixed", _NUMBER, where))
+    out = args.out or cfg.get("output_path")
+    if not out:
+        raise ValueError(f"{where}: no output path (use --out or output_path)")
+    if not isinstance(out, str):
+        raise ValueError(f"{where}: key 'output_path' has wrong type")
+    common = _Common(
+        where=where,
+        e_bit=float(_get(cfg, "e_bit", _NUMBER, where)),
+        f_ec_mode=f_ec_mode,
+        f_ec_fixed=f_ec_fixed,
+        fixed_mu=_mu_mode(cfg, where),
+        out=out,
+    )
+    return cfg, common
+
+
+def _mu_step(
+    protocol: ProtocolConfig, delta: float, eta: float, fixed_mu: Optional[float]
+) -> tuple[float, KeyRateResult]:
+    """The mu of one rate point, optimised unless fixed, and its rate."""
+    if fixed_mu is None:
+        return optimize_mu(
+            protocol.group_size,
+            protocol.corr_len,
+            delta,
+            eta,
+            protocol.e_bit,
+            f_ec_mode=protocol.f_ec_mode,
+            f_ec_fixed=protocol.f_ec_fixed,
+        )
+    return fixed_mu, rate_at_mu(protocol, delta, eta, fixed_mu)
 
 
 _RATE_HEADER = [
+    "group_size",
+    "delta",
     "corr_len",
     "eta",
     "mu",
@@ -224,167 +241,107 @@ _RATE_HEADER = [
 ]
 
 
-def _cmd_keyrate(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    where = args.config
-    _reject_unknown(cfg, _KEYRATE_KEYS, where)
-    group_size = _get(cfg, "group_size", int, where)
-    delta = float(_get(cfg, "delta", (int, float), where))
-    e_bit = float(_get(cfg, "e_bit", (int, float), where))
-    corr_lens = _get(cfg, "corr_len_list", list, where)
-    if not corr_lens or not all(isinstance(c, int) and c >= 0 for c in corr_lens):
-        raise ValueError(f"{where}: corr_len_list must be nonempty ints >= 0")
+def _cmd_rates(args: argparse.Namespace) -> int:
+    """keyrate and sweep: keyrate is the sweep over one group size and one
+    delta, written without the group_size and delta columns."""
+    sweep = args.command == "sweep"
+    cfg, common = _read_config(args, _SWEEP_KEYS if sweep else _KEYRATE_KEYS)
+    where = common.where
+    if sweep:
+        group_sizes = _get_list(cfg, "group_size_list", int, where)
+        deltas = _get_list(cfg, "delta_list", _NUMBER, where)
+    else:
+        group_sizes = [_get(cfg, "group_size", int, where)]
+        deltas = [_get(cfg, "delta", _NUMBER, where)]
+    deltas = sorted(float(d) for d in deltas)
+    corr_lens = sorted(_get_list(cfg, "corr_len_list", int, where))
     etas = _eta_grid(cfg, where)
-    mu_mode = _mu_mode(cfg, where)
-    f_ec_mode, f_ec_fixed = _f_ec_options(cfg, where)
-    out = args.out or cfg.get("output_path")
-    if not out:
-        raise ValueError(f"{where}: no output path (use --out or output_path)")
-    rows = _rate_rows(
-        group_size, delta, e_bit, corr_lens, etas, mu_mode, f_ec_mode, f_ec_fixed
-    )
-    path = _resolve_out(out)
-    _write_csv(path, "keyrate", _RATE_HEADER, rows)
-    print(f"wrote {len(rows)} rows to {path}")
-    return 0
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    where = args.config
-    _reject_unknown(cfg, _SWEEP_KEYS, where)
-    group_sizes = _get(cfg, "group_size_list", list, where)
-    deltas = _get(cfg, "delta_list", list, where)
-    if not group_sizes or not all(isinstance(g, int) and g >= 3 for g in group_sizes):
-        raise ValueError(f"{where}: group_size_list must be nonempty ints >= 3")
-    if not deltas or not all(
-        isinstance(d, (int, float)) and not isinstance(d, bool) for d in deltas
-    ):
-        raise ValueError(f"{where}: delta_list must be nonempty numbers")
-    e_bit = float(_get(cfg, "e_bit", (int, float), where))
-    corr_lens = _get(cfg, "corr_len_list", list, where)
-    if not corr_lens or not all(isinstance(c, int) and c >= 0 for c in corr_lens):
-        raise ValueError(f"{where}: corr_len_list must be nonempty ints >= 0")
-    etas = _eta_grid(cfg, where)
-    mu_mode = _mu_mode(cfg, where)
-    f_ec_mode, f_ec_fixed = _f_ec_options(cfg, where)
-    out = args.out or cfg.get("output_path")
-    if not out:
-        raise ValueError(f"{where}: no output path (use --out or output_path)")
+    # Every grid point's protocol is checked before any rate is evaluated.
+    protocols = [
+        [common.protocol(group_size, corr_len) for corr_len in corr_lens]
+        for group_size in sorted(group_sizes)
+    ]
     rows = []
-    for group_size in sorted(group_sizes):
-        for delta in sorted(float(d) for d in deltas):
-            for base in _rate_rows(
-                group_size,
-                delta,
-                e_bit,
-                corr_lens,
-                etas,
-                mu_mode,
-                f_ec_mode,
-                f_ec_fixed,
-            ):
-                rows.append([group_size, delta] + base)
-    path = _resolve_out(out)
-    _write_csv(path, "sweep", ["group_size", "delta"] + _RATE_HEADER, rows)
+    for same_size, delta in product(protocols, deltas):
+        for protocol, eta in product(same_size, etas):
+            mu, res = _mu_step(protocol, delta, eta, common.fixed_mu)
+            g = res.per_group[0]
+            rows.append(
+                [
+                    protocol.group_size,
+                    delta,
+                    protocol.corr_len,
+                    eta,
+                    mu,
+                    protocol.n_groups,
+                    g.q,
+                    g.e_ph_upper,
+                    g.f_pa,
+                    res.f_ec,
+                    res.rate_per_pulse,
+                ]
+            )
+    first = 0 if sweep else 2
+    path = _resolve_out(common.out)
+    _write_csv(path, args.command, _RATE_HEADER[first:], [r[first:] for r in rows])
     print(f"wrote {len(rows)} rows to {path}")
     return 0
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    where = args.config
-    _reject_unknown(cfg, _SIMULATE_KEYS, where)
+    cfg, common = _read_config(args, _SIMULATE_KEYS)
+    where = common.where
     group_size = _get(cfg, "group_size", int, where)
     corr_len = _get(cfg, "corr_len", int, where)
-    delta = float(_get(cfg, "delta", (int, float), where))
-    e_bit = float(_get(cfg, "e_bit", (int, float), where))
-    eta = float(_get(cfg, "eta", (int, float), where))
+    delta = float(_get(cfg, "delta", _NUMBER, where))
+    eta = float(_get(cfg, "eta", _NUMBER, where))
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"{where}: eta must lie in [0, 1], got {eta}")
     n_blocks = _get(cfg, "n_blocks", int, where)
-    mu_mode = _mu_mode(cfg, where)
-    f_ec_mode, f_ec_fixed = _f_ec_options(cfg, where)
+    if n_blocks < 1:
+        raise ValueError(f"{where}: n_blocks must be >= 1, got {n_blocks}")
     seed = args.seed if args.seed is not None else cfg.get("seed")
-    if not isinstance(seed, int) or isinstance(seed, bool):
+    if not _is(seed, int):
         raise ValueError(f"{where}: no seed (use --seed or a \"seed\" key)")
-    out = args.out or cfg.get("output_path")
-    if not out:
-        raise ValueError(f"{where}: no output path (use --out or output_path)")
+    protocol = common.protocol(group_size, corr_len)
 
-    if mu_mode[0] == "optimize":
-        mu, _ = optimize_mu(
-            group_size,
-            corr_len,
-            delta,
-            eta,
-            e_bit,
-            f_ec_mode=f_ec_mode,
-            f_ec_fixed=f_ec_fixed,
-        )
-    else:
-        mu = mu_mode[1]
-    protocol = ProtocolConfig(
-        group_size=group_size,
-        corr_len=corr_len,
-        e_bit=e_bit,
-        f_ec_mode=f_ec_mode,
-        f_ec_fixed=f_ec_fixed,
-    )
-    bounds = SecurityBounds.from_source(
-        characterize(PhaseRotationModel(mu=mu, delta=delta, corr_len=corr_len))
-    )
-    q = detection_rate(group_size, eta, mu)
-    result = run_simulation(protocol, bounds, q, n_blocks, seed, mu_used=mu)
-    analytic = analytic_prediction(protocol, bounds, q)
-
-    header = [
-        "group_size",
-        "corr_len",
-        "delta",
-        "e_bit",
-        "eta",
-        "mu",
-        "n_blocks",
-        "seed",
-        "q_success",
-        "e_bit_hat",
-        "f_ec",
-        "key_length",
-        "rate_per_pulse",
-        "analytic_rate",
-    ]
-    row = [
+    mu, analytic = _mu_step(protocol, delta, eta, common.fixed_mu)
+    result = simulate_coherent(
         group_size,
         corr_len,
         delta,
-        e_bit,
+        protocol.e_bit,
         eta,
         mu,
         n_blocks,
         seed,
-        result.q_success,
-        result.e_bit_hat,
-        result.f_ec,
-        result.key_length,
-        result.rate_per_pulse,
-        analytic.rate_per_pulse,
+        f_ec_mode=protocol.f_ec_mode,
+        f_ec_fixed=protocol.f_ec_fixed,
+    )
+    columns = [
+        ("group_size", group_size),
+        ("corr_len", corr_len),
+        ("delta", delta),
+        ("e_bit", protocol.e_bit),
+        ("eta", eta),
+        ("mu", mu),
+        ("n_blocks", n_blocks),
+        ("seed", seed),
+        ("q_success", result.q_success),
+        ("e_bit_hat", result.e_bit_hat),
+        ("f_ec", result.f_ec),
+        ("key_length", result.key_length),
+        ("rate_per_pulse", result.rate_per_pulse),
+        ("analytic_rate", analytic.rate_per_pulse),
     ]
-    for w in range(result.n_groups):
-        header += [
-            f"q_hat_w{w + 1}",
-            f"n_suc_w{w + 1}",
-            f"n_err_w{w + 1}",
-            f"e_ph_w{w + 1}",
-            f"f_pa_w{w + 1}",
-        ]
-        row += [
-            result.q_hat[w],
-            result.n_success[w],
-            result.n_errors[w],
-            result.e_ph_upper[w],
-            result.f_pa[w],
-        ]
-    path = _resolve_out(out)
-    _write_csv(path, "simulate", header, [row])
+    per_group = zip(
+        result.q_hat, result.n_success, result.n_errors, result.e_ph_upper, result.f_pa
+    )
+    for w, values in enumerate(per_group, start=1):
+        names = ("q_hat", "n_suc", "n_err", "e_ph", "f_pa")
+        columns += [(f"{name}_w{w}", v) for name, v in zip(names, values)]
+    path = _resolve_out(common.out)
+    _write_csv(path, "simulate", [c for c, _ in columns], [[v for _, v in columns]])
     print(
         f"key_length={result.key_length} rate={result.rate_per_pulse:.6g} "
         f"analytic={analytic.rate_per_pulse:.6g} wrote {path}"
@@ -393,13 +350,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    campaign = run_family_campaign(
-        n_trials=args.trials,
-        seed=args.seed,
-        max_pulses=args.pulses,
-        max_fock=args.fock,
-        eps_scale=args.fault_injection,
-    )
+    flags = f"--trials {args.trials} --pulses {args.pulses} --fock {args.fock}"
+    if args.fault_injection is not None:
+        flags += f" --fault-injection {args.fault_injection}"
+    try:
+        campaign = run_family_campaign(
+            n_trials=args.trials,
+            seed=args.seed,
+            max_pulses=args.pulses,
+            max_fock=args.fock,
+            eps_scale=args.fault_injection,
+        )
+    except ValueError as exc:
+        raise ValueError(f"{flags}: {exc}") from None
     lines = [f"# rrdps {__version__} oracle seed={args.seed} trials={args.trials}"]
     if args.fault_injection is not None:
         lines.append(f"# fault injection: eps scaled by {_fmt(args.fault_injection)}")
@@ -442,12 +405,12 @@ def _parser() -> argparse.ArgumentParser:
     p_rate = sub.add_parser("keyrate", help="analytic rate curves over an eta grid")
     p_rate.add_argument("--config", required=True, help="JSON config path")
     p_rate.add_argument("--out", help="output CSV path")
-    p_rate.set_defaults(func=_cmd_keyrate)
+    p_rate.set_defaults(func=_cmd_rates)
 
     p_sweep = sub.add_parser("sweep", help="rate curves over size/rotation grids")
     p_sweep.add_argument("--config", required=True, help="JSON config path")
     p_sweep.add_argument("--out", help="output CSV path")
-    p_sweep.set_defaults(func=_cmd_sweep)
+    p_sweep.set_defaults(func=_cmd_rates)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo session vs analytic rate")
     p_sim.add_argument("--config", required=True, help="JSON config path")

@@ -41,6 +41,15 @@ from .security import (
 MAX_STATE_DIM = 2**21
 
 
+def _check_dense(fock_dim: int, n_pulses: int, what: str = "joint state") -> None:
+    # Each pulse carries a qubit ancilla and a Fock mode.
+    total = (2 * fock_dim) ** n_pulses
+    if total > MAX_STATE_DIM:
+        raise ValueError(
+            f"{what} of dimension {total} exceeds the dense budget {MAX_STATE_DIM}"
+        )
+
+
 @dataclass(frozen=True)
 class Subsystem:
     kind: str  # "qubit" or "fock"
@@ -158,12 +167,7 @@ def build_joint_state(family: EmissionFamily) -> JointState:
     strings.  The result is exactly normalized because ancilla basis states
     of different bit strings are orthogonal.
     """
-    total = (2 * family.fock_dim) ** family.n_pulses
-    if total > MAX_STATE_DIM:
-        raise ValueError(
-            f"joint state dimension {total} exceeds the dense budget "
-            f"{MAX_STATE_DIM}"
-        )
+    _check_dense(family.fock_dim, family.n_pulses)
     return _tail_state(_CanonicalStates(family, 0, enabled=False), 0, ())
 
 
@@ -326,6 +330,8 @@ def _check_analysis_args(family: EmissionFamily, t: int, history: Sequence[int])
         raise ValueError(f"pulse {t} takes {w} history bits, got {len(history)}")
     if any(b not in (0, 1) for b in history):
         raise ValueError("history bits must be 0 or 1")
+    # The block state spans pulses t..n.
+    _check_dense(family.fock_dim, family.n_pulses - t + 1)
 
 
 def conditioned_state(
@@ -765,10 +771,20 @@ def run_family_campaign(
     trial from a counter-keyed stream, so trials are reproducible and
     order independent.  ``eps_scale`` multiplies the measured per-lag
     deficits before the bounds are formed; values below 1 understate the
-    correlations and must trip the checks.
+    correlations and must trip the checks.  Every argument is checked
+    before the first trial, the largest family against the dense budget.
     """
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     if max_pulses < 2:
-        raise ValueError("campaign needs at least two pulses")
+        raise ValueError(f"max_pulses must be >= 2, got {max_pulses}")
+    if max_fock < 6:
+        # Coherent families keep at least 6 Fock levels.
+        raise ValueError(f"max_fock must be >= 6, got {max_fock}")
+    if eps_scale is not None and not 0.0 <= eps_scale < math.inf:
+        raise ValueError(f"eps_scale must be a finite number >= 0, got {eps_scale}")
+    what = f"max_pulses={max_pulses}, max_fock={max_fock}: joint state"
+    _check_dense(max_fock, max_pulses, what)
     campaign = OracleCampaign(seed=seed, tol=tol, eps_scale=eps_scale)
     for i in range(n_trials):
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
@@ -778,7 +794,7 @@ def run_family_campaign(
         lc = int(rng.integers(0, min(2, n - 1) + 1))
         kind = rng.random()
         if kind < 0.1:
-            fock = max(6, int(rng.integers(6, max_fock + 1)))
+            fock = int(rng.integers(6, max_fock + 1))
             fam = coherent_family(
                 n_pulses=n,
                 corr_len=lc,

@@ -320,7 +320,9 @@ def phase_error_upper(group_size: int, minus_act: float, q: float) -> float:
     if not 0.0 < q <= 1.0:
         raise ValueError(f"detection rate must lie in (0, 1], got {q}")
     n = group_size
-    terms = np.minimum(_tail_row(n, minus_act)[: n - 1] / q, 1.0)
+    # Capping the tail at q before dividing gives the same bits as capping
+    # the ratio at 1, but cannot overflow when q is subnormal.
+    terms = np.minimum(_tail_row(n, minus_act)[: n - 1], q) / q
     return math.fsum(terms.tolist()) / (n - 1)
 
 

@@ -25,11 +25,9 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .security import (
-    KeyRateResult,
     ProtocolConfig,
     SecurityBounds,
     binary_entropy,
-    key_rate,
     pa_fraction,
     phase_error_upper,
 )
@@ -250,13 +248,6 @@ def run_simulation(
         minus_act=bounds.minus_act,
         mu_used=mu_used,
     )
-
-
-def analytic_prediction(
-    cfg: ProtocolConfig, bounds: SecurityBounds, q_success: float
-) -> KeyRateResult:
-    """Asymptotic per-pulse rate the simulation should approach."""
-    return key_rate(cfg, bounds, [q_success] * cfg.n_groups)
 
 
 def simulate_coherent(

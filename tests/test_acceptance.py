@@ -193,7 +193,7 @@ def test_criterion_6_simulation_matches_analytics(tmp_path, capsys):
             )
             q = src.detection_rate(group_size, eta, mu)
             result = sim.run_simulation(cfg, bounds, q, n_blocks, seed, mu_used=mu)
-            analytic = sim.analytic_prediction(cfg, bounds, q)
+            analytic = sec.key_rate(cfg, bounds, [q] * cfg.n_groups)
 
             # Success rates: plain binomial standard errors.
             se_q = math.sqrt(q * (1.0 - q) / n_blocks)

@@ -100,6 +100,15 @@ class TestKeyrateCommand:
         # Bitwise equality of the formatted rates, not mere closeness.
         assert by_corr[0] == by_corr[1]
 
+    def test_fixed_error_correction_cost(self, tmp_path):
+        payload = dict(KEYRATE_CFG, f_ec_mode="fixed", f_ec_fixed=0.25)
+        cfg = write_config(tmp_path / "c.json", payload)
+        out = tmp_path / "r.csv"
+        assert cli.main(["keyrate", "--config", cfg, "--out", str(out)]) == 0
+        _, header, rows = read_csv(out)
+        col = header.index("f_ec")
+        assert [r[col] for r in rows] == ["0.25"] * len(rows)
+
 
 class TestSweepCommand:
     def test_grid_expansion(self, tmp_path):
@@ -222,6 +231,25 @@ class TestOracleCommand:
         assert code == 0
         assert "summary trials=5" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flags, flag",
+        [
+            (["--trials", "0"], "--trials"),
+            (["--trials", "-3"], "--trials"),
+            (["--fault-injection", "nan"], "--fault-injection"),
+            (["--fock", "5"], "--fock"),
+            # (2 * 20)^4 amplitudes exceed the dense budget.
+            (["--fock", "20"], "--fock"),
+        ],
+        ids=["trials-0", "trials-negative", "injection-nan", "fock-5", "fock-20"],
+    )
+    def test_bad_flag_rejected(self, tmp_path, capsys, flags, flag):
+        out = tmp_path / "report.txt"
+        args = ["oracle", "--trials", "3", "--seed", "3", *flags, "--out", str(out)]
+        assert cli.main(args) == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTopLevel:
     def test_version_flag(self, capsys):
@@ -292,12 +320,78 @@ class TestStrictConfigs:
                 dict(SWEEP_CFG, eta_grid=dict(SWEEP_CFG["eta_grid"], log="no")),
                 "eta_grid: key 'log' must be true or false",
             ),
+            ("keyrate", dict(KEYRATE_CFG, corr_len_list=[False, True]), "corr_len_list"),
+            ("keyrate", dict(KEYRATE_CFG, mu_mode=0.05), "mu_mode"),
         ],
-        ids=["keyrate", "sweep", "simulate", "eta-grid-key", "eta-grid-log"],
+        ids=[
+            "keyrate",
+            "sweep",
+            "simulate",
+            "eta-grid-key",
+            "eta-grid-log",
+            "bool-list",
+            "bare-mu",
+        ],
     )
     def test_rejected(self, tmp_path, capsys, command, payload, message):
         cfg = write_config(tmp_path / "c.json", payload)
         out = tmp_path / "r.csv"
         assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+CONFIGS = {"keyrate": KEYRATE_CFG, "sweep": SWEEP_CFG, "simulate": SIM_CFG}
+
+# Error-correction settings that ProtocolConfig or the type check refuse.
+BAD_F_EC = {
+    "fixed-without-value": {"f_ec_mode": "fixed"},
+    "value-under-shannon": {"f_ec_mode": "shannon", "f_ec_fixed": 0.2},
+    "negative-value": {"f_ec_mode": "fixed", "f_ec_fixed": -0.1},
+    "boolean-value": {"f_ec_mode": "fixed", "f_ec_fixed": True},
+    "unknown-mode": {"f_ec_mode": "ldpc"},
+}
+
+
+class TestErrorCorrectionOptions:
+    @pytest.mark.parametrize("command", sorted(CONFIGS))
+    @pytest.mark.parametrize("case", sorted(BAD_F_EC))
+    def test_rejected(self, tmp_path, capsys, command, case):
+        cfg = write_config(tmp_path / "c.json", dict(CONFIGS[command], **BAD_F_EC[case]))
+        out = tmp_path / "r.csv"
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: ")
+        assert not out.exists()
+
+
+# Config errors of every kind: ranges left to ProtocolConfig, a bad entry
+# behind good ones, and keys only the command reads itself.
+LATE_ERRORS = [
+    ("keyrate", dict(KEYRATE_CFG, e_bit=0.7)),
+    ("keyrate", dict(KEYRATE_CFG, group_size=2)),
+    ("keyrate", dict(KEYRATE_CFG, corr_len_list=[0, -1])),
+    ("keyrate", dict(KEYRATE_CFG, mu_mode="optimize", f_ec_mode="fixed")),
+    ("sweep", dict(SWEEP_CFG, group_size_list=[8, 2])),
+    ("sweep", dict(SWEEP_CFG, mu_mode="optimize", e_bit=-0.1)),
+    ("sweep", dict(SWEEP_CFG, delta_list=[0.1, "x"])),
+    ("simulate", dict(SIM_CFG, e_bit=0.7)),
+    ("simulate", dict(SIM_CFG, mu_mode="optimize", e_bit=0.7)),
+    ("simulate", dict(SIM_CFG, mu_mode="optimize", corr_len=-1)),
+    ("simulate", dict(SIM_CFG, mu_mode="optimize", f_ec_fixed=0.2)),
+    ("simulate", dict(SIM_CFG, mu_mode="optimize", eta=1.5)),
+    ("simulate", dict(SIM_CFG, mu_mode="optimize", n_blocks=0)),
+    ("simulate", dict(SIM_CFG, n_blocks=0)),
+]
+
+
+def test_config_errors_precede_rate_evaluation(tmp_path, monkeypatch):
+    def evaluated(*args, **kwargs):
+        raise AssertionError("a rate was evaluated before the config was checked")
+
+    monkeypatch.setattr(cli, "optimize_mu", evaluated)
+    monkeypatch.setattr(cli, "rate_at_mu", evaluated)
+    for i, (command, payload) in enumerate(LATE_ERRORS):
+        cfg = write_config(tmp_path / f"c{i}.json", payload)
+        out = tmp_path / f"r{i}.csv"
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1, payload
         assert not out.exists()

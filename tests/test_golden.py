@@ -2,7 +2,8 @@
 
 The files under ``tests/golden/`` pin the exact bytes of the README
 keyrate run (mu optimised, 100 rows), a sweep that reaches group size
-1024, a short corr_len = 10 simulate session, a prefix of the per-block
+1024, a short corr_len = 10 simulate session, a simulate session with mu
+optimised and a fixed error-correction cost, a prefix of the per-block
 transcript (bits included) on both sides of a chunk boundary, and a
 300-trial oracle report.  A change that only reorganises computation
 must leave them untouched.  Regenerate, after a deliberate output
@@ -55,13 +56,26 @@ SIMULATE_CFG = {
     "seed": 11,
 }
 
+SIMULATE_OPT_CFG = {
+    "group_size": 32,
+    "corr_len": 1,
+    "delta": 0.2,
+    "e_bit": 0.03,
+    "eta": 0.2,
+    "mu_mode": "optimize",
+    "f_ec_mode": "fixed",
+    "f_ec_fixed": 0.25,
+    "n_blocks": 5000,
+    "seed": 13,
+}
+
 # Blocks 1-4 come from chunk 0, blocks 4097-4100 from chunk 1.
 RECORD_BLOCKS = (1, 2, 3, 4, 4097, 4098, 4099, 4100)
 
 ORACLE_ARGS = ["oracle", "--trials", "300", "--seed", "1"]
 # The oracle report's transfer digits depend on the BLAS thread count,
-# which is fixed when the library loads, so the oracle and the README
-# keyrate run are pinned in a fresh one-thread interpreter.
+# which is fixed when the library loads, so the oracle and the mu-optimised
+# runs are pinned in a fresh one-thread interpreter.
 ONE_BLAS_THREAD = {
     "OPENBLAS_NUM_THREADS": "1",
     "OMP_NUM_THREADS": "1",
@@ -100,26 +114,27 @@ def _fresh_cli(args: list[str]) -> bytes:
     return done.stdout
 
 
-def _keyrate_readme(work: Path) -> bytes:
-    cfg_path = work / "keyrate.json"
-    cfg_path.write_text(json.dumps(KEYRATE_CFG), encoding="utf-8")
-    out = work / "keyrate.csv"
-    _fresh_cli(["keyrate", "--config", str(cfg_path), "--out", str(out)])
+def _fresh_cli_output(command: str, config: dict, work: Path) -> bytes:
+    cfg_path = work / f"{command}.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    out = work / f"{command}.csv"
+    _fresh_cli([command, "--config", str(cfg_path), "--out", str(out)])
     return out.read_bytes()
 
 
 def _outputs(work: Path) -> dict[str, bytes]:
     return {
-        "keyrate-readme.csv": _keyrate_readme(work),
+        "keyrate-readme.csv": _fresh_cli_output("keyrate", KEYRATE_CFG, work),
         "sweep.csv": _cli_output("sweep", SWEEP_CFG, work),
         "simulate-lc10.csv": _cli_output("simulate", SIMULATE_CFG, work),
+        "simulate-optimize.csv": _fresh_cli_output("simulate", SIMULATE_OPT_CFG, work),
         "records.jsonl": _records(),
         "oracle-seed1.txt": _fresh_cli(ORACLE_ARGS),
     }
 
 
 def test_keyrate_readme_mu_optimised(tmp_path):
-    got = _keyrate_readme(tmp_path)
+    got = _fresh_cli_output("keyrate", KEYRATE_CFG, tmp_path)
     assert got == (GOLDEN / "keyrate-readme.csv").read_bytes()
 
 
@@ -130,6 +145,11 @@ def test_sweep_up_to_group_size_1024(tmp_path):
 def test_simulate_corr_len_10(tmp_path):
     got = _cli_output("simulate", SIMULATE_CFG, tmp_path)
     assert got == (GOLDEN / "simulate-lc10.csv").read_bytes()
+
+
+def test_simulate_mu_optimised_fixed_f_ec(tmp_path):
+    got = _fresh_cli_output("simulate", SIMULATE_OPT_CFG, tmp_path)
+    assert got == (GOLDEN / "simulate-optimize.csv").read_bytes()
 
 
 def test_block_record_prefix():

@@ -103,6 +103,27 @@ class TestBuildJointState:
         with pytest.raises(ValueError):
             orc.build_joint_state(fam)
 
+    def test_dense_budget_enforced_by_every_block_builder(self, monkeypatch):
+        def built(*args):
+            raise AssertionError("a dense state was built past the budget")
+
+        fam = orc.random_family(4, 0, 20, seed=1)
+        monkeypatch.setattr(orc, "_tail_state", built)
+        # At t = 1 the block holds (2*20)^4 = 2.56e6 amplitudes.
+        for builder in (
+            orc.check_proof_chain,
+            orc.conditioned_state,
+            orc.reference_state,
+            orc.decompose_side_channel,
+        ):
+            with pytest.raises(ValueError, match="dense budget"):
+                builder(fam, 1, ())
+
+    def test_dense_budget_counts_only_pulses_from_t(self):
+        # At t = 2 the block holds (2*20)^3 = 64000 amplitudes.
+        fam = orc.random_family(4, 0, 20, seed=1)
+        assert orc.check_proof_chain(fam, 2, ()).passed
+
     def test_norm_always_unit(self):
         for seed in range(4):
             fam = orc.random_family(3, 1, 3, seed=seed)
@@ -426,6 +447,28 @@ class TestCampaigns:
     def test_summary_line(self):
         camp = orc.run_family_campaign(n_trials=5, seed=2)
         assert camp.lines()[-1] == "summary trials=5 failed=0 status=PASS"
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"n_trials": 0},
+            {"n_trials": -3},
+            {"max_pulses": 1},
+            {"max_fock": 5},
+            {"max_fock": 20},
+            {"max_pulses": 7},
+            {"eps_scale": math.nan},
+            {"eps_scale": -0.5},
+        ],
+        ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
+    )
+    def test_bad_arguments_rejected_before_first_trial(self, monkeypatch, bad):
+        def checked(*args, **kwargs):
+            raise AssertionError("a trial ran before the arguments were checked")
+
+        monkeypatch.setattr(orc, "check_proof_chain", checked)
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            orc.run_family_campaign(**{"n_trials": 5, "seed": 2, **bad})
 
 
 class TestFidelityProposition:

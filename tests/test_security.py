@@ -1,6 +1,7 @@
 """Unit tests for the analytic bound layer."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -278,6 +279,11 @@ class TestPhaseErrorUpper:
 
     def test_rare_detection_saturates(self):
         assert sec.phase_error_upper(8, 0.3, 1e-12) == 1.0
+
+    def test_subnormal_detection_rate_does_not_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sec.phase_error_upper(8, 0.5, 1e-310) == 1.0
 
     def test_monotone_in_cap(self):
         vals = [sec.phase_error_upper(16, c / 40.0, 0.2) for c in range(41)]

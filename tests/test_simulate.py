@@ -193,11 +193,3 @@ class TestSimulateCoherent:
         want = sim.run_simulation(cfg, _bounds(0.1, 0.2, 1), q, 300, seed=21, mu_used=0.1)
         assert res == want
         assert res.mu_used == 0.1
-
-    def test_analytic_prediction_consistency(self):
-        cfg = sec.ProtocolConfig(group_size=8, corr_len=1, e_bit=0.05)
-        bounds = _bounds(0.1, 0.2, 1)
-        q = 0.37
-        pred = sim.analytic_prediction(cfg, bounds, q)
-        want = sec.key_rate(cfg, bounds, [q, q])
-        assert pred == want
