@@ -1,11 +1,15 @@
 """Exact small-system verification of the security-bound derivation.
 
-For short pulse trains this module builds the full entangled state of the
-encoding step on dense vectors (one ancilla qubit plus one truncated Fock
-mode per pulse), conditions it on encoding outcomes, splits the influence
-of a bit on later pulses into a retained component and an orthogonal side
-channel, and checks every inequality the analytic bounds rest on, with
-explicit tolerances, against randomized and coherent source families.
+Every inequality the analytic bounds rest on is checked, with explicit
+tolerances, against randomized and coherent source families.  The state
+of the encoding step is one ancilla qubit plus one truncated Fock mode per
+pulse; conditioned on the bits before the analyzed pulse t, its block of
+pulses t..n is ``(|0> b0 T0 + |1> b1 T1) / sqrt(2)``, with b0, b1 the
+pulse-t states and T0, T1 the tails of later pulses under each value of
+bit t.  Every quantity of the proof chain is a closed form in b0, b1 and
+the tail overlap ``<T0|T1>``, which the check computes from per-pulse
+overlaps without building a state: its cost grows as 2**corr_len and does
+not depend on the pulse count.
 
 Checks are evaluated on the phase-canonical form of the states: each
 emitted state is only defined up to a global phase, and the bounds hold
@@ -14,8 +18,11 @@ is real nonnegative and the overlaps between near-history variants are
 phase aligned.  The canonicalization is applied here explicitly, so the
 stored family vectors may carry arbitrary phases.
 
-States are dense vectors filled by indexed outer products of the pulse
-vectors, since every ancilla factor is a basis vector and only picks an index.
+The dense builders, ``build_joint_state`` and ``decompose_side_channel``,
+serve the Python API and the reference tests.  They fill dense vectors by
+indexed outer products of the pulse vectors, since every ancilla factor is
+a basis vector and only picks an index, and reject states above
+``MAX_STATE_DIM`` amplitudes.
 """
 
 from __future__ import annotations
@@ -198,35 +205,6 @@ def condition_on_z(state: JointState, assignments: Mapping[int, int]) -> JointSt
     return JointState(amplitudes=picked / norm, layout=layout)
 
 
-def minus_probability(state: JointState, index: int) -> float:
-    """Probability of the X-basis minus outcome on one qubit subsystem."""
-    if not 0 <= index < len(state.layout):
-        raise ValueError(f"no subsystem at index {index}")
-    if state.layout[index].kind != "qubit":
-        raise ValueError(f"subsystem {index} is not a qubit")
-    arr = np.moveaxis(state.amplitudes.reshape(state.dims), index, 0)
-    minus = (arr[0] - arr[1]) / math.sqrt(2.0)
-    p = float(np.linalg.norm(minus) ** 2)
-    if not -1e-12 <= p <= 1.0 + 1e-12:
-        raise ArithmeticError(f"minus probability {p} outside [0, 1] tolerance")
-    return min(1.0, max(0.0, p))
-
-
-def plus_vacuum_probability(state: JointState, qubit_index: int, fock_index: int) -> float:
-    """Joint probability of X-basis plus on one qubit and vacuum on one mode."""
-    if state.layout[qubit_index].kind != "qubit":
-        raise ValueError(f"subsystem {qubit_index} is not a qubit")
-    if state.layout[fock_index].kind != "fock":
-        raise ValueError(f"subsystem {fock_index} is not a Fock mode")
-    arr = state.amplitudes.reshape(state.dims)
-    arr = np.moveaxis(arr, (qubit_index, fock_index), (0, 1))
-    plus_vac = (arr[0, 0] + arr[1, 0]) / math.sqrt(2.0)
-    p = float(np.linalg.norm(plus_vac) ** 2)
-    if not -1e-12 <= p <= 1.0 + 1e-12:
-        raise ArithmeticError(f"joint probability {p} outside [0, 1] tolerance")
-    return min(1.0, max(0.0, p))
-
-
 def _bit_at(pos: int, t: int, jt: int, history: Sequence[int], branch: Sequence[int]) -> int:
     # Bit encoded at absolute pulse position pos, given the branch bits for
     # pulses after t, the analyzed bit jt at t, and the history before t.
@@ -330,46 +308,6 @@ def _check_analysis_args(family: EmissionFamily, t: int, history: Sequence[int])
         raise ValueError(f"pulse {t} takes {w} history bits, got {len(history)}")
     if any(b not in (0, 1) for b in history):
         raise ValueError("history bits must be 0 or 1")
-    # The block state spans pulses t..n.
-    _check_dense(family.fock_dim, family.n_pulses - t + 1)
-
-
-def conditioned_state(
-    family: EmissionFamily,
-    t: int,
-    history: Sequence[int],
-    canonical: bool = True,
-) -> JointState:
-    """State of pulses t..n after the earlier bits came out as ``history``.
-
-    With ``canonical=False`` this is exactly what conditioning the full
-    joint state on the history yields; with ``canonical=True`` the phase
-    conventions of the bound derivation are applied on top.
-    """
-    _check_analysis_args(family, t, history)
-    states = _CanonicalStates(family, t, enabled=canonical)
-    return _block_state(states, history, _tails(states, history))
-
-
-def _tails(
-    states: _CanonicalStates, history: Sequence[int]
-) -> tuple[JointState, JointState]:
-    return _tail_state(states, 0, history), _tail_state(states, 1, history)
-
-
-def _block_state(
-    states: _CanonicalStates,
-    history: Sequence[int],
-    tails: tuple[JointState, JointState],
-) -> JointState:
-    """Block state of pulses t..n whose bit-jt branch carries ``tails[jt]``."""
-    fam, t = states.family, states.t
-    amp = np.zeros((2, fam.fock_dim, tails[0].amplitudes.size), dtype=complex)
-    for jt in (0, 1):
-        base = states.pulse_state(t, jt, history)
-        amp[jt] = np.multiply.outer(base, tails[jt].amplitudes)
-    amp = amp.reshape(-1) / math.sqrt(2.0)
-    return JointState(amplitudes=amp, layout=_layout(fam.fock_dim, t, fam.n_pulses))
 
 
 @dataclass(frozen=True)
@@ -397,10 +335,10 @@ def decompose_side_channel(
     from the projection coefficients by more than 1e-9.
     """
     _check_analysis_args(family, t, history)
-    return _decompose(_tails(_CanonicalStates(family, t, enabled=True), history))
-
-
-def _decompose(tails: tuple[JointState, JointState]) -> SideChannelDecomposition:
+    # The dense budget counts the block of pulses t..n.
+    _check_dense(family.fock_dim, family.n_pulses - t + 1)
+    states = _CanonicalStates(family, t, enabled=True)
+    tails = (_tail_state(states, 0, history), _tail_state(states, 1, history))
     phi = tails[0]
     coeffs = []
     for tail in tails:
@@ -431,14 +369,39 @@ def _decompose(tails: tuple[JointState, JointState]) -> SideChannelDecomposition
     )
 
 
-def reference_state(
-    family: EmissionFamily, t: int, history: Sequence[int]
-) -> JointState:
-    """Reference block state: actual pulse-t states, leakage-free tail."""
-    _check_analysis_args(family, t, history)
-    states = _CanonicalStates(family, t, enabled=True)
-    phi = _tail_state(states, 0, history)
-    return _block_state(states, history, (phi, phi))
+def _tail_overlap(states: _CanonicalStates, history: Sequence[int]) -> complex:
+    """Overlap g of the bit-0 and bit-1 tails of pulse t, with no tail built.
+
+    Ancilla branches are orthogonal, so g is the mean over the tail bits of
+    the product of per-pulse overlaps.  Pulses past the forward window of t
+    emit the same vector in both tails and contribute a factor of 1; window
+    pulse t + i depends on the first i tail bits only, so its 2^i overlaps
+    are formed once and broadcast over the later bits.
+    """
+    fam, t = states.family, states.t
+    prod = np.ones((), dtype=complex)
+    for i in range(1, min(fam.corr_len, fam.n_pulses - t) + 1):
+        zeta = t + i
+        ov = np.empty((2,) * i, dtype=complex)
+        for bits in product((0, 1), repeat=i):
+            pair = [
+                states.pulse_state(
+                    zeta,
+                    bits[-1],
+                    [_bit_at(zeta - 1 - k, t, jt, history, bits)
+                     for k in range(fam.window(zeta))],
+                )
+                for jt in (0, 1)
+            ]
+            ov[bits] = np.vdot(pair[0], pair[1])
+        prod = prod[..., None] * ov
+    return complex(prod.mean())
+
+
+def _probability(p: float, what: str) -> float:
+    if not -1e-12 <= p <= 1.0 + 1e-12:
+        raise ArithmeticError(f"{what} {p} outside [0, 1] tolerance")
+    return min(1.0, max(0.0, p))
 
 
 def measured_characterization(family: EmissionFamily) -> SourceCharacterization:
@@ -587,21 +550,21 @@ def check_proof_chain(
     for e in char.eps:
         a1_floor *= math.sqrt(1.0 - e)
 
-    # Both canonical tails are built once and shared by the actual block
-    # state, the reference block state and the side-channel split.
+    # Closed forms on the actual block (|0> b0 T0 + |1> b1 T1) / sqrt(2)
+    # and the reference block, which carries T0 in both branches.
     states = _CanonicalStates(family, t, enabled=True)
-    tails = _tails(states, history)
-    act = _block_state(states, history, tails)
-    ref = _block_state(states, history, (tails[0], tails[0]))
-    deco = _decompose(tails)
-
-    p_act = minus_probability(act, 0)
-    p_ref = minus_probability(ref, 0)
-    fid = abs(ref.overlap(act))
+    b0, b1 = (states.pulse_state(t, jt, history) for jt in (0, 1))
+    g = _tail_overlap(states, history)
+    if abs(g.imag) > 1e-9:
+        raise ArithmeticError(f"projection coefficient not phase aligned: {g}")
+    base = complex(np.vdot(b0, b1))
+    p_act = _probability((1.0 - (base * g).real) / 2.0, "minus probability")
+    p_ref = _probability((1.0 - base.real) / 2.0, "minus probability")
+    plus_vac = _probability(abs(complex(b0[0] + b1[0])) ** 2 / 4.0, "joint probability")
+    fid = abs(1.0 + g) / 2.0
     if fid > 1.0 + 1e-12:
         raise ArithmeticError(f"fidelity {fid} outside [0, 1] tolerance")
     fid = min(1.0, fid)
-    plus_vac = plus_vacuum_probability(ref, 0, 1)
     root_sum = math.sqrt(char.p_vac0) + math.sqrt(char.p_vac1)
     return ProofChainCheck(
         n_pulses=family.n_pulses,
@@ -616,7 +579,7 @@ def check_proof_chain(
         p_minus_act=p_act,
         fidelity=fid,
         transfer_value=transfer_bound(p_ref, fid),
-        a1=deco.a1,
+        a1=min(1.0, max(0.0, g.real)),
         a1_floor=a1_floor,
         plus_vac_prob=plus_vac,
         plus_vac_floor=root_sum * root_sum / 4.0,
@@ -697,7 +660,8 @@ def coherent_family(
     Pulse amplitude ``(-1)^bit * sqrt(mu)`` picks up an extra phase
     ``delta / 2**(lag-1)`` for every 1-bit in the history at that lag.
     Vectors are truncated to ``fock_dim`` levels and renormalized; the
-    default keeps the truncation error below 1e-9 for mu <= 0.3.
+    default keeps the truncation error, the dropped photon-number
+    probability, below 1e-9 for mu <= 0.29.
     """
     if mu < 0.0:
         raise ValueError(f"mean photon number must be >= 0, got {mu}")

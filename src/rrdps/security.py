@@ -247,6 +247,12 @@ class SecurityBounds:
         return cls(minus_ref=minus_ref_bound(source), fidelity=fidelity_bound(source))
 
 
+def _require_integer(name: str, value) -> None:
+    # bool is an int subclass, but True is no group size.
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Protocol-level parameters.
@@ -263,6 +269,8 @@ class ProtocolConfig:
     f_ec_fixed: Optional[float] = None
 
     def __post_init__(self) -> None:
+        _require_integer("group_size", self.group_size)
+        _require_integer("corr_len", self.corr_len)
         if self.group_size < 3:
             raise ValueError(f"group size must be >= 3, got {self.group_size}")
         if self.corr_len < 0:
@@ -274,7 +282,7 @@ class ProtocolConfig:
                 f"f_ec_mode must be 'shannon' or 'fixed', got {self.f_ec_mode!r}"
             )
         if self.f_ec_mode == "fixed":
-            if self.f_ec_fixed is None or self.f_ec_fixed < 0.0:
+            if self.f_ec_fixed is None or not self.f_ec_fixed >= 0.0:
                 raise ValueError("fixed error-correction mode needs f_ec_fixed >= 0")
         elif self.f_ec_fixed is not None:
             raise ValueError("f_ec_fixed only applies when f_ec_mode='fixed'")

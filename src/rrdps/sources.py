@@ -24,6 +24,7 @@ from .security import (
     ProtocolConfig,
     SecurityBounds,
     SourceCharacterization,
+    _require_integer,
     key_rate,
 )
 
@@ -52,8 +53,11 @@ class PhaseRotationModel:
     corr_len: int
 
     def __post_init__(self) -> None:
-        if self.mu < 0.0:
-            raise ValueError(f"mean photon number must be >= 0, got {self.mu}")
+        if not 0.0 <= self.mu < math.inf:
+            raise ValueError(f"mu must be a finite number >= 0, got {self.mu}")
+        if not -math.inf < self.delta < math.inf:
+            raise ValueError(f"delta must be finite, got {self.delta}")
+        _require_integer("corr_len", self.corr_len)
         if self.corr_len < 0:
             raise ValueError(f"correlation length must be >= 0, got {self.corr_len}")
 

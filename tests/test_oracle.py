@@ -1,5 +1,6 @@
 """Tests for the exact small-system verification engine."""
 
+import dataclasses
 import itertools
 import math
 
@@ -71,6 +72,29 @@ class TestEmissionFamily:
             fam.pulse_state(2, 0, ())
 
 
+class TestCoherentFamily:
+    def test_default_truncation_error_below_claim(self):
+        # The docstring bound: fock 8 drops under 1e-9 of the photon-number
+        # distribution for mu <= 0.29.  The dropped mass grows with mu, so
+        # the largest mu is the binding case.
+        mpmath = pytest.importorskip("mpmath")
+        mu = 0.29
+        fam = orc.coherent_family(2, 1, mu=mu, delta=0.4)
+        assert fam.fock_dim == 8
+        with mpmath.workdps(30):
+            kept = mpmath.fsum(
+                mpmath.exp(-mu) * mpmath.mpf(mu) ** n / mpmath.factorial(n)
+                for n in range(8)
+            )
+            exact = float(1 - kept)
+        for vec in fam.states.values():
+            # Renormalizing the kept levels scales the vacuum weight
+            # exp(-mu) by 1 / (1 - dropped).
+            dropped = 1.0 - math.exp(-mu) / abs(vec[0]) ** 2
+            assert dropped == pytest.approx(exact, abs=1e-14)
+            assert dropped < 1e-9
+
+
 class TestBuildJointState:
     def test_orthogonal_bits_give_maximal_entanglement(self):
         e0 = [1.0, 0.0]
@@ -107,22 +131,24 @@ class TestBuildJointState:
         def built(*args):
             raise AssertionError("a dense state was built past the budget")
 
+        # The joint state, and the block at t = 1, hold (2*20)^4 = 2.56e6
+        # amplitudes.
         fam = orc.random_family(4, 0, 20, seed=1)
         monkeypatch.setattr(orc, "_tail_state", built)
-        # At t = 1 the block holds (2*20)^4 = 2.56e6 amplitudes.
-        for builder in (
-            orc.check_proof_chain,
-            orc.conditioned_state,
-            orc.reference_state,
-            orc.decompose_side_channel,
-        ):
-            with pytest.raises(ValueError, match="dense budget"):
-                builder(fam, 1, ())
+        with pytest.raises(ValueError, match="dense budget"):
+            orc.build_joint_state(fam)
+        with pytest.raises(ValueError, match="dense budget"):
+            orc.decompose_side_channel(fam, 1, ())
+        with pytest.raises(ValueError, match="dense budget"):
+            orc.run_family_campaign(n_trials=1, seed=1, max_pulses=4, max_fock=20)
+        # The proof-chain check builds no dense state and has no budget.
+        assert orc.check_proof_chain(fam, 1, ()).passed
 
     def test_dense_budget_counts_only_pulses_from_t(self):
         # At t = 2 the block holds (2*20)^3 = 64000 amplitudes.
         fam = orc.random_family(4, 0, 20, seed=1)
-        assert orc.check_proof_chain(fam, 2, ()).passed
+        d = orc.decompose_side_channel(fam, 2, ())
+        assert d.a1 == pytest.approx(1.0, abs=1e-12)
 
     def test_norm_always_unit(self):
         for seed in range(4):
@@ -150,7 +176,7 @@ class TestConditionOnZ:
         joint = orc.build_joint_state(fam)
         for j1 in (0, 1):
             cond = orc.condition_on_z(joint, {0: j1})
-            direct = orc.conditioned_state(fam, t=2, history=(j1,), canonical=False)
+            direct = kron_blocks(fam, t=2, history=(j1,), canonical=False)[0]
             # The emitted mode of pulse 1 stays behind as a factor.
             expected = np.kron(fam.pulse_state(1, j1, ()), direct.amplitudes)
             assert abs(np.vdot(cond.amplitudes, expected)) == pytest.approx(
@@ -176,53 +202,20 @@ class TestConditionOnZ:
             orc.condition_on_z(joint, {0: 2})
 
 
-class TestMinusProbability:
-    def test_eigenstates(self):
-        minus = orc.JointState(
-            amplitudes=np.array([1.0, -1.0], dtype=complex) / math.sqrt(2),
-            layout=(orc.Subsystem("qubit", 2, "A1"),),
-        )
-        plus = orc.JointState(
-            amplitudes=np.array([1.0, 1.0], dtype=complex) / math.sqrt(2),
-            layout=(orc.Subsystem("qubit", 2, "A1"),),
-        )
-        assert orc.minus_probability(minus, 0) == pytest.approx(1.0, abs=1e-12)
-        assert orc.minus_probability(plus, 0) == pytest.approx(0.0, abs=1e-12)
-
-    def test_index_validation(self):
-        fam = rotation_family(0.3)
-        joint = orc.build_joint_state(fam)
-        with pytest.raises(ValueError):
-            orc.minus_probability(joint, 1)
-
-    def test_plus_vacuum_on_product(self):
-        amp = np.kron(
-            np.array([1.0, 1.0], dtype=complex) / math.sqrt(2),
-            np.array([1.0, 0.0, 0.0], dtype=complex),
-        )
-        state = orc.JointState(
-            amplitudes=amp,
-            layout=(orc.Subsystem("qubit", 2, "A1"), orc.Subsystem("fock", 3, "B1")),
-        )
-        assert orc.plus_vacuum_probability(state, 0, 1) == pytest.approx(
-            1.0, abs=1e-12
-        )
-
-
 class TestCanonicalForm:
     def test_z_statistics_unchanged(self):
         # The phase conventions must not move any computational-basis weight.
         fam = orc.random_family(4, 2, 3, seed=3)
-        raw = orc.conditioned_state(fam, t=2, history=(1,), canonical=False)
-        can = orc.conditioned_state(fam, t=2, history=(1,), canonical=True)
+        raw = kron_blocks(fam, t=2, history=(1,), canonical=False)[0]
+        can = kron_blocks(fam, t=2, history=(1,), canonical=True)[0]
         np.testing.assert_allclose(
             np.abs(raw.amplitudes), np.abs(can.amplitudes), atol=1e-12
         )
 
     def test_conditional_states_equal_up_to_phase(self):
         fam = orc.random_family(4, 2, 3, seed=5)
-        raw = orc.conditioned_state(fam, t=2, history=(0,), canonical=False)
-        can = orc.conditioned_state(fam, t=2, history=(0,), canonical=True)
+        raw = kron_blocks(fam, t=2, history=(0,), canonical=False)[0]
+        can = kron_blocks(fam, t=2, history=(0,), canonical=True)[0]
         for jt in (0, 1):
             for j3 in (0, 1):
                 for j4 in (0, 1):
@@ -246,8 +239,7 @@ class TestDecomposition:
         # Overlap of reference and actual block states is (1 + a1) / 2.
         for seed in range(6):
             fam = orc.random_family(3, 1, 4, seed=seed)
-            act = orc.conditioned_state(fam, t=1, history=(), canonical=True)
-            ref = orc.reference_state(fam, t=1, history=())
+            act, ref, _ = kron_blocks(fam, t=1, history=())
             d = orc.decompose_side_channel(fam, t=1, history=())
             assert abs(ref.overlap(act)) == pytest.approx(
                 (1.0 + d.a1) / 2.0, abs=1e-12
@@ -308,6 +300,32 @@ def kron_block(states, history, tails):
     return (branches[0] + branches[1]) / math.sqrt(2.0)
 
 
+def kron_blocks(fam, t, history, canonical=True):
+    """Actual and reference block states of pulses t..n, and both tails.
+
+    The actual block carries the bit-jt tail in its bit-jt branch, the
+    reference block the bit-0 tail in both.
+    """
+    states = orc._CanonicalStates(fam, t, enabled=canonical)
+    tails = [kron_tail(states, jt, history) for jt in (0, 1)]
+    layout = orc._layout(fam.fock_dim, t, fam.n_pulses)
+    act = orc.JointState(kron_block(states, history, tails), layout)
+    ref = orc.JointState(kron_block(states, history, (tails[0], tails[0])), layout)
+    return act, ref, tails
+
+
+def minus_probability(block):
+    """X-basis minus probability of the block's pulse-t ancilla."""
+    arr = block.amplitudes.reshape(2, -1)
+    return min(1.0, float(np.linalg.norm(arr[0] - arr[1]) ** 2) / 2.0)
+
+
+def plus_vacuum_probability(block):
+    """Joint probability of X-basis plus and vacuum on pulse t."""
+    arr = block.amplitudes.reshape(2, block.layout[1].dim, -1)
+    return min(1.0, float(np.linalg.norm(arr[0, 0] + arr[1, 0]) ** 2) / 2.0)
+
+
 def sample_families():
     """Perturbed, free and coherent families for n <= 4, corr_len <= 2."""
     for n in range(1, 5):
@@ -334,36 +352,92 @@ class TestKronFreeConstruction:
             assert np.array_equal(got, kron_joint_state(fam))
 
     def test_block_states_bitwise(self):
+        # The tail is the dense block builder below the joint state.
         n_cases = 0
         for fam, t, hist in analysis_cases():
             for canonical in (False, True):
                 states = orc._CanonicalStates(fam, t, enabled=canonical)
-                tails = [kron_tail(states, jt, hist) for jt in (0, 1)]
-                got = orc.conditioned_state(fam, t, hist, canonical=canonical)
-                assert np.array_equal(got.amplitudes, kron_block(states, hist, tails))
-            # The loop leaves the canonical states and tails in place.
-            ref = orc.reference_state(fam, t, hist)
-            assert np.array_equal(
-                ref.amplitudes, kron_block(states, hist, (tails[0], tails[0]))
-            )
+                for jt in (0, 1):
+                    got = orc._tail_state(states, jt, hist).amplitudes
+                    assert np.array_equal(got, kron_tail(states, jt, hist))
+            # The loop leaves the canonical states in place.
             phi = orc.decompose_side_channel(fam, t, hist).phi_ref
-            assert np.array_equal(phi.amplitudes, tails[0])
+            assert np.array_equal(phi.amplitudes, kron_tail(states, 0, hist))
             n_cases += 1
         assert n_cases == 3 * 23  # 23 (n, lc, t, history) per family kind
 
-    def test_two_tails_per_check(self, monkeypatch):
-        built = []
-        real = orc._tail_state
+    def test_check_builds_no_tail_state(self, monkeypatch):
+        def built(*args):
+            raise AssertionError("the proof-chain check built a dense tail")
 
-        def counting(states, jt, history):
-            built.append(jt)
-            return real(states, jt, history)
-
-        monkeypatch.setattr(orc, "_tail_state", counting)
+        monkeypatch.setattr(orc, "_tail_state", built)
         for fam, t, hist in analysis_cases():
-            built.clear()
-            orc.check_proof_chain(fam, t, hist)
-            assert sorted(built) == [0, 1]
+            assert orc.check_proof_chain(fam, t, hist).passed
+
+
+FLAGS = (
+    "ok_ref_cap",
+    "ok_plus_vac",
+    "ok_fidelity_floor",
+    "ok_side_channel",
+    "ok_transfer",
+    "ok_act_cap",
+)
+
+
+class TestClosedForms:
+    def test_fields_match_dense_reference(self):
+        # Under the measured characterization and with every per-lag
+        # deficit denied, so that the flags are exercised both ways.
+        n_failed = 0
+        for fam, t, hist in analysis_cases():
+            act, ref, tails = kron_blocks(fam, t, hist)
+            honest = orc.measured_characterization(fam)
+            lying = dataclasses.replace(honest, eps=(0.0,) * fam.corr_len)
+            for char in (honest, lying):
+                chk = orc.check_proof_chain(fam, t, hist, characterization=char)
+                p_ref = minus_probability(ref)
+                fid = min(1.0, abs(ref.overlap(act)))
+                dense = dataclasses.replace(
+                    chk,
+                    p_minus_act=minus_probability(act),
+                    p_minus_ref=p_ref,
+                    fidelity=fid,
+                    transfer_value=sec.transfer_bound(p_ref, fid),
+                    a1=min(1.0, max(0.0, np.vdot(tails[0], tails[1]).real)),
+                    plus_vac_prob=plus_vacuum_probability(ref),
+                )
+                for name in (
+                    "p_minus_act", "p_minus_ref", "fidelity", "a1", "plus_vac_prob"
+                ):
+                    assert getattr(chk, name) == pytest.approx(
+                        getattr(dense, name), abs=1e-12
+                    ), name
+                assert chk.transfer_value == pytest.approx(
+                    dense.transfer_value, abs=1e-6
+                )
+                assert [getattr(chk, f) for f in FLAGS] == [
+                    getattr(dense, f) for f in FLAGS
+                ]
+                n_failed += not chk.passed
+        assert n_failed > 0
+
+
+class TestReach:
+    """Checks far past the dense budget, at the paper's correlation lengths."""
+
+    @pytest.mark.parametrize("corr_len", [4, 10])
+    def test_coherent_family_is_tight(self, corr_len):
+        fam = orc.coherent_family(corr_len + 2, corr_len, mu=0.1, delta=0.2, fock_dim=8)
+        chk = orc.check_proof_chain(fam, t=1, history=())
+        assert chk.passed, chk.line()
+        assert chk.a1 == pytest.approx(chk.a1_floor, abs=1e-9)
+
+    @pytest.mark.parametrize("corr_len", [4, 10])
+    def test_perturbed_family_passes(self, corr_len):
+        fam = orc.random_family(corr_len + 2, corr_len, 8, seed=corr_len)
+        chk = orc.check_proof_chain(fam, t=1, history=())
+        assert chk.passed, chk.line()
 
 
 class TestMeasuredCharacterization:

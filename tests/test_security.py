@@ -266,6 +266,28 @@ class TestProtocolConfig:
                 group_size=8, corr_len=0, e_bit=0.03, f_ec_fixed=0.2
             )
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("group_size", 8.5),
+            ("group_size", True),
+            ("corr_len", 0.5),
+            ("corr_len", True),
+            ("f_ec_fixed", math.nan),
+        ],
+    )
+    def test_rejects_non_integer_or_nan(self, field, value):
+        kwargs = {
+            "group_size": 8,
+            "corr_len": 1,
+            "e_bit": 0.03,
+            "f_ec_mode": "fixed",
+            "f_ec_fixed": 0.2,
+            field: value,
+        }
+        with pytest.raises(ValueError, match=field):
+            sec.ProtocolConfig(**kwargs)
+
 
 class TestPhaseErrorUpper:
     def test_frozen_example(self):

@@ -72,6 +72,22 @@ class TestPhaseRotationModel:
         with pytest.raises(ValueError):
             src.PhaseRotationModel(mu=0.1, delta=0.4, corr_len=-1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("mu", math.nan),
+            ("mu", math.inf),
+            ("delta", math.nan),
+            ("delta", -math.inf),
+            ("corr_len", 1.5),
+            ("corr_len", True),
+        ],
+    )
+    def test_rejects_non_finite_or_non_integer(self, field, value):
+        kwargs = {"mu": 0.1, "delta": 0.4, "corr_len": 1, field: value}
+        with pytest.raises(ValueError, match=field):
+            src.PhaseRotationModel(**kwargs)
+
 
 class TestCharacterize:
     def test_epsilon_is_overlap_deficit(self):
