@@ -18,18 +18,16 @@ is real nonnegative and the overlaps between near-history variants are
 phase aligned.  The canonicalization is applied here explicitly, so the
 stored family vectors may carry arbitrary phases.
 
-The dense builders, ``build_joint_state`` and ``decompose_side_channel``,
-serve the Python API and the reference tests.  They fill dense vectors by
-indexed outer products of the pulse vectors, since every ancilla factor is
-a basis vector and only picks an index, and reject states above
-``MAX_STATE_DIM`` amplitudes.
+No state vector larger than one pulse is ever formed, so the only size
+limit is on randomized campaigns, whose pulse count and truncation level
+come from the command line: ``(2 * max_fock) ** max_pulses`` must not
+exceed ``MAX_STATE_DIM``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import product
 from typing import Mapping, Optional, Sequence
 
@@ -44,61 +42,8 @@ from .security import (
     vacuum_fidelity_bound,
 )
 
-# Dense joint vectors above this total dimension are rejected.
+# Largest (2 * max_fock) ** max_pulses a campaign accepts.
 MAX_STATE_DIM = 2**21
-
-
-def _check_dense(fock_dim: int, n_pulses: int, what: str = "joint state") -> None:
-    # Each pulse carries a qubit ancilla and a Fock mode.
-    total = (2 * fock_dim) ** n_pulses
-    if total > MAX_STATE_DIM:
-        raise ValueError(
-            f"{what} of dimension {total} exceeds the dense budget {MAX_STATE_DIM}"
-        )
-
-
-@dataclass(frozen=True)
-class Subsystem:
-    kind: str  # "qubit" or "fock"
-    dim: int
-    label: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("qubit", "fock"):
-            raise ValueError(f"unknown subsystem kind {self.kind!r}")
-        if self.kind == "qubit" and self.dim != 2:
-            raise ValueError("qubit subsystems have dimension 2")
-        if self.dim < 2:
-            raise ValueError(f"subsystem dimension must be >= 2, got {self.dim}")
-
-
-@dataclass(frozen=True)
-class JointState:
-    """Dense state vector over an ordered list of small subsystems."""
-
-    amplitudes: np.ndarray
-    layout: tuple[Subsystem, ...]
-
-    def __post_init__(self) -> None:
-        expected = math.prod(s.dim for s in self.layout)
-        if self.amplitudes.shape != (expected,):
-            raise ValueError(
-                f"amplitude vector has shape {self.amplitudes.shape}, layout "
-                f"implies ({expected},)"
-            )
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(s.dim for s in self.layout)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def overlap(self, other: "JointState") -> complex:
-        if self.dims != other.dims:
-            raise ValueError(f"layout mismatch: {self.dims} vs {other.dims}")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
 @dataclass(frozen=True)
@@ -144,7 +89,7 @@ class EmissionFamily:
                             f"({self.fock_dim},)"
                         )
                     n = float(np.linalg.norm(vec))
-                    if abs(n - 1.0) > 1e-12:
+                    if not abs(n - 1.0) <= 1e-12:
                         raise ValueError(f"state {key} is not normalized: |v|={n}")
 
     def window(self, k: int) -> int:
@@ -164,45 +109,6 @@ class EmissionFamily:
                 f"pulse {k} needs {w} history bits, got {len(history)}"
             )
         return self.states[(k, bit, tuple(int(b) for b in history[:w]))]
-
-
-def build_joint_state(family: EmissionFamily) -> JointState:
-    """Full entangled state of the encoding step.
-
-    One qubit ancilla holding each bit, tensored with the emitted pulse
-    state conditioned on the preceding bits, summed uniformly over all bit
-    strings.  The result is exactly normalized because ancilla basis states
-    of different bit strings are orthogonal.
-    """
-    _check_dense(family.fock_dim, family.n_pulses)
-    return _tail_state(_CanonicalStates(family, 0, enabled=False), 0, ())
-
-
-def condition_on_z(state: JointState, assignments: Mapping[int, int]) -> JointState:
-    """Project the given qubit subsystems onto Z outcomes and renormalize.
-
-    ``assignments`` maps subsystem index (position in the layout) to the
-    measured bit.  The measured subsystems are dropped from the result.
-    Raises on a zero-probability assignment.
-    """
-    for idx, bit in assignments.items():
-        if not 0 <= idx < len(state.layout):
-            raise ValueError(f"no subsystem at index {idx}")
-        if state.layout[idx].kind != "qubit":
-            raise ValueError(f"subsystem {idx} is not a qubit")
-        if bit not in (0, 1):
-            raise ValueError(f"assignment for subsystem {idx} must be 0 or 1")
-    arr = state.amplitudes.reshape(state.dims)
-    indexer = tuple(
-        assignments[i] if i in assignments else slice(None)
-        for i in range(len(state.layout))
-    )
-    picked = np.ascontiguousarray(arr[indexer]).reshape(-1)
-    norm = float(np.linalg.norm(picked))
-    if norm < 1e-12:
-        raise ValueError("assignment has zero probability on this state")
-    layout = tuple(s for i, s in enumerate(state.layout) if i not in assignments)
-    return JointState(amplitudes=picked / norm, layout=layout)
 
 
 def _bit_at(pos: int, t: int, jt: int, history: Sequence[int], branch: Sequence[int]) -> int:
@@ -230,16 +136,13 @@ class _CanonicalStates:
     bit-0 counterpart is real nonnegative.  Later pulses are untouched.
     """
 
-    def __init__(self, family: EmissionFamily, t: int, enabled: bool = True):
+    def __init__(self, family: EmissionFamily, t: int):
         self.family = family
         self.t = t
-        self.enabled = enabled
 
     def pulse_state(self, k: int, bit: int, history: Sequence[int]) -> np.ndarray:
         fam = self.family
         vec = fam.pulse_state(k, bit, history)
-        if not self.enabled:
-            return vec
         if k == self.t:
             return _vacuum_aligned(vec)
         offset = k - self.t - 1  # position of the analyzed bit in the window
@@ -252,47 +155,6 @@ class _CanonicalStates:
                 if abs(x) > 1e-12:
                     return vec * (abs(x) / x)
         return vec
-
-
-def _layout(fock_dim: int, first: int, last: int) -> tuple[Subsystem, ...]:
-    """Ancilla qubit and Fock mode of each pulse first..last, in order."""
-    return tuple(
-        sub
-        for k in range(first, last + 1)
-        for sub in (
-            Subsystem("qubit", 2, f"A{k}"),
-            Subsystem("fock", fock_dim, f"B{k}"),
-        )
-    )
-
-
-def _tail_state(
-    states: _CanonicalStates, jt: int, history: Sequence[int]
-) -> JointState:
-    """Uniform superposition over the bits of pulses after t, each carrying
-    its ancilla qubit and emitted state, conditioned on jt and the history.
-
-    Each ancilla is a basis vector, so a branch only fills the slice
-    ``amp[b1, :, b2, :, ...]``, with the outer product of its pulse vectors
-    taken left to right in pulse order.
-    """
-    fam, t = states.family, states.t
-    n, f = fam.n_pulses, fam.fock_dim
-    m = n - t
-    amp = np.zeros((2, f) * m, dtype=complex)
-    for branch in product((0, 1), repeat=m):
-        pulses = []
-        for zeta in range(t + 1, n + 1):
-            w = fam.window(zeta)
-            hist = tuple(
-                _bit_at(zeta - 1 - i, t, jt, history, branch) for i in range(w)
-            )
-            pulses.append(states.pulse_state(zeta, branch[zeta - t - 1], hist))
-        index = tuple(ix for b in branch for ix in (b, slice(None)))
-        amp[index] = reduce(np.multiply.outer, pulses, np.ones((), dtype=complex))
-    amp = amp.reshape(-1)
-    amp /= math.sqrt(2**m)
-    return JointState(amplitudes=amp, layout=_layout(f, t + 1, n))
 
 
 def _check_analysis_args(family: EmissionFamily, t: int, history: Sequence[int]) -> None:
@@ -308,65 +170,6 @@ def _check_analysis_args(family: EmissionFamily, t: int, history: Sequence[int])
         raise ValueError(f"pulse {t} takes {w} history bits, got {len(history)}")
     if any(b not in (0, 1) for b in history):
         raise ValueError("history bits must be 0 or 1")
-
-
-@dataclass(frozen=True)
-class SideChannelDecomposition:
-    """Split of the post-t pulses into retained and leaked components.
-
-    ``phi_ref`` is the bit-0 tail; the bit-j tail equals
-    ``a_j * phi_ref + b_j * (orthogonal rest)`` with real nonnegative
-    coefficients once phases are canonical.
-    """
-
-    a0: float
-    a1: float
-    b0: float
-    b1: float
-    phi_ref: JointState
-
-
-def decompose_side_channel(
-    family: EmissionFamily, t: int, history: Sequence[int]
-) -> SideChannelDecomposition:
-    """Project the actual tails onto the retained reference tail.
-
-    Raises ``ArithmeticError`` if the reconstructed component norms drift
-    from the projection coefficients by more than 1e-9.
-    """
-    _check_analysis_args(family, t, history)
-    # The dense budget counts the block of pulses t..n.
-    _check_dense(family.fock_dim, family.n_pulses - t + 1)
-    states = _CanonicalStates(family, t, enabled=True)
-    tails = (_tail_state(states, 0, history), _tail_state(states, 1, history))
-    phi = tails[0]
-    coeffs = []
-    for tail in tails:
-        a_c = phi.overlap(tail)
-        if abs(a_c.imag) > 1e-9:
-            raise ArithmeticError(
-                f"projection coefficient not phase aligned: {a_c}"
-            )
-        a = min(1.0, max(0.0, a_c.real))
-        residual = tail.amplitudes - a * phi.amplitudes
-        # b is the residual norm itself; near a = 1 the closed form
-        # sqrt(1 - a^2) would amplify rounding error by eight orders.
-        b = float(np.linalg.norm(residual))
-        if abs(a * a + b * b - 1.0) > 1e-9:
-            raise ArithmeticError(
-                f"side-channel reconstruction off: a={a}, b={b}"
-            )
-        if b > 1e-6:
-            cross = abs(np.vdot(phi.amplitudes, residual / b))
-            if cross > 1e-9:
-                raise ArithmeticError(
-                    f"side channel not orthogonal to reference: {cross}"
-                )
-        coeffs.append((a, b))
-    return SideChannelDecomposition(
-        a0=coeffs[0][0], a1=coeffs[1][0], b0=coeffs[0][1], b1=coeffs[1][1],
-        phi_ref=phi,
-    )
 
 
 def _tail_overlap(states: _CanonicalStates, history: Sequence[int]) -> complex:
@@ -396,6 +199,11 @@ def _tail_overlap(states: _CanonicalStates, history: Sequence[int]) -> complex:
             ov[bits] = np.vdot(pair[0], pair[1])
         prod = prod[..., None] * ov
     return complex(prod.mean())
+
+
+def _check_tol(tol: float) -> None:
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
 
 
 def _probability(p: float, what: str) -> float:
@@ -540,6 +348,7 @@ def check_proof_chain(
     violation detection.
     """
     _check_analysis_args(family, t, history)
+    _check_tol(tol)
     char = characterization or measured_characterization(family)
     if char.corr_len != family.corr_len:
         raise ValueError("characterization correlation length mismatch")
@@ -552,7 +361,7 @@ def check_proof_chain(
 
     # Closed forms on the actual block (|0> b0 T0 + |1> b1 T1) / sqrt(2)
     # and the reference block, which carries T0 in both branches.
-    states = _CanonicalStates(family, t, enabled=True)
+    states = _CanonicalStates(family, t)
     b0, b1 = (states.pulse_state(t, jt, history) for jt in (0, 1))
     g = _tail_overlap(states, history)
     if abs(g.imag) > 1e-9:
@@ -663,8 +472,10 @@ def coherent_family(
     default keeps the truncation error, the dropped photon-number
     probability, below 1e-9 for mu <= 0.29.
     """
-    if mu < 0.0:
-        raise ValueError(f"mean photon number must be >= 0, got {mu}")
+    if not 0.0 <= mu < math.inf:
+        raise ValueError(f"mu must be a finite number >= 0, got {mu}")
+    if not -math.inf < delta < math.inf:
+        raise ValueError(f"delta must be finite, got {delta}")
     states: dict[tuple[int, int, tuple[int, ...]], np.ndarray] = {}
     ns = np.arange(fock_dim)
     log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, fock_dim)))))
@@ -736,7 +547,7 @@ def run_family_campaign(
     order independent.  ``eps_scale`` multiplies the measured per-lag
     deficits before the bounds are formed; values below 1 understate the
     correlations and must trip the checks.  Every argument is checked
-    before the first trial, the largest family against the dense budget.
+    before the first trial, the largest family against ``MAX_STATE_DIM``.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
@@ -747,8 +558,13 @@ def run_family_campaign(
         raise ValueError(f"max_fock must be >= 6, got {max_fock}")
     if eps_scale is not None and not 0.0 <= eps_scale < math.inf:
         raise ValueError(f"eps_scale must be a finite number >= 0, got {eps_scale}")
-    what = f"max_pulses={max_pulses}, max_fock={max_fock}: joint state"
-    _check_dense(max_fock, max_pulses, what)
+    _check_tol(tol)
+    dim = (2 * max_fock) ** max_pulses
+    if dim > MAX_STATE_DIM:
+        raise ValueError(
+            f"max_pulses={max_pulses}, max_fock={max_fock}: family dimension "
+            f"{dim} exceeds MAX_STATE_DIM {MAX_STATE_DIM}"
+        )
     campaign = OracleCampaign(seed=seed, tol=tol, eps_scale=eps_scale)
     for i in range(n_trials):
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
@@ -824,6 +640,9 @@ def verify_fidelity_proposition(
     """
     if dim < 2:
         raise ValueError(f"need dimension >= 2, got {dim}")
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    _check_tol(tol)
     rng = np.random.default_rng(seed)
     failed = 0
     worst = math.inf

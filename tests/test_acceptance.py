@@ -333,3 +333,37 @@ def test_criterion_7_degenerate_limits(capsys):
         f"zero-cap {zero_ok}, saturated-cap {one_ok}, no-rotation-exact "
         f"{exact_ok}, dark-detector {dark_ok}, {elapsed:.1f}s",
     )
+
+
+def test_criterion_8_proof_chain_at_paper_memory_lengths(capsys):
+    t0 = time.monotonic()
+    group_size, e_bit, delta = 32, 0.03, 0.2
+    n_checks = n_failed = 0
+    worst_gap = 0.0
+    for corr_len in (4, 10):
+        families = []
+        for eta in (1e-3, 0.03, 1.0):
+            mu, _ = src.optimize_mu(group_size, corr_len, delta, eta, e_bit)
+            fam = orc.coherent_family(
+                corr_len + 2, corr_len, mu, delta=delta, fock_dim=8
+            )
+            families.append((fam, True))
+        fam = orc.random_family(corr_len + 2, corr_len, 8, seed=20240815 + corr_len)
+        families.append((fam, False))
+        for fam, coherent in families:
+            char = orc.measured_characterization(fam)
+            for t, hist in ((1, ()), (2, (1,))):
+                chk = orc.check_proof_chain(fam, t, hist, characterization=char)
+                n_checks += 1
+                n_failed += not chk.passed
+                if coherent:  # context-independent overlaps: a1 meets its floor
+                    worst_gap = max(worst_gap, abs(chk.a1 - chk.a1_floor))
+    elapsed = time.monotonic() - t0
+    ok = n_failed == 0 and worst_gap <= 1e-9 and elapsed < 60.0
+    _verdict(
+        capsys,
+        "C8 proof-chain-at-corr-len-4-and-10",
+        ok,
+        f"{n_checks} checks, {n_failed} violations, coherent max |a1 - floor| "
+        f"{worst_gap:.3e}, {elapsed:.1f}s",
+    )

@@ -56,6 +56,12 @@ class TestEmissionFamily:
         with pytest.raises(ValueError):
             orc.EmissionFamily(n_pulses=1, corr_len=0, fock_dim=2, states=states)
 
+    def test_non_finite_rejected(self):
+        e0 = [1.0, 0.0]
+        for bad in ([math.nan, 0.0], [math.inf, 0.0]):
+            with pytest.raises(ValueError, match="not normalized"):
+                product_family(1, 2, (bad, e0))
+
     def test_too_few_pulses_for_memory(self):
         with pytest.raises(ValueError):
             orc.EmissionFamily(n_pulses=1, corr_len=1, fock_dim=2, states={})
@@ -94,112 +100,14 @@ class TestCoherentFamily:
             assert dropped == pytest.approx(exact, abs=1e-14)
             assert dropped < 1e-9
 
-
-class TestBuildJointState:
-    def test_orthogonal_bits_give_maximal_entanglement(self):
-        e0 = [1.0, 0.0]
-        e1 = [0.0, 1.0]
-        fam = product_family(2, 2, (e0, e1))
-        joint = orc.build_joint_state(fam)
-        assert joint.norm == pytest.approx(1.0, abs=1e-12)
-        # Amplitude 1/4 on every |j1 j1 j2 j2> configuration, zero elsewhere.
-        arr = joint.amplitudes.reshape(2, 2, 2, 2)
-        for j1 in (0, 1):
-            for j2 in (0, 1):
-                for b1 in (0, 1):
-                    for b2 in (0, 1):
-                        want = 0.5 if (b1 == j1 and b2 == j2) else 0.0
-                        assert abs(arr[j1, b1, j2, b2]) == pytest.approx(
-                            want, abs=1e-12
-                        )
-
-    def test_layout_order(self):
-        fam = rotation_family(0.3)
-        joint = orc.build_joint_state(fam)
-        assert [s.label for s in joint.layout] == ["A1", "B1", "A2", "B2"]
-        assert [s.kind for s in joint.layout] == ["qubit", "fock", "qubit", "fock"]
-
-    def test_dense_budget_enforced(self):
-        vec = np.zeros(8, dtype=complex)
-        vec[0] = 1.0
-        fam = product_family(8, 8, (vec, vec))
-        # (2*8)^8 = 2^32 exceeds the dense budget.
-        with pytest.raises(ValueError):
-            orc.build_joint_state(fam)
-
-    def test_dense_budget_enforced_by_every_block_builder(self, monkeypatch):
-        def built(*args):
-            raise AssertionError("a dense state was built past the budget")
-
-        # The joint state, and the block at t = 1, hold (2*20)^4 = 2.56e6
-        # amplitudes.
-        fam = orc.random_family(4, 0, 20, seed=1)
-        monkeypatch.setattr(orc, "_tail_state", built)
-        with pytest.raises(ValueError, match="dense budget"):
-            orc.build_joint_state(fam)
-        with pytest.raises(ValueError, match="dense budget"):
-            orc.decompose_side_channel(fam, 1, ())
-        with pytest.raises(ValueError, match="dense budget"):
-            orc.run_family_campaign(n_trials=1, seed=1, max_pulses=4, max_fock=20)
-        # The proof-chain check builds no dense state and has no budget.
-        assert orc.check_proof_chain(fam, 1, ()).passed
-
-    def test_dense_budget_counts_only_pulses_from_t(self):
-        # At t = 2 the block holds (2*20)^3 = 64000 amplitudes.
-        fam = orc.random_family(4, 0, 20, seed=1)
-        d = orc.decompose_side_channel(fam, 2, ())
-        assert d.a1 == pytest.approx(1.0, abs=1e-12)
-
-    def test_norm_always_unit(self):
-        for seed in range(4):
-            fam = orc.random_family(3, 1, 3, seed=seed)
-            assert orc.build_joint_state(fam).norm == pytest.approx(1.0, abs=1e-12)
-
-
-class TestConditionOnZ:
-    def test_full_conditioning_gives_product(self):
-        fam = orc.random_family(3, 1, 3, seed=7)
-        joint = orc.build_joint_state(fam)
-        bits = (1, 0, 1)
-        cond = orc.condition_on_z(joint, {0: bits[0], 2: bits[1], 4: bits[2]})
-        prod = np.kron(
-            np.kron(
-                fam.pulse_state(1, bits[0], ()),
-                fam.pulse_state(2, bits[1], (bits[0],)),
-            ),
-            fam.pulse_state(3, bits[2], (bits[1],)),
-        )
-        assert abs(np.vdot(cond.amplitudes, prod)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_partial_conditioning_matches_direct_construction(self):
-        fam = orc.random_family(3, 1, 3, seed=7)
-        joint = orc.build_joint_state(fam)
-        for j1 in (0, 1):
-            cond = orc.condition_on_z(joint, {0: j1})
-            direct = kron_blocks(fam, t=2, history=(j1,), canonical=False)[0]
-            # The emitted mode of pulse 1 stays behind as a factor.
-            expected = np.kron(fam.pulse_state(1, j1, ()), direct.amplitudes)
-            assert abs(np.vdot(cond.amplitudes, expected)) == pytest.approx(
-                1.0, abs=1e-12
-            )
-
-    def test_zero_probability_rejected(self):
-        state = orc.JointState(
-            amplitudes=np.array([1.0, 0.0], dtype=complex),
-            layout=(orc.Subsystem("qubit", 2, "A1"),),
-        )
-        with pytest.raises(ValueError):
-            orc.condition_on_z(state, {0: 1})
-
-    def test_only_qubits_conditionable(self):
-        fam = rotation_family(0.3)
-        joint = orc.build_joint_state(fam)
-        with pytest.raises(ValueError):
-            orc.condition_on_z(joint, {1: 0})
-        with pytest.raises(ValueError):
-            orc.condition_on_z(joint, {9: 0})
-        with pytest.raises(ValueError):
-            orc.condition_on_z(joint, {0: 2})
+    @pytest.mark.parametrize(
+        "name, value",
+        [("mu", math.nan), ("mu", math.inf), ("delta", math.nan), ("delta", math.inf)],
+    )
+    def test_non_finite_parameters_rejected(self, name, value):
+        kwargs = {"mu": 0.1, "delta": 0.2, name: value}
+        with pytest.raises(ValueError, match=name):
+            orc.coherent_family(3, 1, **kwargs)
 
 
 class TestCanonicalForm:
@@ -208,73 +116,26 @@ class TestCanonicalForm:
         fam = orc.random_family(4, 2, 3, seed=3)
         raw = kron_blocks(fam, t=2, history=(1,), canonical=False)[0]
         can = kron_blocks(fam, t=2, history=(1,), canonical=True)[0]
-        np.testing.assert_allclose(
-            np.abs(raw.amplitudes), np.abs(can.amplitudes), atol=1e-12
-        )
+        np.testing.assert_allclose(np.abs(raw), np.abs(can), atol=1e-12)
 
     def test_conditional_states_equal_up_to_phase(self):
         fam = orc.random_family(4, 2, 3, seed=5)
         raw = kron_blocks(fam, t=2, history=(0,), canonical=False)[0]
         can = kron_blocks(fam, t=2, history=(0,), canonical=True)[0]
-        for jt in (0, 1):
-            for j3 in (0, 1):
-                for j4 in (0, 1):
-                    a = orc.condition_on_z(raw, {0: jt, 2: j3, 4: j4})
-                    b = orc.condition_on_z(can, {0: jt, 2: j3, 4: j4})
-                    assert abs(a.overlap(b)) == pytest.approx(1.0, abs=1e-12)
+        for bits in itertools.product((0, 1), repeat=3):
+            a = condition_on_ancillas(raw, fam.fock_dim, bits)
+            b = condition_on_ancillas(can, fam.fock_dim, bits)
+            assert abs(np.vdot(a, b)) == pytest.approx(1.0, abs=1e-12)
 
 
-class TestDecomposition:
-    def test_coefficients_consistent(self):
-        for seed in range(6):
-            fam = orc.random_family(4, 2, 4, seed=seed)
-            d = orc.decompose_side_channel(fam, t=2, history=(1,))
-            assert d.a0 == pytest.approx(1.0, abs=1e-12)
-            assert d.b0 == pytest.approx(0.0, abs=1e-9)
-            assert 0.0 <= d.a1 <= 1.0
-            assert d.a1**2 + d.b1**2 == pytest.approx(1.0, abs=1e-9)
-            assert d.phi_ref.norm == pytest.approx(1.0, abs=1e-12)
-
-    def test_fidelity_identity(self):
-        # Overlap of reference and actual block states is (1 + a1) / 2.
-        for seed in range(6):
-            fam = orc.random_family(3, 1, 4, seed=seed)
-            act, ref, _ = kron_blocks(fam, t=1, history=())
-            d = orc.decompose_side_channel(fam, t=1, history=())
-            assert abs(ref.overlap(act)) == pytest.approx(
-                (1.0 + d.a1) / 2.0, abs=1e-12
-            )
-
-    def test_memoryless_family_has_no_side_channel(self):
-        fam = orc.random_family(3, 0, 4, seed=2)
-        d = orc.decompose_side_channel(fam, t=2, history=())
-        assert d.a1 == pytest.approx(1.0, abs=1e-12)
-        assert d.b1 == pytest.approx(0.0, abs=1e-9)
-
-
-# Reference construction: every ancilla enters as a kron by its basis
-# vector, and each branch is added into a zero vector.  The module fills
-# the same amplitudes by indexed outer products, which must match bit for
-# bit because every product with an ancilla entry is by an exact 1 or 0.
+# Reference construction of the dense block states whose closed forms the
+# proof-chain check evaluates: every ancilla enters as a kron by its basis
+# vector, and each branch is added into a zero vector.
 KRON_QUBIT = (np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex))
 
 
-def kron_joint_state(fam):
-    n = fam.n_pulses
-    amp = np.zeros((2 * fam.fock_dim) ** n, dtype=complex)
-    for bits in itertools.product((0, 1), repeat=n):
-        vec = np.ones(1, dtype=complex)
-        for k in range(1, n + 1):
-            hist = tuple(reversed(bits[max(0, k - 1 - fam.corr_len): k - 1]))
-            vec = np.kron(vec, KRON_QUBIT[bits[k - 1]])
-            vec = np.kron(vec, fam.pulse_state(k, bits[k - 1], hist))
-        amp += vec
-    amp /= math.sqrt(2**n)
-    return amp
-
-
-def kron_tail(states, jt, history):
-    fam, t = states.family, states.t
+def kron_tail(lookup, fam, t, jt, history):
+    """Tail of pulses t+1..n under bit jt, with states read from lookup."""
     n = fam.n_pulses
     m = n - t
     amp = np.zeros((2 * fam.fock_dim) ** m, dtype=complex)
@@ -286,16 +147,16 @@ def kron_tail(states, jt, history):
                 for i in range(fam.window(zeta))
             )
             vec = np.kron(vec, KRON_QUBIT[branch[zeta - t - 1]])
-            vec = np.kron(vec, states.pulse_state(zeta, branch[zeta - t - 1], hist))
+            vec = np.kron(vec, lookup.pulse_state(zeta, branch[zeta - t - 1], hist))
         amp += vec
     amp /= math.sqrt(2**m)
     return amp
 
 
-def kron_block(states, history, tails):
+def kron_block(lookup, t, history, tails):
     branches = []
     for jt in (0, 1):
-        base = states.pulse_state(states.t, jt, history)
+        base = lookup.pulse_state(t, jt, history)
         branches.append(np.kron(KRON_QUBIT[jt], np.kron(base, tails[jt])))
     return (branches[0] + branches[1]) / math.sqrt(2.0)
 
@@ -304,25 +165,33 @@ def kron_blocks(fam, t, history, canonical=True):
     """Actual and reference block states of pulses t..n, and both tails.
 
     The actual block carries the bit-jt tail in its bit-jt branch, the
-    reference block the bit-0 tail in both.
+    reference block the bit-0 tail in both.  Without ``canonical`` the
+    stored vectors enter as they are.
     """
-    states = orc._CanonicalStates(fam, t, enabled=canonical)
-    tails = [kron_tail(states, jt, history) for jt in (0, 1)]
-    layout = orc._layout(fam.fock_dim, t, fam.n_pulses)
-    act = orc.JointState(kron_block(states, history, tails), layout)
-    ref = orc.JointState(kron_block(states, history, (tails[0], tails[0])), layout)
+    lookup = orc._CanonicalStates(fam, t) if canonical else fam
+    tails = [kron_tail(lookup, fam, t, jt, history) for jt in (0, 1)]
+    act = kron_block(lookup, t, history, tails)
+    ref = kron_block(lookup, t, history, (tails[0], tails[0]))
     return act, ref, tails
+
+
+def condition_on_ancillas(block, fock_dim, bits):
+    """Normalized Fock amplitudes of a block after Z outcomes ``bits`` on
+    its ancillas, one per pulse in order."""
+    arr = block.reshape((2, fock_dim) * len(bits))
+    picked = arr[tuple(ix for b in bits for ix in (b, slice(None)))].reshape(-1)
+    return picked / np.linalg.norm(picked)
 
 
 def minus_probability(block):
     """X-basis minus probability of the block's pulse-t ancilla."""
-    arr = block.amplitudes.reshape(2, -1)
+    arr = block.reshape(2, -1)
     return min(1.0, float(np.linalg.norm(arr[0] - arr[1]) ** 2) / 2.0)
 
 
-def plus_vacuum_probability(block):
+def plus_vacuum_probability(block, fock_dim):
     """Joint probability of X-basis plus and vacuum on pulse t."""
-    arr = block.amplitudes.reshape(2, block.layout[1].dim, -1)
+    arr = block.reshape(2, fock_dim, -1)
     return min(1.0, float(np.linalg.norm(arr[0, 0] + arr[1, 0]) ** 2) / 2.0)
 
 
@@ -345,36 +214,6 @@ def analysis_cases():
                 yield fam, t, hist
 
 
-class TestKronFreeConstruction:
-    def test_joint_state_bitwise(self):
-        for fam in sample_families():
-            got = orc.build_joint_state(fam).amplitudes
-            assert np.array_equal(got, kron_joint_state(fam))
-
-    def test_block_states_bitwise(self):
-        # The tail is the dense block builder below the joint state.
-        n_cases = 0
-        for fam, t, hist in analysis_cases():
-            for canonical in (False, True):
-                states = orc._CanonicalStates(fam, t, enabled=canonical)
-                for jt in (0, 1):
-                    got = orc._tail_state(states, jt, hist).amplitudes
-                    assert np.array_equal(got, kron_tail(states, jt, hist))
-            # The loop leaves the canonical states in place.
-            phi = orc.decompose_side_channel(fam, t, hist).phi_ref
-            assert np.array_equal(phi.amplitudes, kron_tail(states, 0, hist))
-            n_cases += 1
-        assert n_cases == 3 * 23  # 23 (n, lc, t, history) per family kind
-
-    def test_check_builds_no_tail_state(self, monkeypatch):
-        def built(*args):
-            raise AssertionError("the proof-chain check built a dense tail")
-
-        monkeypatch.setattr(orc, "_tail_state", built)
-        for fam, t, hist in analysis_cases():
-            assert orc.check_proof_chain(fam, t, hist).passed
-
-
 FLAGS = (
     "ok_ref_cap",
     "ok_plus_vac",
@@ -389,7 +228,7 @@ class TestClosedForms:
     def test_fields_match_dense_reference(self):
         # Under the measured characterization and with every per-lag
         # deficit denied, so that the flags are exercised both ways.
-        n_failed = 0
+        n_cases = n_failed = 0
         for fam, t, hist in analysis_cases():
             act, ref, tails = kron_blocks(fam, t, hist)
             honest = orc.measured_characterization(fam)
@@ -397,7 +236,7 @@ class TestClosedForms:
             for char in (honest, lying):
                 chk = orc.check_proof_chain(fam, t, hist, characterization=char)
                 p_ref = minus_probability(ref)
-                fid = min(1.0, abs(ref.overlap(act)))
+                fid = min(1.0, abs(np.vdot(ref, act)))
                 dense = dataclasses.replace(
                     chk,
                     p_minus_act=minus_probability(act),
@@ -405,7 +244,7 @@ class TestClosedForms:
                     fidelity=fid,
                     transfer_value=sec.transfer_bound(p_ref, fid),
                     a1=min(1.0, max(0.0, np.vdot(tails[0], tails[1]).real)),
-                    plus_vac_prob=plus_vacuum_probability(ref),
+                    plus_vac_prob=plus_vacuum_probability(ref, fam.fock_dim),
                 )
                 for name in (
                     "p_minus_act", "p_minus_ref", "fidelity", "a1", "plus_vac_prob"
@@ -420,11 +259,13 @@ class TestClosedForms:
                     getattr(dense, f) for f in FLAGS
                 ]
                 n_failed += not chk.passed
+            n_cases += 1
+        assert n_cases == 3 * 23  # 23 (n, lc, t, history) per family kind
         assert n_failed > 0
 
 
 class TestReach:
-    """Checks far past the dense budget, at the paper's correlation lengths."""
+    """Checks far past ``MAX_STATE_DIM``, at the paper's correlation lengths."""
 
     @pytest.mark.parametrize("corr_len", [4, 10])
     def test_coherent_family_is_tight(self, corr_len):
@@ -544,6 +385,27 @@ class TestCampaigns:
         with pytest.raises(ValueError, match=next(iter(bad))):
             orc.run_family_campaign(**{"n_trials": 5, "seed": 2, **bad})
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+    def test_bad_tol_rejected(self, monkeypatch, tol):
+        fam = orc.random_family(2, 0, 3, seed=4)
+        with pytest.raises(ValueError, match="tol"):
+            orc.check_proof_chain(fam, t=1, history=(), tol=tol)
+
+        def checked(*args, **kwargs):
+            raise AssertionError("a trial ran before the arguments were checked")
+
+        monkeypatch.setattr(orc, "check_proof_chain", checked)
+        with pytest.raises(ValueError, match="tol"):
+            orc.run_family_campaign(n_trials=5, seed=2, tol=tol)
+
+    def test_size_limit_binds_campaigns_only(self):
+        # The largest family at fock 20 spans (2*20)^4 = 2.56e6 amplitudes.
+        with pytest.raises(ValueError, match="MAX_STATE_DIM"):
+            orc.run_family_campaign(n_trials=1, seed=1, max_pulses=4, max_fock=20)
+        # The proof-chain check forms no state of that size and has no limit.
+        fam = orc.random_family(4, 0, 20, seed=1)
+        assert orc.check_proof_chain(fam, 1, ()).passed
+
 
 class TestFidelityProposition:
     def test_random_pairs_pass(self):
@@ -562,3 +424,18 @@ class TestFidelityProposition:
     def test_dim_validation(self):
         with pytest.raises(ValueError):
             orc.verify_fidelity_proposition(dim=1, n_trials=10, seed=0)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"n_trials": 0},
+            {"n_trials": -3},
+            {"tol": math.nan},
+            {"tol": math.inf},
+            {"tol": -1e-12},
+        ],
+        ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
+    )
+    def test_bad_arguments_rejected(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            orc.verify_fidelity_proposition(**{"dim": 5, "n_trials": 10, "seed": 0, **bad})
