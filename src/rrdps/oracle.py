@@ -14,9 +14,11 @@ not depend on the pulse count.
 Checks are evaluated on the phase-canonical form of the states: each
 emitted state is only defined up to a global phase, and the bounds hold
 for the purification in which the vacuum amplitude of the analyzed pulse
-is real nonnegative and the overlaps between near-history variants are
-phase aligned.  The canonicalization is applied here explicitly, so the
-stored family vectors may carry arbitrary phases.
+is real nonnegative and each later pulse's bit-1 variant is phase aligned
+with its bit-0 partner.  The analyzed pulse is rotated explicitly, and
+the window overlaps enter the tail overlap by their moduli, which is
+what the alignment makes them; so the stored family vectors may carry
+arbitrary phases, and the tail overlap is real and nonnegative.
 
 No state vector larger than one pulse is ever formed, so the only size
 limit is on randomized campaigns, whose pulse count and truncation level
@@ -34,10 +36,11 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .security import (
+    SecurityBounds,
     SourceCharacterization,
-    fidelity_bound,
-    minus_act_bound,
-    minus_ref_bound,
+    _require_integer,
+    a1_floor,
+    plus_vac_floor,
     transfer_bound,
     vacuum_fidelity_bound,
 )
@@ -111,50 +114,11 @@ class EmissionFamily:
         return self.states[(k, bit, tuple(int(b) for b in history[:w]))]
 
 
-def _bit_at(pos: int, t: int, jt: int, history: Sequence[int], branch: Sequence[int]) -> int:
-    # Bit encoded at absolute pulse position pos, given the branch bits for
-    # pulses after t, the analyzed bit jt at t, and the history before t.
-    if pos > t:
-        return branch[pos - t - 1]
-    if pos == t:
-        return jt
-    return history[t - 1 - pos]
-
-
 def _vacuum_aligned(vec: np.ndarray) -> np.ndarray:
     c = vec[0]
     if abs(c) < 1e-12:
         return vec
     return vec * (abs(c) / c)
-
-
-class _CanonicalStates:
-    """Pulse-state lookup with the proof's phase conventions for pulse t.
-
-    The analyzed pulse gets a real nonnegative vacuum amplitude; pulses in
-    its forward correlation window are rotated so their overlap with the
-    bit-0 counterpart is real nonnegative.  Later pulses are untouched.
-    """
-
-    def __init__(self, family: EmissionFamily, t: int):
-        self.family = family
-        self.t = t
-
-    def pulse_state(self, k: int, bit: int, history: Sequence[int]) -> np.ndarray:
-        fam = self.family
-        vec = fam.pulse_state(k, bit, history)
-        if k == self.t:
-            return _vacuum_aligned(vec)
-        offset = k - self.t - 1  # position of the analyzed bit in the window
-        w = fam.window(k)
-        if 0 <= offset < w:
-            hist = tuple(int(b) for b in history[:w])
-            if hist[offset] == 1:
-                partner = hist[:offset] + (0,) + hist[offset + 1:]
-                x = complex(np.vdot(fam.pulse_state(k, bit, partner), vec))
-                if abs(x) > 1e-12:
-                    return vec * (abs(x) / x)
-        return vec
 
 
 def _check_analysis_args(family: EmissionFamily, t: int, history: Sequence[int]) -> None:
@@ -172,33 +136,28 @@ def _check_analysis_args(family: EmissionFamily, t: int, history: Sequence[int])
         raise ValueError("history bits must be 0 or 1")
 
 
-def _tail_overlap(states: _CanonicalStates, history: Sequence[int]) -> complex:
+def _tail_overlap(family: EmissionFamily, t: int, history: Sequence[int]) -> float:
     """Overlap g of the bit-0 and bit-1 tails of pulse t, with no tail built.
 
     Ancilla branches are orthogonal, so g is the mean over the tail bits of
     the product of per-pulse overlaps.  Pulses past the forward window of t
     emit the same vector in both tails and contribute a factor of 1; window
     pulse t + i depends on the first i tail bits only, so its 2^i overlaps
-    are formed once and broadcast over the later bits.
+    are formed once and broadcast over the later bits.  In the canonical
+    purification each window overlap is real and nonnegative, so it enters
+    by its modulus.
     """
-    fam, t = states.family, states.t
-    prod = np.ones((), dtype=complex)
-    for i in range(1, min(fam.corr_len, fam.n_pulses - t) + 1):
-        zeta = t + i
-        ov = np.empty((2,) * i, dtype=complex)
+    prod = np.ones(())
+    for i in range(1, min(family.corr_len, family.n_pulses - t) + 1):
+        ov = np.empty((2,) * i)
         for bits in product((0, 1), repeat=i):
-            pair = [
-                states.pulse_state(
-                    zeta,
-                    bits[-1],
-                    [_bit_at(zeta - 1 - k, t, jt, history, bits)
-                     for k in range(fam.window(zeta))],
-                )
+            v0, v1 = (
+                family.pulse_state(t + i, bits[-1], bits[-2::-1] + (jt, *history))
                 for jt in (0, 1)
-            ]
-            ov[bits] = np.vdot(pair[0], pair[1])
+            )
+            ov[bits] = abs(np.vdot(v0, v1))
         prod = prod[..., None] * ov
-    return complex(prod.mean())
+    return float(prod.mean())
 
 
 def _check_tol(tol: float) -> None:
@@ -352,46 +311,37 @@ def check_proof_chain(
     char = characterization or measured_characterization(family)
     if char.corr_len != family.corr_len:
         raise ValueError("characterization correlation length mismatch")
-    ref_cap = minus_ref_bound(char)
-    fid_floor = fidelity_bound(char)
-    act_cap = minus_act_bound(ref_cap, fid_floor)
-    a1_floor = 1.0
-    for e in char.eps:
-        a1_floor *= math.sqrt(1.0 - e)
+    bounds = SecurityBounds.from_source(char)
 
     # Closed forms on the actual block (|0> b0 T0 + |1> b1 T1) / sqrt(2)
     # and the reference block, which carries T0 in both branches.
-    states = _CanonicalStates(family, t)
-    b0, b1 = (states.pulse_state(t, jt, history) for jt in (0, 1))
-    g = _tail_overlap(states, history)
-    if abs(g.imag) > 1e-9:
-        raise ArithmeticError(f"projection coefficient not phase aligned: {g}")
+    b0, b1 = (_vacuum_aligned(family.pulse_state(t, jt, history)) for jt in (0, 1))
+    g = _tail_overlap(family, t, history)
     base = complex(np.vdot(b0, b1))
-    p_act = _probability((1.0 - (base * g).real) / 2.0, "minus probability")
+    p_act = _probability((1.0 - base.real * g) / 2.0, "minus probability")
     p_ref = _probability((1.0 - base.real) / 2.0, "minus probability")
     plus_vac = _probability(abs(complex(b0[0] + b1[0])) ** 2 / 4.0, "joint probability")
-    fid = abs(1.0 + g) / 2.0
+    fid = (1.0 + g) / 2.0
     if fid > 1.0 + 1e-12:
         raise ArithmeticError(f"fidelity {fid} outside [0, 1] tolerance")
     fid = min(1.0, fid)
-    root_sum = math.sqrt(char.p_vac0) + math.sqrt(char.p_vac1)
     return ProofChainCheck(
         n_pulses=family.n_pulses,
         corr_len=family.corr_len,
         fock_dim=family.fock_dim,
         t=t,
         history=tuple(int(b) for b in history),
-        minus_ref_cap=ref_cap,
-        fidelity_floor=fid_floor,
-        minus_act_cap=act_cap,
+        minus_ref_cap=bounds.minus_ref,
+        fidelity_floor=bounds.fidelity,
+        minus_act_cap=bounds.minus_act,
         p_minus_ref=p_ref,
         p_minus_act=p_act,
         fidelity=fid,
         transfer_value=transfer_bound(p_ref, fid),
-        a1=min(1.0, max(0.0, g.real)),
-        a1_floor=a1_floor,
+        a1=min(1.0, g),
+        a1_floor=a1_floor(char),
         plus_vac_prob=plus_vac,
-        plus_vac_floor=root_sum * root_sum / 4.0,
+        plus_vac_floor=plus_vac_floor(char),
         tol=tol,
         trial=trial,
         seed=family.seed,
@@ -549,6 +499,10 @@ def run_family_campaign(
     correlations and must trip the checks.  Every argument is checked
     before the first trial, the largest family against ``MAX_STATE_DIM``.
     """
+    for name, value in (
+        ("n_trials", n_trials), ("max_pulses", max_pulses), ("max_fock", max_fock)
+    ):
+        _require_integer(name, value)
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     if max_pulses < 2:
@@ -556,7 +510,9 @@ def run_family_campaign(
     if max_fock < 6:
         # Coherent families keep at least 6 Fock levels.
         raise ValueError(f"max_fock must be >= 6, got {max_fock}")
-    if eps_scale is not None and not 0.0 <= eps_scale < math.inf:
+    if eps_scale is not None and (
+        isinstance(eps_scale, bool) or not 0.0 <= eps_scale < math.inf
+    ):
         raise ValueError(f"eps_scale must be a finite number >= 0, got {eps_scale}")
     _check_tol(tol)
     dim = (2 * max_fock) ** max_pulses

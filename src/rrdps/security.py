@@ -188,45 +188,47 @@ class SourceCharacterization:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
 
 
+def plus_vac_floor(source: SourceCharacterization) -> float:
+    """Floor on P(plus, vacuum): ``(sqrt(p_vac0) + sqrt(p_vac1))^2 / 4``."""
+    root_sum = math.sqrt(source.p_vac0) + math.sqrt(source.p_vac1)
+    return root_sum * root_sum / 4.0
+
+
 def minus_ref_bound(source: SourceCharacterization) -> float:
     """Cap on the minus-outcome probability of the reference state.
 
-    Computed from the vacuum floors alone:
-    ``1 - (sqrt(p_vac0) + sqrt(p_vac1))^2 / 4``.
+    A minus outcome excludes plus with vacuum: ``1 - plus_vac_floor``.
     """
-    root_sum = math.sqrt(source.p_vac0) + math.sqrt(source.p_vac1)
-    return 1.0 - root_sum * root_sum / 4.0
+    return 1.0 - plus_vac_floor(source)
+
+
+def a1_floor(source: SourceCharacterization) -> float:
+    """Floor on the overlap of the bit-0 and bit-1 tails of later pulses.
+
+    ``prod_d sqrt(1 - eps_d)``, which is 1 without correlations.
+    """
+    prod = 1.0
+    for e in source.eps:
+        prod *= math.sqrt(1.0 - e)
+    return prod
 
 
 def fidelity_bound(source: SourceCharacterization) -> float:
     """Floor on the overlap between actual and reference states.
 
-    ``(1 + prod_d sqrt(1 - eps_d)) / 2`` for a correlated source; exactly 1
-    when there are no correlations to wash out.
+    ``(1 + a1_floor(source)) / 2``; exactly 1 when there are no
+    correlations to wash out.
     """
-    if source.corr_len == 0:
-        return 1.0
-    prod = 1.0
-    for e in source.eps:
-        prod *= math.sqrt(1.0 - e)
-    return (1.0 + prod) / 2.0
-
-
-def minus_act_bound(minus_ref: float, fidelity: float) -> float:
-    """Cap on the minus-outcome probability of the actual states.
-
-    Transfers the reference-state cap through the fidelity floor; collapses
-    to the trivial bound 1 when ``minus_ref > fidelity^2``.
-    """
-    return transfer_bound(minus_ref, fidelity)
+    return (1.0 + a1_floor(source)) / 2.0
 
 
 @dataclass(frozen=True)
 class SecurityBounds:
     """The bound values the key-rate formula consumes.
 
-    ``minus_act`` is derived from the other two fields through
-    :func:`minus_act_bound`, so it cannot disagree with them.
+    ``minus_act`` transfers the reference cap through the fidelity floor
+    (:func:`transfer_bound`; the trivial 1 when ``minus_ref > fidelity^2``),
+    so it cannot disagree with the other two fields.
     """
 
     minus_ref: float
@@ -240,7 +242,7 @@ class SecurityBounds:
 
     @property
     def minus_act(self) -> float:
-        return minus_act_bound(self.minus_ref, self.fidelity)
+        return transfer_bound(self.minus_ref, self.fidelity)
 
     @classmethod
     def from_source(cls, source: SourceCharacterization) -> "SecurityBounds":

@@ -238,7 +238,7 @@ class TestOracleCommand:
             (["--trials", "-3"], "--trials"),
             (["--fault-injection", "nan"], "--fault-injection"),
             (["--fock", "5"], "--fock"),
-            # (2 * 20)^4 amplitudes exceed the dense budget.
+            # (2 * 20)^4 amplitudes exceed MAX_STATE_DIM.
             (["--fock", "20"], "--fock"),
         ],
         ids=["trials-0", "trials-negative", "injection-nan", "fock-5", "fock-20"],

@@ -1,6 +1,7 @@
 """Tests for the exact small-system verification engine."""
 
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -134,8 +135,38 @@ class TestCanonicalForm:
 KRON_QUBIT = (np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex))
 
 
-def kron_tail(lookup, fam, t, jt, history):
-    """Tail of pulses t+1..n under bit jt, with states read from lookup."""
+def bit_at(pos, t, jt, history, branch):
+    """Bit at absolute pulse pos: a branch bit after t, jt at t, and a
+    history bit (most recent first) before t."""
+    if pos > t:
+        return branch[pos - t - 1]
+    if pos == t:
+        return jt
+    return history[t - 1 - pos]
+
+
+def canonical_state(fam, t, k, bit, history):
+    """Stored vector of pulse k in the proof's phase conventions for t.
+
+    Pulse t gets a real nonnegative vacuum amplitude.  A pulse in the
+    forward window of t whose history has bit 1 at t is rotated as a whole
+    so that its overlap with the variant that has bit 0 there is real and
+    nonnegative.  Every other vector is returned as stored.
+    """
+    vec = fam.pulse_state(k, bit, history)
+    if k == t:
+        anchor = vec[0]
+    elif 0 <= k - t - 1 < fam.window(k) and history[k - t - 1] == 1:
+        partner = list(history)
+        partner[k - t - 1] = 0
+        anchor = np.vdot(fam.pulse_state(k, bit, partner), vec)
+    else:
+        return vec
+    return vec if abs(anchor) < 1e-12 else vec * (abs(anchor) / anchor)
+
+
+def kron_tail(state, fam, t, jt, history):
+    """Tail of pulses t+1..n under bit jt, with vectors read from state."""
     n = fam.n_pulses
     m = n - t
     amp = np.zeros((2 * fam.fock_dim) ** m, dtype=complex)
@@ -143,20 +174,20 @@ def kron_tail(lookup, fam, t, jt, history):
         vec = np.ones(1, dtype=complex)
         for zeta in range(t + 1, n + 1):
             hist = tuple(
-                orc._bit_at(zeta - 1 - i, t, jt, history, branch)
+                bit_at(zeta - 1 - i, t, jt, history, branch)
                 for i in range(fam.window(zeta))
             )
             vec = np.kron(vec, KRON_QUBIT[branch[zeta - t - 1]])
-            vec = np.kron(vec, lookup.pulse_state(zeta, branch[zeta - t - 1], hist))
+            vec = np.kron(vec, state(zeta, branch[zeta - t - 1], hist))
         amp += vec
     amp /= math.sqrt(2**m)
     return amp
 
 
-def kron_block(lookup, t, history, tails):
+def kron_block(state, t, history, tails):
     branches = []
     for jt in (0, 1):
-        base = lookup.pulse_state(t, jt, history)
+        base = state(t, jt, history)
         branches.append(np.kron(KRON_QUBIT[jt], np.kron(base, tails[jt])))
     return (branches[0] + branches[1]) / math.sqrt(2.0)
 
@@ -168,10 +199,10 @@ def kron_blocks(fam, t, history, canonical=True):
     reference block the bit-0 tail in both.  Without ``canonical`` the
     stored vectors enter as they are.
     """
-    lookup = orc._CanonicalStates(fam, t) if canonical else fam
-    tails = [kron_tail(lookup, fam, t, jt, history) for jt in (0, 1)]
-    act = kron_block(lookup, t, history, tails)
-    ref = kron_block(lookup, t, history, (tails[0], tails[0]))
+    state = functools.partial(canonical_state, fam, t) if canonical else fam.pulse_state
+    tails = [kron_tail(state, fam, t, jt, history) for jt in (0, 1)]
+    act = kron_block(state, t, history, tails)
+    ref = kron_block(state, t, history, (tails[0], tails[0]))
     return act, ref, tails
 
 
@@ -231,6 +262,9 @@ class TestClosedForms:
         n_cases = n_failed = 0
         for fam, t, hist in analysis_cases():
             act, ref, tails = kron_blocks(fam, t, hist)
+            g = np.vdot(tails[0], tails[1])
+            # The alignment the check relies on to read overlaps by modulus.
+            assert abs(g.imag) <= 1e-12
             honest = orc.measured_characterization(fam)
             lying = dataclasses.replace(honest, eps=(0.0,) * fam.corr_len)
             for char in (honest, lying):
@@ -243,7 +277,7 @@ class TestClosedForms:
                     p_minus_ref=p_ref,
                     fidelity=fid,
                     transfer_value=sec.transfer_bound(p_ref, fid),
-                    a1=min(1.0, max(0.0, np.vdot(tails[0], tails[1]).real)),
+                    a1=min(1.0, max(0.0, g.real)),
                     plus_vac_prob=plus_vacuum_probability(ref, fam.fock_dim),
                 )
                 for name in (
@@ -262,6 +296,26 @@ class TestClosedForms:
             n_cases += 1
         assert n_cases == 3 * 23  # 23 (n, lc, t, history) per family kind
         assert n_failed > 0
+
+    def test_stored_phases_do_not_matter(self):
+        # Every stored vector is defined only up to a global phase.
+        rng = np.random.default_rng(7)
+        n_cases = 0
+        for fam, t, hist in analysis_cases():
+            if fam.seed is None:  # coherent: phases fixed by the model
+                continue
+            phases = {
+                key: vec * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+                for key, vec in fam.states.items()
+            }
+            rotated = dataclasses.replace(fam, states=phases)
+            a = orc.check_proof_chain(fam, t, hist)
+            b = orc.check_proof_chain(rotated, t, hist)
+            for name in ("p_minus_act", "p_minus_ref", "fidelity", "a1", "plus_vac_prob"):
+                assert getattr(b, name) == pytest.approx(getattr(a, name), abs=1e-12), name
+            assert [getattr(b, f) for f in FLAGS] == [getattr(a, f) for f in FLAGS]
+            n_cases += 1
+        assert n_cases == 2 * 23
 
 
 class TestReach:
@@ -374,6 +428,9 @@ class TestCampaigns:
             {"max_pulses": 7},
             {"eps_scale": math.nan},
             {"eps_scale": -0.5},
+            {"eps_scale": True},
+            {"max_fock": 8.5},
+            {"max_pulses": 3.5},
         ],
         ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
     )
@@ -384,6 +441,22 @@ class TestCampaigns:
         monkeypatch.setattr(orc, "check_proof_chain", checked)
         with pytest.raises(ValueError, match=next(iter(bad))):
             orc.run_family_campaign(**{"n_trials": 5, "seed": 2, **bad})
+
+    def test_flag_implications(self):
+        # The bounds make three flags follow from others; a campaign that
+        # breaks one of these implications has a wrong check.
+        n_failed = 0
+        for seed in (1, 2, 3):
+            for eps_scale in (None, 0.0, 0.5, 0.9):
+                camp = orc.run_family_campaign(60, seed, eps_scale=eps_scale)
+                for c in camp.checks:
+                    assert c.ok_ref_cap or not c.ok_plus_vac, c.line()
+                    assert c.ok_fidelity_floor or not c.ok_side_channel, c.line()
+                    assert c.ok_act_cap or not (
+                        c.ok_transfer and c.ok_ref_cap and c.ok_fidelity_floor
+                    ), c.line()
+                n_failed += camp.n_failed
+        assert n_failed > 0
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
     def test_bad_tol_rejected(self, monkeypatch, tol):
