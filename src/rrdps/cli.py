@@ -41,9 +41,9 @@ import numpy as np
 
 from . import __version__
 from .oracle import run_family_campaign, verify_fidelity_proposition
-from .security import KeyRateResult, ProtocolConfig
-from .simulate import simulate_coherent
-from .sources import optimize_mu, rate_at_mu
+from .security import KeyRateResult, ProtocolConfig, key_rate
+from .simulate import run_simulation
+from .sources import _coherent_point, optimize_mu, rate_at_mu
 
 
 def _fmt(value) -> str:
@@ -209,20 +209,26 @@ def _read_config(args: argparse.Namespace, known: set) -> tuple[dict, _Common]:
     return cfg, common
 
 
+def _optimize(
+    protocol: ProtocolConfig, delta: float, eta: float
+) -> tuple[float, KeyRateResult]:
+    return optimize_mu(
+        protocol.group_size,
+        protocol.corr_len,
+        delta,
+        eta,
+        protocol.e_bit,
+        f_ec_mode=protocol.f_ec_mode,
+        f_ec_fixed=protocol.f_ec_fixed,
+    )
+
+
 def _mu_step(
     protocol: ProtocolConfig, delta: float, eta: float, fixed_mu: Optional[float]
 ) -> tuple[float, KeyRateResult]:
     """The mu of one rate point, optimised unless fixed, and its rate."""
     if fixed_mu is None:
-        return optimize_mu(
-            protocol.group_size,
-            protocol.corr_len,
-            delta,
-            eta,
-            protocol.e_bit,
-            f_ec_mode=protocol.f_ec_mode,
-            f_ec_fixed=protocol.f_ec_fixed,
-        )
+        return _optimize(protocol, delta, eta)
     return fixed_mu, rate_at_mu(protocol, delta, eta, fixed_mu)
 
 
@@ -305,19 +311,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise ValueError(f"{where}: no seed (use --seed or a \"seed\" key)")
     protocol = common.protocol(group_size, corr_len)
 
-    mu, analytic = _mu_step(protocol, delta, eta, common.fixed_mu)
-    result = simulate_coherent(
-        group_size,
-        corr_len,
-        delta,
-        protocol.e_bit,
-        eta,
-        mu,
-        n_blocks,
-        seed,
-        f_ec_mode=protocol.f_ec_mode,
-        f_ec_fixed=protocol.f_ec_fixed,
-    )
+    mu = common.fixed_mu
+    if mu is None:
+        mu, _ = _optimize(protocol, delta, eta)
+    # The session and its analytic rate share one characterisation of the
+    # source; at the optimised mu the rate is the optimiser's own result.
+    bounds, q = _coherent_point(protocol, delta, eta, mu)
+    analytic = key_rate(protocol, bounds, [q] * protocol.n_groups)
+    result = run_simulation(protocol, bounds, q, n_blocks, seed)
     columns = [
         ("group_size", group_size),
         ("corr_len", corr_len),

@@ -44,9 +44,14 @@ from .security import (
     transfer_bound,
     vacuum_fidelity_bound,
 )
+from .sources import PhaseRotationModel
 
 # Largest (2 * max_fock) ** max_pulses a campaign accepts.
 MAX_STATE_DIM = 2**21
+# Tolerance of every proof-chain inequality, and of the vacuum-overlap
+# floor on random state pairs.
+CHECK_TOL = 1e-9
+FIDELITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -160,11 +165,6 @@ def _tail_overlap(family: EmissionFamily, t: int, history: Sequence[int]) -> flo
     return float(prod.mean())
 
 
-def _check_tol(tol: float) -> None:
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
-
-
 def _probability(p: float, what: str) -> float:
     if not -1e-12 <= p <= 1.0 + 1e-12:
         raise ArithmeticError(f"{what} {p} outside [0, 1] tolerance")
@@ -218,7 +218,7 @@ class ProofChainCheck:
 
     The cap fields come from the (possibly overridden) characterization;
     the probability and overlap fields are exact state-vector quantities.
-    Each ``ok_*`` flag compares one side of the chain at tolerance ``tol``.
+    Each ``ok_*`` flag compares one side of the chain at ``CHECK_TOL``.
     """
 
     n_pulses: int
@@ -237,33 +237,32 @@ class ProofChainCheck:
     a1_floor: float
     plus_vac_prob: float
     plus_vac_floor: float
-    tol: float = 1e-9
     trial: Optional[int] = None
     seed: Optional[int] = None
 
     @property
     def ok_ref_cap(self) -> bool:
-        return self.p_minus_ref <= self.minus_ref_cap + self.tol
+        return self.p_minus_ref <= self.minus_ref_cap + CHECK_TOL
 
     @property
     def ok_plus_vac(self) -> bool:
-        return self.plus_vac_prob >= self.plus_vac_floor - self.tol
+        return self.plus_vac_prob >= self.plus_vac_floor - CHECK_TOL
 
     @property
     def ok_fidelity_floor(self) -> bool:
-        return self.fidelity >= self.fidelity_floor - self.tol
+        return self.fidelity >= self.fidelity_floor - CHECK_TOL
 
     @property
     def ok_side_channel(self) -> bool:
-        return self.a1 >= self.a1_floor - self.tol
+        return self.a1 >= self.a1_floor - CHECK_TOL
 
     @property
     def ok_transfer(self) -> bool:
-        return self.p_minus_act <= self.transfer_value + self.tol
+        return self.p_minus_act <= self.transfer_value + CHECK_TOL
 
     @property
     def ok_act_cap(self) -> bool:
-        return self.p_minus_act <= self.minus_act_cap + self.tol
+        return self.p_minus_act <= self.minus_act_cap + CHECK_TOL
 
     @property
     def passed(self) -> bool:
@@ -296,7 +295,6 @@ def check_proof_chain(
     family: EmissionFamily,
     t: int,
     history: Sequence[int],
-    tol: float = 1e-9,
     characterization: Optional[SourceCharacterization] = None,
     trial: Optional[int] = None,
 ) -> ProofChainCheck:
@@ -307,7 +305,6 @@ def check_proof_chain(
     violation detection.
     """
     _check_analysis_args(family, t, history)
-    _check_tol(tol)
     char = characterization or measured_characterization(family)
     if char.corr_len != family.corr_len:
         raise ValueError("characterization correlation length mismatch")
@@ -342,7 +339,6 @@ def check_proof_chain(
         a1_floor=a1_floor(char),
         plus_vac_prob=plus_vac,
         plus_vac_floor=plus_vac_floor(char),
-        tol=tol,
         trial=trial,
         seed=family.seed,
     )
@@ -416,16 +412,14 @@ def coherent_family(
 ) -> EmissionFamily:
     """Coherent-state family of the phase-rotation source model.
 
-    Pulse amplitude ``(-1)^bit * sqrt(mu)`` picks up an extra phase
-    ``delta / 2**(lag-1)`` for every 1-bit in the history at that lag.
+    Pulse amplitude ``(-1)^bit * sqrt(mu)`` picks up the kick
+    ``PhaseRotationModel(mu, delta, corr_len).rotation(lag)`` for every
+    1-bit in the history at that lag.
     Vectors are truncated to ``fock_dim`` levels and renormalized; the
     default keeps the truncation error, the dropped photon-number
     probability, below 1e-9 for mu <= 0.29.
     """
-    if not 0.0 <= mu < math.inf:
-        raise ValueError(f"mu must be a finite number >= 0, got {mu}")
-    if not -math.inf < delta < math.inf:
-        raise ValueError(f"delta must be finite, got {delta}")
+    model = PhaseRotationModel(mu=mu, delta=delta, corr_len=corr_len)
     states: dict[tuple[int, int, tuple[int, ...]], np.ndarray] = {}
     ns = np.arange(fock_dim)
     log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, fock_dim)))))
@@ -434,9 +428,7 @@ def coherent_family(
         for bit in (0, 1):
             for hist in product((0, 1), repeat=w):
                 phase = sum(
-                    delta / 2 ** lag_idx
-                    for lag_idx, b in enumerate(hist)
-                    if b == 1
+                    model.rotation(lag) for lag, b in enumerate(hist, start=1) if b
                 )
                 alpha = (-1) ** bit * math.sqrt(mu) * np.exp(1j * phase)
                 vec = np.power(alpha, ns) / np.exp(0.5 * log_fact)
@@ -455,10 +447,7 @@ def coherent_family(
 class OracleCampaign:
     """Aggregated proof-chain trials, serializable one line per trial."""
 
-    seed: int
-    tol: float
     checks: list[ProofChainCheck] = field(default_factory=list)
-    eps_scale: Optional[float] = None
 
     @property
     def n_trials(self) -> int:
@@ -486,7 +475,6 @@ def run_family_campaign(
     seed: int,
     max_pulses: int = 4,
     max_fock: int = 8,
-    tol: float = 1e-9,
     eps_scale: Optional[float] = None,
 ) -> OracleCampaign:
     """Randomized proof-chain verification over generated families.
@@ -514,14 +502,13 @@ def run_family_campaign(
         isinstance(eps_scale, bool) or not 0.0 <= eps_scale < math.inf
     ):
         raise ValueError(f"eps_scale must be a finite number >= 0, got {eps_scale}")
-    _check_tol(tol)
     dim = (2 * max_fock) ** max_pulses
     if dim > MAX_STATE_DIM:
         raise ValueError(
             f"max_pulses={max_pulses}, max_fock={max_fock}: family dimension "
             f"{dim} exceeds MAX_STATE_DIM {MAX_STATE_DIM}"
         )
-    campaign = OracleCampaign(seed=seed, tol=tol, eps_scale=eps_scale)
+    campaign = OracleCampaign()
     for i in range(n_trials):
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
         rng = np.random.default_rng(ss)
@@ -556,9 +543,7 @@ def run_family_campaign(
                 p_vac1=char.p_vac1,
             )
         campaign.checks.append(
-            check_proof_chain(
-                fam, t, history, tol=tol, characterization=char, trial=i
-            )
+            check_proof_chain(fam, t, history, characterization=char, trial=i)
         )
     return campaign
 
@@ -571,8 +556,6 @@ class FidelityPropositionResult:
     n_trials: int
     n_failed: int
     worst_margin: float
-    seed: int
-    tol: float
 
     @property
     def passed(self) -> bool:
@@ -587,18 +570,20 @@ class FidelityPropositionResult:
 
 
 def verify_fidelity_proposition(
-    dim: int, n_trials: int, seed: int, tol: float = 1e-12
+    dim: int, n_trials: int, seed: int
 ) -> FidelityPropositionResult:
     """Check the overlap floor from vacuum weights on random state pairs.
 
     Half the pairs are biased toward large vacuum amplitude so the floor
-    is nontrivial; the rest exercise the trivial branch.
+    is nontrivial; the rest exercise the trivial branch.  A pair fails when
+    its overlap falls below the floor by more than ``FIDELITY_TOL``.
     """
+    _require_integer("dim", dim)
+    _require_integer("n_trials", n_trials)
     if dim < 2:
         raise ValueError(f"need dimension >= 2, got {dim}")
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    _check_tol(tol)
     rng = np.random.default_rng(seed)
     failed = 0
     worst = math.inf
@@ -615,13 +600,11 @@ def verify_fidelity_proposition(
         )
         margin = lhs - rhs
         worst = min(worst, margin)
-        if margin < -tol:
+        if margin < -FIDELITY_TOL:
             failed += 1
     return FidelityPropositionResult(
         dim=dim,
         n_trials=n_trials,
         n_failed=failed,
         worst_margin=worst,
-        seed=seed,
-        tol=tol,
     )

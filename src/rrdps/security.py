@@ -136,18 +136,6 @@ def vacuum_fidelity_bound(p_vac_a: float, p_vac_b: float) -> float:
     return max(0.0, 2.0 * math.sqrt(p_vac_a * p_vac_b) - 1.0)
 
 
-def vacuum_epsilon(p_vac: float) -> float:
-    """Fidelity deficit usable when only a vacuum-probability floor is known.
-
-    Fallback for sources without a direct per-lag overlap characterization:
-    the deficit is ``1 - b^2`` with ``b = max(0, 2*p_vac - 1)`` the overlap
-    floor implied by the shared vacuum weight.  Returns 1 (no constraint)
-    once ``p_vac`` drops to 0.5 or below.
-    """
-    b = vacuum_fidelity_bound(p_vac, p_vac)
-    return 1.0 - b * b
-
-
 @dataclass(frozen=True)
 class SourceCharacterization:
     """What is assumed about the correlated source.
@@ -171,6 +159,7 @@ class SourceCharacterization:
     p_vac1: float
 
     def __post_init__(self) -> None:
+        _require_integer("corr_len", self.corr_len)
         if self.corr_len < 0:
             raise ValueError(f"correlation length must be >= 0, got {self.corr_len}")
         object.__setattr__(self, "eps", tuple(float(e) for e in self.eps))
@@ -355,14 +344,10 @@ class KeyRateResult:
     per_group: tuple[GroupRate, ...]
     f_ec: float
     rate_per_pulse: float
-    mu_used: Optional[float] = None
 
 
 def key_rate(
-    cfg: ProtocolConfig,
-    bounds: SecurityBounds,
-    q_list: Sequence[float],
-    mu: Optional[float] = None,
+    cfg: ProtocolConfig, bounds: SecurityBounds, q_list: Sequence[float]
 ) -> KeyRateResult:
     """Secure key rate per emitted pulse.
 
@@ -381,17 +366,12 @@ def key_rate(
         Source-side bounds; only ``minus_act`` enters the phase-error tail.
     q_list : sequence of float
         Detection rate per group; must have ``corr_len + 1`` entries.
-    mu : float, optional
-        Mean photon number used to produce ``q_list``, recorded for
-        provenance only.
     """
     if len(q_list) != cfg.n_groups:
         raise ValueError(
             f"need one detection rate per group: expected {cfg.n_groups}, "
             f"got {len(q_list)}"
         )
-    if mu is not None and not mu > 0.0:
-        raise ValueError(f"mean photon number must be positive, got {mu}")
     f_ec = cfg.f_ec()
     by_q: dict[float, GroupRate] = {}
     for q in q_list:
@@ -408,6 +388,4 @@ def key_rate(
         if g.q > 0.0:
             total += g.q * (1.0 - f_ec - g.f_pa)
     rate = max(0.0, total) / cfg.block_size
-    return KeyRateResult(
-        per_group=per_group, f_ec=f_ec, rate_per_pulse=rate, mu_used=mu
-    )
+    return KeyRateResult(per_group=per_group, f_ec=f_ec, rate_per_pulse=rate)

@@ -31,7 +31,7 @@ from .security import (
     pa_fraction,
     phase_error_upper,
 )
-from .sources import PhaseRotationModel, characterize, detection_rate
+from .sources import _coherent_point
 
 _CHUNK = 4096
 
@@ -163,8 +163,6 @@ class SimResult:
     e_ph_upper: tuple[float, ...]
     f_pa: tuple[float, ...]
     key_length: int
-    minus_act: float
-    mu_used: Optional[float] = None
 
     @property
     def n_groups(self) -> int:
@@ -185,7 +183,6 @@ def run_simulation(
     q_success: float,
     n_blocks: int,
     seed: int,
-    mu_used: Optional[float] = None,
 ) -> SimResult:
     """Simulate a session and size the extractable key from its counts.
 
@@ -245,8 +242,6 @@ def run_simulation(
         e_ph_upper=tuple(e_ph),
         f_pa=tuple(f_pa),
         key_length=int(math.floor(max(0.0, secret))),
-        minus_act=bounds.minus_act,
-        mu_used=mu_used,
     )
 
 
@@ -270,7 +265,5 @@ def simulate_coherent(
         f_ec_mode=f_ec_mode,
         f_ec_fixed=f_ec_fixed,
     )
-    model = PhaseRotationModel(mu=mu, delta=delta, corr_len=corr_len)
-    bounds = SecurityBounds.from_source(characterize(model))
-    q = detection_rate(group_size, eta, mu)
-    return run_simulation(cfg, bounds, q, n_blocks, seed, mu_used=mu)
+    bounds, q = _coherent_point(cfg, delta, eta, mu)
+    return run_simulation(cfg, bounds, q, n_blocks, seed)

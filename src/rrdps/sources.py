@@ -92,24 +92,33 @@ def detection_rate(group_size: int, eta: float, mu: float) -> float:
     ``group_size * eta * mu * exp(-group_size * eta * mu) / 2`` for overall
     transmittance ``eta`` and mean photon number ``mu``.
     """
+    _require_integer("group_size", group_size)
     if group_size < 1:
         raise ValueError(f"group size must be >= 1, got {group_size}")
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"transmittance must lie in [0, 1], got {eta}")
-    if mu < 0.0:
-        raise ValueError(f"mean photon number must be >= 0, got {mu}")
+    if not 0.0 <= mu < math.inf:
+        raise ValueError(f"mean photon number must be a finite number >= 0, got {mu}")
     x = group_size * eta * mu
     return x * math.exp(-x) / 2.0
+
+
+def _coherent_point(
+    cfg: ProtocolConfig, delta: float, eta: float, mu: float
+) -> tuple[SecurityBounds, float]:
+    # The source bounds and the per-group detection rate at one mu, which
+    # both the analytic rate and a simulated session consume.
+    model = PhaseRotationModel(mu=mu, delta=delta, corr_len=cfg.corr_len)
+    bounds = SecurityBounds.from_source(characterize(model))
+    return bounds, detection_rate(cfg.group_size, eta, mu)
 
 
 def rate_at_mu(
     cfg: ProtocolConfig, delta: float, eta: float, mu: float
 ) -> KeyRateResult:
     """Key rate of the phase-rotation source at a fixed mean photon number."""
-    model = PhaseRotationModel(mu=mu, delta=delta, corr_len=cfg.corr_len)
-    bounds = SecurityBounds.from_source(characterize(model))
-    q = detection_rate(cfg.group_size, eta, mu)
-    return key_rate(cfg, bounds, [q] * cfg.n_groups, mu=mu)
+    bounds, q = _coherent_point(cfg, delta, eta, mu)
+    return key_rate(cfg, bounds, [q] * cfg.n_groups)
 
 
 # scipy.optimize.golden's constants and default xtol (sqrt of the double
@@ -117,6 +126,12 @@ def rate_at_mu(
 _GOLDEN_R = 0.61803399
 _GOLDEN_C = 1.0 - _GOLDEN_R
 _GOLDEN_XTOL = 1.4901161193847656e-08
+
+# The mu grid that optimize_mu scans: MU_GRID_POINTS log-spaced values
+# from MU_MIN to MU_MAX.
+MU_MIN = 1e-6
+MU_MAX = 10.0
+MU_GRID_POINTS = 200
 
 
 def _golden(func, xa: float, xb: float, xc: float, maxiter: int = 5000) -> float:
@@ -155,14 +170,12 @@ def optimize_mu(
     e_bit: float,
     f_ec_mode: str = "shannon",
     f_ec_fixed: float | None = None,
-    mu_min: float = 1e-6,
-    mu_max: float = 10.0,
-    grid_points: int = 200,
 ) -> tuple[float, KeyRateResult]:
     """Maximize the key rate over the mean photon number.
 
-    Scans a log-spaced grid over ``[mu_min, mu_max]`` and refines the best
-    interior point by golden-section search on its bracketing interval.  If
+    Scans a fixed grid of ``MU_GRID_POINTS`` (200) log-spaced mu from
+    ``MU_MIN`` (1e-6) to ``MU_MAX`` (10) and refines the best interior
+    point by golden-section search on its bracketing interval.  If
     no grid point yields a positive rate the grid optimum is returned as is,
     with rate 0.  Deterministic; grid points may be evaluated in any order.
 
@@ -179,10 +192,6 @@ def optimize_mu(
     (mu_opt, result) : tuple of float and KeyRateResult
         The refined rate is never below the best grid rate.
     """
-    if not 0.0 < mu_min <= mu_max:
-        raise ValueError(f"need 0 < mu_min <= mu_max, got [{mu_min}, {mu_max}]")
-    if grid_points < 3:
-        raise ValueError(f"grid needs at least 3 points, got {grid_points}")
     cfg = ProtocolConfig(
         group_size=group_size,
         corr_len=corr_len,
@@ -190,12 +199,12 @@ def optimize_mu(
         f_ec_mode=f_ec_mode,
         f_ec_fixed=f_ec_fixed,
     )
-    grid = [float(mu) for mu in np.geomspace(mu_min, mu_max, grid_points)]
+    grid = [float(mu) for mu in np.geomspace(MU_MIN, MU_MAX, MU_GRID_POINTS)]
     results = [rate_at_mu(cfg, delta, eta, mu) for mu in grid]
     rates = np.array([res.rate_per_pulse for res in results])
     best = int(np.argmax(rates))
     mu_opt, result = grid[best], results[best]
-    if rates[best] > 0.0 and 0 < best < grid_points - 1:
+    if rates[best] > 0.0 and 0 < best < len(grid) - 1:
         if rates[best] > rates[best - 1] and rates[best] > rates[best + 1]:
             searched = {}
 
@@ -203,10 +212,8 @@ def optimize_mu(
                 searched[mu] = res = rate_at_mu(cfg, delta, eta, mu)
                 return -res.rate_per_pulse
 
+            # The search stays inside its bracket, so inside the grid.
             refined = _golden(neg_rate, grid[best - 1], mu_opt, grid[best + 1])
-            if (
-                mu_min <= refined <= mu_max
-                and searched[refined].rate_per_pulse > rates[best]
-            ):
+            if searched[refined].rate_per_pulse > rates[best]:
                 mu_opt, result = refined, searched[refined]
     return mu_opt, result

@@ -142,8 +142,9 @@ def test_criterion_3_rate_curves_vs_memory_length(capsys):
 
 def test_criterion_4_randomized_proof_chain(capsys):
     t0 = time.monotonic()
+    assert orc.CHECK_TOL == 1e-9
     camp = orc.run_family_campaign(
-        n_trials=1000, seed=20240815, max_pulses=4, max_fock=8, tol=1e-9
+        n_trials=1000, seed=20240815, max_pulses=4, max_fock=8
     )
     fault = orc.run_family_campaign(
         n_trials=200, seed=20240815, max_pulses=4, max_fock=8, eps_scale=0.0
@@ -161,7 +162,8 @@ def test_criterion_4_randomized_proof_chain(capsys):
 
 def test_criterion_5_vacuum_overlap_floor(capsys):
     t0 = time.monotonic()
-    res = orc.verify_fidelity_proposition(dim=6, n_trials=10000, seed=7, tol=1e-12)
+    assert orc.FIDELITY_TOL == 1e-12
+    res = orc.verify_fidelity_proposition(dim=6, n_trials=10000, seed=7)
     elapsed = time.monotonic() - t0
     ok = res.passed and elapsed < 10.0
     _verdict(
@@ -192,7 +194,7 @@ def test_criterion_6_simulation_matches_analytics(tmp_path, capsys):
                 )
             )
             q = src.detection_rate(group_size, eta, mu)
-            result = sim.run_simulation(cfg, bounds, q, n_blocks, seed, mu_used=mu)
+            result = sim.run_simulation(cfg, bounds, q, n_blocks, seed)
             analytic = sec.key_rate(cfg, bounds, [q] * cfg.n_groups)
 
             # Success rates: plain binomial standard errors.

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import rrdps
 from rrdps import __version__
 from rrdps import cli
 
@@ -175,6 +176,24 @@ class TestSimulateCommand:
         payload = {k: v for k, v in SIM_CFG.items() if k != "seed"}
         cfg = write_config(tmp_path / "c.json", payload)
         assert cli.main(["simulate", "--config", cfg, "--out", "x.csv"]) == 1
+
+    def test_fixed_mu_characterises_the_source_once(self, tmp_path, monkeypatch):
+        # The session and its analytic rate share one characterisation.
+        real = rrdps.sources.characterize
+        calls = []
+
+        def counting(model):
+            calls.append(model)
+            return real(model)
+
+        # Count the calls made through every module that imports the name.
+        for module in (rrdps.sources, rrdps.simulate, cli):
+            if hasattr(module, "characterize"):
+                monkeypatch.setattr(module, "characterize", counting)
+        cfg = write_config(tmp_path / "c.json", SIM_CFG)
+        out = tmp_path / "sim.csv"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert len(calls) == 1
 
 
 class TestOracleCommand:
@@ -388,8 +407,9 @@ def test_config_errors_precede_rate_evaluation(tmp_path, monkeypatch):
     def evaluated(*args, **kwargs):
         raise AssertionError("a rate was evaluated before the config was checked")
 
-    monkeypatch.setattr(cli, "optimize_mu", evaluated)
-    monkeypatch.setattr(cli, "rate_at_mu", evaluated)
+    entries = ("optimize_mu", "rate_at_mu", "_coherent_point", "key_rate", "run_simulation")
+    for entry in entries:
+        monkeypatch.setattr(cli, entry, evaluated)
     for i, (command, payload) in enumerate(LATE_ERRORS):
         cfg = write_config(tmp_path / f"c{i}.json", payload)
         out = tmp_path / f"r{i}.csv"

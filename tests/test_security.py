@@ -176,17 +176,11 @@ class TestVacuumBounds:
         assert sec.vacuum_fidelity_bound(0.25, 0.25) == 0.0
         assert sec.vacuum_fidelity_bound(1.0, 0.81) == pytest.approx(0.8, abs=1e-15)
 
-    def test_epsilon_values(self):
-        assert sec.vacuum_epsilon(1.0) == 0.0
-        assert sec.vacuum_epsilon(0.9) == pytest.approx(0.36, abs=1e-15)
-        # Below half vacuum weight the bound carries no information.
-        assert sec.vacuum_epsilon(0.4) == 1.0
-
     def test_domain(self):
         with pytest.raises(ValueError):
             sec.vacuum_fidelity_bound(-0.1, 0.5)
         with pytest.raises(ValueError):
-            sec.vacuum_epsilon(1.2)
+            sec.vacuum_fidelity_bound(0.5, 1.2)
 
 
 class TestSourceCharacterization:
@@ -199,6 +193,13 @@ class TestSourceCharacterization:
             sec.SourceCharacterization(corr_len=1, eps=(1.5,), p_vac0=0.9, p_vac1=0.9)
         with pytest.raises(ValueError):
             sec.SourceCharacterization(corr_len=0, eps=(), p_vac0=-0.1, p_vac1=0.9)
+
+    @pytest.mark.parametrize("corr_len", [True, 1.0])
+    def test_corr_len_must_be_integer(self, corr_len):
+        with pytest.raises(ValueError, match="corr_len"):
+            sec.SourceCharacterization(
+                corr_len=corr_len, eps=(0.1,), p_vac0=0.9, p_vac1=0.9
+            )
 
     def test_eps_coerced_to_tuple(self):
         src = sec.SourceCharacterization(
@@ -385,8 +386,3 @@ class TestKeyRate:
         cfg = sec.ProtocolConfig(group_size=8, corr_len=10, e_bit=0.02)
         sec.key_rate(cfg, self._bounds((0.01,) * 10, 0.95), [0.2] * 11)
         assert len(calls) == 1
-
-    def test_mu_recorded(self):
-        cfg = sec.ProtocolConfig(group_size=4, corr_len=0, e_bit=0.0)
-        res = sec.key_rate(cfg, self._bounds((), 1.0), [0.5], mu=0.07)
-        assert res.mu_used == 0.07

@@ -190,6 +190,5 @@ class TestSimulateCoherent:
         )
         cfg = sec.ProtocolConfig(group_size=8, corr_len=1, e_bit=0.05)
         q = src.detection_rate(8, 0.3, 0.1)
-        want = sim.run_simulation(cfg, _bounds(0.1, 0.2, 1), q, 300, seed=21, mu_used=0.1)
+        want = sim.run_simulation(cfg, _bounds(0.1, 0.2, 1), q, 300, seed=21)
         assert res == want
-        assert res.mu_used == 0.1

@@ -148,6 +148,19 @@ class TestDetectionRate:
         with pytest.raises(ValueError):
             src.detection_rate(16, 0.1, -0.1)
 
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            ((32, 0.2, math.nan), "mean photon number"),
+            ((32, 0.2, math.inf), "mean photon number"),
+            ((True, 0.2, 0.1), "group_size"),
+            ((32.0, 0.2, 0.1), "group_size"),
+        ],
+    )
+    def test_bad_values_rejected(self, args, name):
+        with pytest.raises(ValueError, match=name):
+            src.detection_rate(*args)
+
 
 class TestRateAtMu:
     def test_matches_manual_assembly(self):
@@ -156,19 +169,14 @@ class TestRateAtMu:
         char = src.characterize(src.PhaseRotationModel(mu=0.08, delta=0.2, corr_len=1))
         bounds = sec.SecurityBounds.from_source(char)
         q = src.detection_rate(16, 0.3, 0.08)
-        want = sec.key_rate(cfg, bounds, [q, q], mu=0.08)
+        want = sec.key_rate(cfg, bounds, [q, q])
         assert res == want
-
-    def test_mu_recorded(self):
-        cfg = sec.ProtocolConfig(group_size=16, corr_len=0, e_bit=0.03)
-        assert src.rate_at_mu(cfg, 0.2, 0.3, 0.08).mu_used == 0.08
 
 
 class TestOptimizeMu:
     def test_result_beats_coarse_grid(self):
         cfg = sec.ProtocolConfig(group_size=16, corr_len=1, e_bit=0.03)
         mu_opt, res = src.optimize_mu(16, 1, 0.2, 0.3, 0.03)
-        assert res.mu_used == mu_opt
         for i in range(30):
             mu = 10 ** (-4 + 4 * i / 29.0)
             other = src.rate_at_mu(cfg, 0.2, 0.3, mu)
@@ -180,14 +188,16 @@ class TestOptimizeMu:
         assert mu_opt > 0.0
 
     def test_bounds_respected(self):
-        mu_opt, _ = src.optimize_mu(
-            16, 0, 0.2, 0.3, 0.03, mu_min=1e-4, mu_max=2.0
-        )
-        assert 1e-4 <= mu_opt <= 2.0
+        assert (src.MU_MIN, src.MU_MAX, src.MU_GRID_POINTS) == (1e-6, 10.0, 200)
+        for eta in (1e-3, 0.3, 1.0):
+            mu_opt, _ = src.optimize_mu(16, 0, 0.2, eta, 0.03)
+            assert src.MU_MIN <= mu_opt <= src.MU_MAX
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            src.optimize_mu(16, 0, 0.2, 0.3, 0.03, mu_min=0.5, mu_max=0.1)
+        with pytest.raises(ValueError, match="group size"):
+            src.optimize_mu(2, 0, 0.2, 0.3, 0.03)
+        with pytest.raises(ValueError, match="transmittance"):
+            src.optimize_mu(16, 0, 0.2, 1.5, 0.03)
 
     def test_result_is_the_rate_at_the_returned_mu(self):
         cfg = sec.ProtocolConfig(group_size=16, corr_len=1, e_bit=0.03)
