@@ -307,8 +307,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if n_blocks < 1:
         raise ValueError(f"{where}: n_blocks must be >= 1, got {n_blocks}")
     seed = args.seed if args.seed is not None else cfg.get("seed")
-    if not _is(seed, int):
+    if seed is None:
         raise ValueError(f"{where}: no seed (use --seed or a \"seed\" key)")
+    if not _is(seed, int) or seed < 0:
+        raise ValueError(f"{where}: seed must be a non-negative integer, got {seed!r}")
     protocol = common.protocol(group_size, corr_len)
 
     mu = common.fixed_mu
@@ -354,6 +356,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     flags = f"--trials {args.trials} --pulses {args.pulses} --fock {args.fock}"
     if args.fault_injection is not None:
         flags += f" --fault-injection {args.fault_injection}"
+    if args.seed < 0:
+        raise ValueError(f"--seed {args.seed}: seed must be >= 0")
     try:
         campaign = run_family_campaign(
             n_trials=args.trials,

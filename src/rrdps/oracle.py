@@ -373,6 +373,7 @@ def random_family(
     ``free`` families are fully independent random unit vectors, which
     mostly exercises the trivial branch of the transferred cap.
     """
+    _require_integer("n_pulses", n_pulses)
     if style not in ("perturbed", "free"):
         raise ValueError(f"unknown family style {style!r}")
     rng = np.random.default_rng(seed)

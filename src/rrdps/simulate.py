@@ -9,11 +9,14 @@ flipped with the configured channel error probability.
 
 Randomness is drawn from counter-keyed streams in fixed-size chunks with
 fixed shapes, so results are reproducible, independent of chunking, and a
-longer run extends a shorter one with the same seed.  The record iterator
-and the aggregate runner consume the same per-group draws and therefore
-agree exactly.  The pulse bits have a stream of their own, which only the
-record iterator draws: a flip decides an error whatever the bits are, so
-the aggregate counts never read them.
+longer run extends a shorter one with the same seed.  Each group draws,
+per chunk, success, delay, first position and flip from one Philox
+stream.  The record iterator reads all four; the aggregate counts read
+only success and flip, from the stream's raw words, and skip the delay
+and position draws by advancing its counter, so they see the same values
+and agree with the records exactly.  The pulse bits have a stream of
+their own, which only the record iterator draws: a flip decides an error
+whatever the bits are, so the aggregate counts never read them.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import numpy as np
 from .security import (
     ProtocolConfig,
     SecurityBounds,
+    _require_integer,
     binary_entropy,
     pa_fraction,
     phase_error_upper,
@@ -82,25 +86,52 @@ def _stream(seed: int, key: int, chunk: int) -> np.random.Generator:
     )
 
 
-def _chunks(
-    cfg: ProtocolConfig, q_success: float, n_blocks: int, seed: int
-) -> Iterator[tuple[int, int, list[dict[str, np.ndarray]]]]:
-    # Yields (start, count, per-group draws).  All draws have the full
-    # chunk shape regardless of count or success, which is what makes
-    # results independent of n_blocks and chunk boundaries.
+def _full_draw(
+    cfg: ProtocolConfig, q_success: float, seed: int, group: int, chunk: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    # (succ, delay, u, flip) of one group over one chunk.  All draws have
+    # the full chunk shape regardless of the block count or of success,
+    # which is what makes results independent of n_blocks and chunking.
     size = cfg.group_size
-    for c in range(0, (n_blocks + _CHUNK - 1) // _CHUNK):
-        start = c * _CHUNK
-        count = min(_CHUNK, n_blocks - start)
-        groups = []
-        for w in range(1, cfg.n_groups + 1):
-            rng = _stream(seed, w, c)
-            succ = rng.random(_CHUNK) < q_success
-            delay = rng.integers(1, size, size=_CHUNK, dtype=np.int64)
-            u = 1 + (rng.random(_CHUNK) * (size - delay)).astype(np.int64)
-            flip = rng.random(_CHUNK) < cfg.e_bit
-            groups.append({"succ": succ, "delay": delay, "u": u, "flip": flip})
-        yield start, count, groups
+    rng = _stream(seed, group, chunk)
+    succ = rng.random(_CHUNK) < q_success
+    delay = rng.integers(1, size, size=_CHUNK, dtype=np.int64)
+    u = 1 + (rng.random(_CHUNK) * (size - delay)).astype(np.int64)
+    flip = rng.random(_CHUNK) < cfg.e_bit
+    return succ, delay, u, flip
+
+
+def _count_draw(
+    cfg: ProtocolConfig, q_success: float, seed: int, group: int, chunk: int
+) -> tuple[np.ndarray, np.ndarray]:
+    # (succ, flip) equal to those of _full_draw, read from raw words without
+    # drawing delay and u.  numpy draws delay by Lemire's method from the
+    # 32-bit halves of the _CHUNK // 2 words after succ's; a half x is
+    # rejected, and costs further words, when (x * span) mod 2**32 is below
+    # 2**32 mod span.  Without a rejection, succ and delay end on a Philox
+    # counter step (four words) and u takes one word per value, so flip
+    # starts _CHUNK // 4 steps later.  Any rejection, or a span too wide for
+    # 32-bit halves, takes the full draw.
+    span = cfg.group_size - 1
+    bitgen = _stream(seed, group, chunk).bit_generator
+    words = bitgen.random_raw(_CHUNK + _CHUNK // 2)
+    if span < 1 << 32:
+        halves = np.empty((2, _CHUNK // 2), dtype=np.uint32)
+        halves[0] = words[_CHUNK:] & 0xFFFFFFFF
+        halves[1] = words[_CHUNK:] >> 32
+        halves *= np.uint32(span)  # mod 2**32
+        if halves.min() >= (1 << 32) % span:
+            bitgen.advance(_CHUNK // 4)
+            flip_words = bitgen.random_raw(_CHUNK)
+            return _below(words[:_CHUNK], q_success), _below(flip_words, cfg.e_bit)
+    succ, _delay, _u, flip = _full_draw(cfg, q_success, seed, group, chunk)
+    return succ, flip
+
+
+def _below(words: np.ndarray, p: float) -> np.ndarray:
+    # Generator.random() < p for the doubles drawn from these words: each is
+    # (word >> 11) * 2**-53, and scaling by 2**53 is exact.
+    return (words >> 11) < math.ceil(p * 2**53)
 
 
 def iter_block_records(
@@ -108,24 +139,26 @@ def iter_block_records(
 ) -> Iterator[BlockRecord]:
     """Per-block protocol transcript, mainly for inspection and tests."""
     stride = cfg.n_groups
-    for start, count, groups in _chunks(cfg, q_success, n_blocks, seed):
-        bits = _stream(seed, 0, start // _CHUNK).integers(
+    for c, start in enumerate(range(0, n_blocks, _CHUNK)):
+        draws = [
+            _full_draw(cfg, q_success, seed, w, c) for w in range(1, cfg.n_groups + 1)
+        ]
+        bits = _stream(seed, 0, c).integers(
             0, 2, size=(_CHUNK, cfg.block_size), dtype=np.int8
         )
-        for b in range(count):
+        for b in range(min(_CHUNK, n_blocks - start)):
             block = start + b + 1
             outcomes = []
-            for w in range(1, cfg.n_groups + 1):
-                g = groups[w - 1]
-                if not g["succ"][b]:
+            for w, (succ, delays, us, flips) in enumerate(draws, start=1):
+                if not succ[b]:
                     outcomes.append(GroupOutcome(group=w, success=False))
                     continue
-                delay = int(g["delay"][b])
-                u = int(g["u"][b])
+                delay = int(delays[b])
+                u = int(us[b])
                 rel1 = stride * (u - 1) + (w - 1)
                 rel2 = stride * (u + delay - 1) + (w - 1)
                 sent = int(bits[b, rel1] ^ bits[b, rel2])
-                flipped = bool(g["flip"][b])
+                flipped = bool(flips[b])
                 base = (block - 1) * cfg.block_size
                 outcomes.append(
                     GroupOutcome(
@@ -194,19 +227,23 @@ def run_simulation(
     """
     if not 0.0 <= q_success <= 1.0:
         raise ValueError(f"success probability must lie in [0, 1], got {q_success}")
+    _require_integer("n_blocks", n_blocks)
+    _require_integer("seed", seed)
     if n_blocks < 1:
         raise ValueError(f"need at least one block, got {n_blocks}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     n_success = np.zeros(cfg.n_groups, dtype=np.int64)
     n_errors = np.zeros(cfg.n_groups, dtype=np.int64)
-    for _start, count, groups in _chunks(cfg, q_success, n_blocks, seed):
+    for c, start in enumerate(range(0, n_blocks, _CHUNK)):
+        count = min(_CHUNK, n_blocks - start)
         # A flip always turns the sifted parity into an error, so the
         # counts need only the success and flip draws.
-        for w in range(1, cfg.n_groups + 1):
-            g = groups[w - 1]
-            succ = g["succ"][:count]
-            flipped = g["flip"][:count]
-            n_success[w - 1] += int(np.count_nonzero(succ))
-            n_errors[w - 1] += int(np.count_nonzero(succ & flipped))
+        for w in range(cfg.n_groups):
+            succ, flip = _count_draw(cfg, q_success, seed, w + 1, c)
+            succ = succ[:count]
+            n_success[w] += int(np.count_nonzero(succ))
+            n_errors[w] += int(np.count_nonzero(succ & flip[:count]))
     total_suc = int(n_success.sum())
     total_err = int(n_errors.sum())
     e_hat = total_err / total_suc if total_suc > 0 else 0.0

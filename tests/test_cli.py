@@ -259,8 +259,16 @@ class TestOracleCommand:
             (["--fock", "5"], "--fock"),
             # (2 * 20)^4 amplitudes exceed MAX_STATE_DIM.
             (["--fock", "20"], "--fock"),
+            (["--seed", "-1"], "--seed"),
         ],
-        ids=["trials-0", "trials-negative", "injection-nan", "fock-5", "fock-20"],
+        ids=[
+            "trials-0",
+            "trials-negative",
+            "injection-nan",
+            "fock-5",
+            "fock-20",
+            "seed-negative",
+        ],
     )
     def test_bad_flag_rejected(self, tmp_path, capsys, flags, flag):
         out = tmp_path / "report.txt"
@@ -403,7 +411,7 @@ LATE_ERRORS = [
 ]
 
 
-def test_config_errors_precede_rate_evaluation(tmp_path, monkeypatch):
+def test_config_errors_precede_rate_evaluation(tmp_path, monkeypatch, capsys):
     def evaluated(*args, **kwargs):
         raise AssertionError("a rate was evaluated before the config was checked")
 
@@ -414,4 +422,18 @@ def test_config_errors_precede_rate_evaluation(tmp_path, monkeypatch):
         cfg = write_config(tmp_path / f"c{i}.json", payload)
         out = tmp_path / f"r{i}.csv"
         assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1, payload
+        assert not out.exists()
+    # A bad seed, from the config or from --seed, is named after the config.
+    bad_seeds = [
+        (dict(SIM_CFG, seed=-3), []),
+        (dict(SIM_CFG, seed=True), []),
+        (SIM_CFG, ["--seed", "-1"]),
+    ]
+    capsys.readouterr()
+    for i, (payload, flags) in enumerate(bad_seeds):
+        cfg = write_config(tmp_path / f"s{i}.json", payload)
+        out = tmp_path / f"s{i}.csv"
+        args = ["simulate", "--config", cfg, *flags, "--out", str(out)]
+        assert cli.main(args) == 1, args
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: seed "), args
         assert not out.exists()

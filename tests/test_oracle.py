@@ -67,6 +67,11 @@ class TestEmissionFamily:
         with pytest.raises(ValueError):
             orc.EmissionFamily(n_pulses=1, corr_len=1, fock_dim=2, states={})
 
+    @pytest.mark.parametrize("n_pulses", [True, 2.0])
+    def test_random_family_needs_integer_pulses(self, n_pulses):
+        with pytest.raises(ValueError, match="n_pulses"):
+            orc.random_family(n_pulses, 0, 4, seed=1)
+
     def test_pulse_state_trims_history(self):
         fam = rotation_family(0.3)
         long_hist = (1, 0, 1, 1)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from rrdps import security as sec
@@ -174,6 +175,76 @@ class TestRunSimulation:
             sim.run_simulation(self.CFG, _bounds(0.2, 0.1, 1), 1.2, 100, seed=0)
         with pytest.raises(ValueError):
             sim.run_simulation(self.CFG, _bounds(0.2, 0.1, 1), 0.5, 0, seed=0)
+
+    @pytest.mark.parametrize(
+        "n_blocks, seed, field",
+        [
+            (True, 1, "n_blocks"),
+            (2.5, 1, "n_blocks"),
+            (100, True, "seed"),
+            (100, 1.5, "seed"),
+            (100, -1, "seed"),
+        ],
+    )
+    def test_integer_arguments(self, n_blocks, seed, field):
+        with pytest.raises(ValueError, match=field):
+            sim.run_simulation(self.CFG, _bounds(0.2, 0.1, 1), 0.5, n_blocks, seed)
+
+
+class TestCountDraw:
+    """The counts' draw skips delay and u; succ and flip must not change."""
+
+    @pytest.mark.parametrize(
+        "group_size, fallbacks",
+        [
+            (3, "none"),
+            (8, "none"),
+            (32, "none"),
+            (64, "none"),
+            # 2**32 mod (group_size - 1) is about half of 2**32, so nearly
+            # every delay half is rejected.
+            (2**31 + 2, "all"),
+            # About one rejection per stream: both paths run.
+            (2**32 - 2**20 + 1, "some"),
+        ],
+    )
+    def test_matches_full_draw(self, monkeypatch, group_size, fallbacks):
+        full = sim._full_draw
+        ran = []
+
+        def recording(*args):
+            ran.append(args)
+            return full(*args)
+
+        monkeypatch.setattr(sim, "_full_draw", recording)
+        # The probabilities include both ends of [0, 1].
+        streams = [
+            (q, e_bit, seed, w, c)
+            for q, e_bit in ((0.0, 0.5), (0.4, 0.05), (1.0, 0.0))
+            for seed in (0, 1, 7)
+            for w in (1, 2)
+            for c in (0, 3)
+        ]
+        for q, e_bit, seed, w, c in streams:
+            cfg = sec.ProtocolConfig(group_size=group_size, corr_len=1, e_bit=e_bit)
+            succ, flip = sim._count_draw(cfg, q, seed, w, c)
+            want_succ, _delay, _u, want_flip = full(cfg, q, seed, w, c)
+            assert np.array_equal(succ, want_succ)
+            assert np.array_equal(flip, want_flip)
+        if fallbacks == "none":
+            assert not ran
+        elif fallbacks == "all":
+            assert len(ran) == len(streams)
+        else:
+            assert 0 < len(ran) < len(streams)
+
+    def test_threshold_exact_at_drawn_values(self):
+        # p at, or one ulp either side of, a value that random() returns.
+        words = np.random.Philox(5).random_raw(64)
+        values = np.random.Generator(np.random.Philox(5)).random(64)
+        for v in values[values < 0.5][:8]:
+            for p in (np.nextafter(v, 0.0), v, np.nextafter(v, 1.0)):
+                assert np.array_equal(sim._below(words, p), values < p)
 
 
 class TestSimulateCoherent:
