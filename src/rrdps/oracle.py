@@ -11,6 +11,10 @@ the tail overlap ``<T0|T1>``, which the check computes from per-pulse
 overlaps without building a state: its cost grows as 2**corr_len and does
 not depend on the pulse count.
 
+A family stores one array of states per pulse (see ``EmissionFamily``).
+Viewed with one axis per bit, the bit at lag d is axis d, so every overlap
+the check and the measured characterization need is taken across one axis.
+
 Checks are evaluated on the phase-canonical form of the states: each
 emitted state is only defined up to a global phase, and the bounds hold
 for the purification in which the vacuum amplitude of the analyzed pulse
@@ -30,8 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -40,6 +43,8 @@ from .security import (
     SourceCharacterization,
     _require_integer,
     a1_floor,
+    fidelity_bound,
+    minus_ref_bound,
     plus_vac_floor,
     transfer_bound,
     vacuum_fidelity_bound,
@@ -58,22 +63,25 @@ FIDELITY_TOL = 1e-12
 class EmissionFamily:
     """Table of emitted states for a short pulse train.
 
-    ``states`` maps ``(k, bit, history)`` to a unit vector of Fock
-    amplitudes, where ``k`` is the 1-based pulse index, ``bit`` the encoded
-    value, and ``history`` the most-recent-first tuple of the previous
-    ``min(corr_len, k-1)`` bits.  Older bits never index the table, which
-    is exactly the bounded-range correlation assumption.
+    ``tables[k-1]`` holds the unit vectors of Fock amplitudes of pulse k
+    in an array of shape ``(2, 2**w, fock_dim)`` with
+    ``w = window(k) = min(corr_len, k-1)``: the first index is the encoded
+    bit, the second the history, the previous w bits read most recent
+    first as a binary number, so the most recent bit is the most
+    significant.  Older bits never index a table, which is exactly the
+    bounded-range correlation assumption.  ``n_pulses`` and ``fock_dim``
+    are read off the tables.
     """
 
-    n_pulses: int
     corr_len: int
-    fock_dim: int
-    states: Mapping[tuple[int, int, tuple[int, ...]], np.ndarray]
+    tables: Sequence[np.ndarray]
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.n_pulses < 1:
-            raise ValueError(f"need at least one pulse, got {self.n_pulses}")
+        object.__setattr__(
+            self, "tables", tuple(np.asarray(t, dtype=complex) for t in self.tables)
+        )
+        _require_integer("corr_len", self.corr_len)
         if self.corr_len < 0:
             raise ValueError(f"correlation length must be >= 0, got {self.corr_len}")
         if self.n_pulses < self.corr_len + 1:
@@ -83,40 +91,64 @@ class EmissionFamily:
             )
         if self.fock_dim < 2:
             raise ValueError(f"Fock dimension must be >= 2, got {self.fock_dim}")
-        for k in range(1, self.n_pulses + 1):
-            w = self.window(k)
-            for bit in (0, 1):
-                for hist in product((0, 1), repeat=w):
-                    key = (k, bit, hist)
-                    if key not in self.states:
-                        raise ValueError(f"state table is missing entry {key}")
-                    vec = self.states[key]
-                    if vec.shape != (self.fock_dim,):
-                        raise ValueError(
-                            f"state {key} has shape {vec.shape}, expected "
-                            f"({self.fock_dim},)"
-                        )
-                    n = float(np.linalg.norm(vec))
-                    if not abs(n - 1.0) <= 1e-12:
-                        raise ValueError(f"state {key} is not normalized: |v|={n}")
+        for k, table in enumerate(self.tables, start=1):
+            shape = (2, 2 ** self.window(k), self.fock_dim)
+            if table.shape != shape:
+                raise ValueError(f"pulse {k} table has shape {table.shape}, not {shape}")
+            if not np.all(np.abs(_norms(table) - 1.0) <= 1e-12):
+                raise ValueError(f"pulse {k} holds a state that is not normalized")
+
+    @property
+    def n_pulses(self) -> int:
+        return len(self.tables)
+
+    @property
+    def fock_dim(self) -> int:
+        return self.tables[0].shape[-1]
 
     def window(self, k: int) -> int:
         """How many history bits the state of pulse k may depend on."""
         return min(self.corr_len, k - 1)
+
+    def _bit_axes(self, k: int) -> np.ndarray:
+        # Pulse k's table with one axis per bit: axis 0 the encoded bit,
+        # axis d the bit d pulses earlier, the last axis the amplitudes.
+        return self.tables[k - 1].reshape((2,) * (self.window(k) + 1) + (-1,))
 
     def pulse_state(self, k: int, bit: int, history: Sequence[int]) -> np.ndarray:
         """Stored vector for pulse k; ``history`` may be longer than the
         window and is trimmed to the bits that actually matter."""
         if not 1 <= k <= self.n_pulses:
             raise ValueError(f"pulse index must lie in [1, {self.n_pulses}], got {k}")
-        if bit not in (0, 1):
-            raise ValueError(f"bit must be 0 or 1, got {bit}")
         w = self.window(k)
         if len(history) < w:
-            raise ValueError(
-                f"pulse {k} needs {w} history bits, got {len(history)}"
-            )
-        return self.states[(k, bit, tuple(int(b) for b in history[:w]))]
+            raise ValueError(f"pulse {k} needs {w} history bits, got {len(history)}")
+        bits = (bit, *history[:w])
+        if any(b not in (0, 1) for b in bits):
+            raise ValueError(f"bit and history bits must be 0 or 1, got {bits}")
+        # int(): a bool in an index tuple would act as a mask.
+        return self._bit_axes(k)[tuple(int(b) for b in bits)]
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    # Norms of the vectors along the last axis, each bitwise equal to
+    # np.linalg.norm of the vector: the same two real dot products.
+    re, im = v.real[..., None, :], v.imag[..., None, :]
+    return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
+
+
+def _normalized(v: np.ndarray) -> np.ndarray:
+    return v / _norms(v)[..., None]
+
+
+def _lag_overlaps(states: np.ndarray, d: int) -> np.ndarray:
+    """Moduli of the overlaps of the states at index 0 and 1 of axis d,
+    over every other index, each bitwise equal to ``abs(np.vdot(v0, v1))``;
+    the last axis holds the amplitudes."""
+    pick = (slice(None),) * d
+    v0, v1 = states[pick + (0,)], states[pick + (1,)]
+    ov = (v0.conj()[..., None, :] @ v1[..., :, None])[..., 0, 0]
+    return np.hypot(ov.real, ov.imag)
 
 
 def _vacuum_aligned(vec: np.ndarray) -> np.ndarray:
@@ -137,11 +169,9 @@ def _check_analysis_args(family: EmissionFamily, t: int, history: Sequence[int])
     w = family.window(t)
     if len(history) != w:
         raise ValueError(f"pulse {t} takes {w} history bits, got {len(history)}")
-    if any(b not in (0, 1) for b in history):
-        raise ValueError("history bits must be 0 or 1")
 
 
-def _tail_overlap(family: EmissionFamily, t: int, history: Sequence[int]) -> float:
+def _tail_overlap(family: EmissionFamily, t: int, history: tuple[int, ...]) -> float:
     """Overlap g of the bit-0 and bit-1 tails of pulse t, with no tail built.
 
     Ancilla branches are orthogonal, so g is the mean over the tail bits of
@@ -154,13 +184,12 @@ def _tail_overlap(family: EmissionFamily, t: int, history: Sequence[int]) -> flo
     """
     prod = np.ones(())
     for i in range(1, min(family.corr_len, family.n_pulses - t) + 1):
-        ov = np.empty((2,) * i)
-        for bits in product((0, 1), repeat=i):
-            v0, v1 = (
-                family.pulse_state(t + i, bits[-1], bits[-2::-1] + (jt, *history))
-                for jt in (0, 1)
-            )
-            ov[bits] = abs(np.vdot(v0, v1))
+        # Axes of pulse t + i: its bit, the tail bits from t + i - 1 back to
+        # t + 1, bit t at axis i, then the history bits inside its window.
+        states = family._bit_axes(t + i)
+        states = states[(slice(None),) * (i + 1) + history[: states.ndim - i - 2]]
+        # Tail bits in pulse order, C-contiguous, so the mean sums as before.
+        ov = np.ascontiguousarray(_lag_overlaps(states, i).T)
         prod = prod[..., None] * ov
     return float(prod.mean())
 
@@ -182,33 +211,19 @@ def measured_characterization(family: EmissionFamily) -> SourceCharacterization:
     """
     eps = []
     for d in range(1, family.corr_len + 1):
-        worst = 1.0
-        found = False
-        for zeta in range(1, family.n_pulses + 1):
-            w = family.window(zeta)
-            if w < d:
-                continue
-            for bit in (0, 1):
-                for hist in product((0, 1), repeat=w):
-                    if hist[d - 1] != 1:
-                        continue
-                    partner = hist[: d - 1] + (0,) + hist[d:]
-                    ov = abs(
-                        np.vdot(
-                            family.states[(zeta, bit, partner)],
-                            family.states[(zeta, bit, hist)],
-                        )
-                    )
-                    worst = min(worst, float(ov) ** 2)
-                    found = True
-        if not found:
-            raise ValueError(f"no context realizes lag {d}")
-        eps.append(min(1.0, max(0.0, 1.0 - worst)))
-    p_vac = [1.0, 1.0]
-    for (k, bit, hist), vec in family.states.items():
-        p_vac[bit] = min(p_vac[bit], float(abs(vec[0]) ** 2))
+        worst = min(
+            float(_lag_overlaps(family._bit_axes(k), d).min())
+            for k in range(d + 1, family.n_pulses + 1)
+        )
+        # Squared as a Python float: an array square can differ in the
+        # last bit.
+        eps.append(1.0 - min(1.0, worst**2))
+    vac = np.concatenate([table[:, :, 0] for table in family.tables], axis=1)
+    p_vac0, p_vac1 = (
+        min(1.0, float(v) ** 2) for v in np.hypot(vac.real, vac.imag).min(axis=1)
+    )
     return SourceCharacterization(
-        corr_len=family.corr_len, eps=tuple(eps), p_vac0=p_vac[0], p_vac1=p_vac[1]
+        corr_len=family.corr_len, eps=tuple(eps), p_vac0=p_vac0, p_vac1=p_vac1
     )
 
 
@@ -216,29 +231,49 @@ def measured_characterization(family: EmissionFamily) -> SourceCharacterization:
 class ProofChainCheck:
     """All inequalities of the bound derivation, evaluated on one family.
 
-    The cap fields come from the (possibly overridden) characterization;
-    the probability and overlap fields are exact state-vector quantities.
-    Each ``ok_*`` flag compares one side of the chain at ``CHECK_TOL``.
+    The caps and floors derive from the (possibly overridden)
+    characterization; the probability and overlap fields are exact
+    state-vector quantities.  Each ``ok_*`` flag compares one side of the
+    chain at ``CHECK_TOL``.
     """
 
     n_pulses: int
-    corr_len: int
     fock_dim: int
     t: int
     history: tuple[int, ...]
-    minus_ref_cap: float
-    fidelity_floor: float
-    minus_act_cap: float
+    characterization: SourceCharacterization
     p_minus_ref: float
     p_minus_act: float
     fidelity: float
     transfer_value: float
     a1: float
-    a1_floor: float
     plus_vac_prob: float
-    plus_vac_floor: float
     trial: Optional[int] = None
     seed: Optional[int] = None
+
+    @property
+    def corr_len(self) -> int:
+        return self.characterization.corr_len
+
+    @property
+    def minus_ref_cap(self) -> float:
+        return minus_ref_bound(self.characterization)
+
+    @property
+    def fidelity_floor(self) -> float:
+        return fidelity_bound(self.characterization)
+
+    @property
+    def minus_act_cap(self) -> float:
+        return SecurityBounds.from_source(self.characterization).minus_act
+
+    @property
+    def a1_floor(self) -> float:
+        return a1_floor(self.characterization)
+
+    @property
+    def plus_vac_floor(self) -> float:
+        return plus_vac_floor(self.characterization)
 
     @property
     def ok_ref_cap(self) -> bool:
@@ -305,14 +340,14 @@ def check_proof_chain(
     violation detection.
     """
     _check_analysis_args(family, t, history)
+    # Closed forms on the actual block (|0> b0 T0 + |1> b1 T1) / sqrt(2)
+    # and the reference block, which carries T0 in both branches.  Reading
+    # b0 and b1 checks the history bits.
+    b0, b1 = (_vacuum_aligned(family.pulse_state(t, jt, history)) for jt in (0, 1))
+    history = tuple(int(b) for b in history)
     char = characterization or measured_characterization(family)
     if char.corr_len != family.corr_len:
         raise ValueError("characterization correlation length mismatch")
-    bounds = SecurityBounds.from_source(char)
-
-    # Closed forms on the actual block (|0> b0 T0 + |1> b1 T1) / sqrt(2)
-    # and the reference block, which carries T0 in both branches.
-    b0, b1 = (_vacuum_aligned(family.pulse_state(t, jt, history)) for jt in (0, 1))
     g = _tail_overlap(family, t, history)
     base = complex(np.vdot(b0, b1))
     p_act = _probability((1.0 - base.real * g) / 2.0, "minus probability")
@@ -324,29 +359,23 @@ def check_proof_chain(
     fid = min(1.0, fid)
     return ProofChainCheck(
         n_pulses=family.n_pulses,
-        corr_len=family.corr_len,
         fock_dim=family.fock_dim,
         t=t,
-        history=tuple(int(b) for b in history),
-        minus_ref_cap=bounds.minus_ref,
-        fidelity_floor=bounds.fidelity,
-        minus_act_cap=bounds.minus_act,
+        history=history,
+        characterization=char,
         p_minus_ref=p_ref,
         p_minus_act=p_act,
         fidelity=fid,
         transfer_value=transfer_bound(p_ref, fid),
         a1=min(1.0, g),
-        a1_floor=a1_floor(char),
         plus_vac_prob=plus_vac,
-        plus_vac_floor=plus_vac_floor(char),
         trial=trial,
         seed=family.seed,
     )
 
 
 def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
+    return _normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim))
 
 
 def _vacuum_weighted_unit(
@@ -371,36 +400,34 @@ def random_family(
     value and add a history-keyed random kick, so their measured deficits
     and vacuum floors land in the regime where the bounds are nontrivial.
     ``free`` families are fully independent random unit vectors, which
-    mostly exercises the trivial branch of the transferred cap.
+    mostly exercises the trivial branch of the transferred cap.  Every
+    table entry's real and imaginary normals come from one draw, in table
+    order.
     """
-    _require_integer("n_pulses", n_pulses)
+    sizes = {"n_pulses": n_pulses, "corr_len": corr_len, "fock_dim": fock_dim}
+    for name, value in sizes.items():
+        _require_integer(name, value)
+    if corr_len < 0 or fock_dim < 2:
+        raise ValueError(f"need corr_len >= 0 and fock_dim >= 2, got {sizes}")
     if style not in ("perturbed", "free"):
         raise ValueError(f"unknown family style {style!r}")
     rng = np.random.default_rng(seed)
-    states: dict[tuple[int, int, tuple[int, ...]], np.ndarray] = {}
     if style == "perturbed":
-        base = {
-            bit: _vacuum_weighted_unit(rng, fock_dim, rng.uniform(0.55, 0.95))
-            for bit in (0, 1)
-        }
+        base = np.array(
+            [
+                _vacuum_weighted_unit(rng, fock_dim, rng.uniform(0.55, 0.95))
+                for _ in (0, 1)
+            ]
+        )
         strength = 10.0 ** rng.uniform(-3.0, math.log10(0.6))
-    for k in range(1, n_pulses + 1):
-        w = min(corr_len, k - 1)
-        for bit in (0, 1):
-            for hist in product((0, 1), repeat=w):
-                if style == "free":
-                    vec = _random_unit(rng, fock_dim)
-                else:
-                    vec = base[bit] + strength * _random_unit(rng, fock_dim)
-                    vec = vec / np.linalg.norm(vec)
-                states[(k, bit, hist)] = vec
-    return EmissionFamily(
-        n_pulses=n_pulses,
-        corr_len=corr_len,
-        fock_dim=fock_dim,
-        states=states,
-        seed=seed,
-    )
+    sizes = [2 * 2 ** min(corr_len, k - 1) for k in range(1, n_pulses + 1)]
+    normals = rng.normal(size=(sum(sizes), 2, fock_dim))
+    units = _normalized(normals[:, 0] + 1j * normals[:, 1])
+    rows = np.split(units, np.cumsum(sizes)[:-1])
+    tables = [r.reshape(2, size // 2, fock_dim) for r, size in zip(rows, sizes)]
+    if style == "perturbed":
+        tables = [_normalized(base[:, None] + strength * t) for t in tables]
+    return EmissionFamily(corr_len=corr_len, tables=tables, seed=seed)
 
 
 def coherent_family(
@@ -421,27 +448,20 @@ def coherent_family(
     probability, below 1e-9 for mu <= 0.29.
     """
     model = PhaseRotationModel(mu=mu, delta=delta, corr_len=corr_len)
-    states: dict[tuple[int, int, tuple[int, ...]], np.ndarray] = {}
     ns = np.arange(fock_dim)
     log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, fock_dim)))))
+    root_fact = np.exp(0.5 * log_fact)
+    tables = []
     for k in range(1, n_pulses + 1):
         w = min(corr_len, k - 1)
-        for bit in (0, 1):
-            for hist in product((0, 1), repeat=w):
-                phase = sum(
-                    model.rotation(lag) for lag, b in enumerate(hist, start=1) if b
-                )
-                alpha = (-1) ** bit * math.sqrt(mu) * np.exp(1j * phase)
-                vec = np.power(alpha, ns) / np.exp(0.5 * log_fact)
-                vec = vec / np.linalg.norm(vec)
-                states[(k, bit, hist)] = vec.astype(complex)
-    return EmissionFamily(
-        n_pulses=n_pulses,
-        corr_len=corr_len,
-        fock_dim=fock_dim,
-        states=states,
-        seed=seed,
-    )
+        # The kicks add lag by lag, in order; a reordered sum can differ in
+        # the last bit.
+        phase = np.zeros(2**w)
+        for lag in range(1, w + 1):
+            phase += np.where(np.arange(2**w) >> (w - lag) & 1, model.rotation(lag), 0.0)
+        alpha = np.array([[1.0], [-1.0]]) * math.sqrt(mu) * np.exp(1j * phase)
+        tables.append(_normalized(np.power(alpha[..., None], ns) / root_fact))
+    return EmissionFamily(corr_len=corr_len, tables=tables, seed=seed)
 
 
 @dataclass

@@ -40,24 +40,6 @@ from .sources import _coherent_point
 _CHUNK = 4096
 
 
-def group_indices(block: int, group: int, corr_len: int, group_size: int) -> tuple[int, ...]:
-    """Absolute 1-based pulse positions of one interleaved group.
-
-    Within block ``block`` (1-based), group ``group`` (1-based, up to
-    ``corr_len + 1``) collects every ``(corr_len + 1)``-th pulse starting
-    at offset ``group``, so consecutive members are ``corr_len + 1`` apart.
-    """
-    if block < 1:
-        raise ValueError(f"block index must be >= 1, got {block}")
-    if not 1 <= group <= corr_len + 1:
-        raise ValueError(f"group must lie in [1, {corr_len + 1}], got {group}")
-    if group_size < 1:
-        raise ValueError(f"group size must be >= 1, got {group_size}")
-    stride = corr_len + 1
-    base = (block - 1) * stride * group_size
-    return tuple(base + stride * (m - 1) + group for m in range(1, group_size + 1))
-
-
 @dataclass(frozen=True)
 class GroupOutcome:
     """Measurement result of one group within one block."""
@@ -134,10 +116,23 @@ def _below(words: np.ndarray, p: float) -> np.ndarray:
     return (words >> 11) < math.ceil(p * 2**53)
 
 
+def _check_run_args(q_success: float, n_blocks: int, seed: int) -> None:
+    if not 0.0 <= q_success <= 1.0:
+        raise ValueError(f"q_success must lie in [0, 1], got {q_success}")
+    _require_integer("n_blocks", n_blocks)
+    _require_integer("seed", seed)
+    if n_blocks < 1:
+        raise ValueError(f"n_blocks must be >= 1, got {n_blocks}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def iter_block_records(
     cfg: ProtocolConfig, q_success: float, n_blocks: int, seed: int
 ) -> Iterator[BlockRecord]:
-    """Per-block protocol transcript, mainly for inspection and tests."""
+    """Per-block protocol transcript, mainly for inspection and tests; the
+    arguments are checked as by :func:`run_simulation` when iteration starts."""
+    _check_run_args(q_success, n_blocks, seed)
     stride = cfg.n_groups
     for c, start in enumerate(range(0, n_blocks, _CHUNK)):
         draws = [
@@ -225,14 +220,7 @@ def run_simulation(
     contribute nothing.  The final length is clamped at zero and floored
     to an integer.
     """
-    if not 0.0 <= q_success <= 1.0:
-        raise ValueError(f"success probability must lie in [0, 1], got {q_success}")
-    _require_integer("n_blocks", n_blocks)
-    _require_integer("seed", seed)
-    if n_blocks < 1:
-        raise ValueError(f"need at least one block, got {n_blocks}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    _check_run_args(q_success, n_blocks, seed)
     n_success = np.zeros(cfg.n_groups, dtype=np.int64)
     n_errors = np.zeros(cfg.n_groups, dtype=np.int64)
     for c, start in enumerate(range(0, n_blocks, _CHUNK)):

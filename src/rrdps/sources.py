@@ -29,16 +29,6 @@ from .security import (
 )
 
 
-def coherent_overlap_mag(mu: float, theta: float) -> float:
-    """Overlap magnitude of two coherent states of equal mean photon number
-    ``mu`` whose amplitudes differ by phase ``theta``:
-    ``exp(mu * (cos(theta) - 1))``.
-    """
-    if mu < 0.0:
-        raise ValueError(f"mean photon number must be >= 0, got {mu}")
-    return math.exp(mu * (math.cos(theta) - 1.0))
-
-
 @dataclass(frozen=True)
 class PhaseRotationModel:
     """Correlated coherent source with geometrically decaying phase kicks.

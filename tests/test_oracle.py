@@ -13,15 +13,10 @@ from rrdps import security as sec
 from rrdps import sources as src
 
 
-def product_family(n_pulses: int, fock_dim: int, vecs) -> orc.EmissionFamily:
+def product_family(n_pulses: int, vecs) -> orc.EmissionFamily:
     """History-free family with the same per-bit state at every pulse."""
-    states = {}
-    for k in range(1, n_pulses + 1):
-        for bit in (0, 1):
-            states[(k, bit, ())] = np.asarray(vecs[bit], dtype=complex)
-    return orc.EmissionFamily(
-        n_pulses=n_pulses, corr_len=0, fock_dim=fock_dim, states=states
-    )
+    table = np.asarray(vecs, dtype=complex)[:, None, :]
+    return orc.EmissionFamily(corr_len=0, tables=[table] * n_pulses)
 
 
 def rotation_family(phi: float) -> orc.EmissionFamily:
@@ -30,58 +25,86 @@ def rotation_family(phi: float) -> orc.EmissionFamily:
     Every overlap is known in closed form, which pins the measured
     characterization exactly.
     """
-    e0 = np.array([1.0, 0.0], dtype=complex)
-    rot = np.array([math.cos(phi), math.sin(phi)], dtype=complex)
-    states = {
-        (1, 0, ()): e0,
-        (1, 1, ()): e0,
-        (2, 0, (0,)): e0,
-        (2, 0, (1,)): rot,
-        (2, 1, (0,)): e0,
-        (2, 1, (1,)): rot,
-    }
-    return orc.EmissionFamily(n_pulses=2, corr_len=1, fock_dim=2, states=states)
+    e0 = [1.0, 0.0]
+    rot = [math.cos(phi), math.sin(phi)]
+    return orc.EmissionFamily(
+        corr_len=1, tables=[[[e0], [e0]], [[e0, rot], [e0, rot]]]
+    )
 
 
 class TestEmissionFamily:
+    def test_fields_and_derived_sizes(self):
+        assert [f.name for f in dataclasses.fields(orc.EmissionFamily)] == [
+            "corr_len", "tables", "seed"
+        ]
+        fam = orc.random_family(5, 2, 3, seed=1)
+        assert (fam.n_pulses, fam.fock_dim) == (5, 3)
+        assert [t.shape for t in fam.tables] == [
+            (2, 1, 3), (2, 2, 3), (2, 4, 3), (2, 4, 3), (2, 4, 3)
+        ]
+
     def test_missing_entry_rejected(self):
-        states = {(1, 0, ()): np.array([1.0, 0.0], dtype=complex)}
-        with pytest.raises(ValueError):
-            orc.EmissionFamily(n_pulses=1, corr_len=0, fock_dim=2, states=states)
+        # Pulse 2 of a one-bit memory needs two history rows.
+        e0 = [[[1.0, 0.0]], [[1.0, 0.0]]]
+        with pytest.raises(ValueError, match="pulse 2 table has shape"):
+            orc.EmissionFamily(corr_len=1, tables=[e0, e0])
 
     def test_unnormalized_rejected(self):
-        states = {
-            (1, 0, ()): np.array([1.0, 0.0], dtype=complex),
-            (1, 1, ()): np.array([1.0, 1.0], dtype=complex),
-        }
-        with pytest.raises(ValueError):
-            orc.EmissionFamily(n_pulses=1, corr_len=0, fock_dim=2, states=states)
+        with pytest.raises(ValueError, match="not normalized"):
+            product_family(1, ([1.0, 0.0], [1.0, 1.0]))
 
     def test_non_finite_rejected(self):
         e0 = [1.0, 0.0]
         for bad in ([math.nan, 0.0], [math.inf, 0.0]):
             with pytest.raises(ValueError, match="not normalized"):
-                product_family(1, 2, (bad, e0))
+                product_family(1, (bad, e0))
 
     def test_too_few_pulses_for_memory(self):
-        with pytest.raises(ValueError):
-            orc.EmissionFamily(n_pulses=1, corr_len=1, fock_dim=2, states={})
+        one_pulse = product_family(1, ([1.0, 0.0], [1.0, 0.0])).tables
+        with pytest.raises(ValueError, match="cannot realize"):
+            orc.EmissionFamily(corr_len=1, tables=one_pulse)
 
     @pytest.mark.parametrize("n_pulses", [True, 2.0])
     def test_random_family_needs_integer_pulses(self, n_pulses):
         with pytest.raises(ValueError, match="n_pulses"):
             orc.random_family(n_pulses, 0, 4, seed=1)
 
+    @pytest.mark.parametrize(
+        "bad", [{"corr_len": -1}, {"corr_len": 1.5}, {"fock_dim": 1}, {"fock_dim": 3.0}]
+    )
+    def test_random_family_checks_sizes_before_drawing(self, bad):
+        # A draw at fock_dim 1 would divide 0 by 0.
+        args = {"n_pulses": 3, "corr_len": 1, "fock_dim": 4, "seed": 1, **bad}
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            orc.random_family(**args)
+
     def test_pulse_state_trims_history(self):
         fam = rotation_family(0.3)
         long_hist = (1, 0, 1, 1)
-        want = fam.states[(2, 0, (1,))]
+        want = fam.tables[1][0, 1]
         assert np.array_equal(fam.pulse_state(2, 0, long_hist), want)
 
     def test_pulse_state_needs_full_window(self):
         fam = rotation_family(0.3)
         with pytest.raises(ValueError):
             fam.pulse_state(2, 0, ())
+
+    @pytest.mark.parametrize("bits", [(2, (0,)), (0, (2,)), (0, (-1,)), (-1, (0,))])
+    def test_pulse_state_rejects_non_bits(self, bits):
+        with pytest.raises(ValueError, match="0 or 1"):
+            rotation_family(0.3).pulse_state(2, *bits)
+
+    def test_history_types_read_the_same_vector(self):
+        # A True inside a numpy index tuple would act as a mask.
+        fam = orc.random_family(5, 3, 4, seed=2)
+        for bit, *hist in itertools.product((0, 1), repeat=4):
+            want = fam.pulse_state(5, bit, hist)
+            for cast in (bool, np.bool_, np.int64):
+                got = fam.pulse_state(5, cast(bit), [cast(b) for b in hist])
+                assert got.shape == want.shape and np.array_equal(got, want)
+        want = orc.check_proof_chain(fam, 2, (1,))
+        for cast in (bool, np.bool_, np.int64):
+            assert orc.check_proof_chain(fam, 2, (cast(1),)) == want
 
 
 class TestCoherentFamily:
@@ -99,7 +122,7 @@ class TestCoherentFamily:
                 for n in range(8)
             )
             exact = float(1 - kept)
-        for vec in fam.states.values():
+        for vec in np.concatenate([t.reshape(-1, 8) for t in fam.tables]):
             # Renormalizing the kept levels scales the vacuum weight
             # exp(-mu) by 1 / (1 - dropped).
             dropped = 1.0 - math.exp(-mu) / abs(vec[0]) ** 2
@@ -231,6 +254,80 @@ def plus_vacuum_probability(block, fock_dim):
     return min(1.0, float(np.linalg.norm(arr[0, 0] + arr[1, 0]) ** 2) / 2.0)
 
 
+# Reference loops: the state tables built entry by entry into a dict keyed
+# by (k, bit, history tuple), and the measured characterization and tail
+# overlap read from that dict one context at a time.  The array code must
+# reproduce them bit for bit.
+def reference_random_states(n_pulses, corr_len, fock_dim, seed, style):
+    rng = np.random.default_rng(seed)
+    if style == "perturbed":
+        base = {
+            bit: orc._vacuum_weighted_unit(rng, fock_dim, rng.uniform(0.55, 0.95))
+            for bit in (0, 1)
+        }
+        strength = 10.0 ** rng.uniform(-3.0, math.log10(0.6))
+    states = {}
+    for k in range(1, n_pulses + 1):
+        for bit in (0, 1):
+            for hist in itertools.product((0, 1), repeat=min(corr_len, k - 1)):
+                vec = rng.normal(size=fock_dim) + 1j * rng.normal(size=fock_dim)
+                vec = vec / np.linalg.norm(vec)
+                if style == "perturbed":
+                    vec = base[bit] + strength * vec
+                    vec = vec / np.linalg.norm(vec)
+                states[(k, bit, hist)] = vec
+    return states
+
+
+def reference_coherent_states(n_pulses, corr_len, mu, delta, fock_dim):
+    model = src.PhaseRotationModel(mu=mu, delta=delta, corr_len=corr_len)
+    ns = np.arange(fock_dim)
+    log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, fock_dim)))))
+    states = {}
+    for k in range(1, n_pulses + 1):
+        for bit in (0, 1):
+            for hist in itertools.product((0, 1), repeat=min(corr_len, k - 1)):
+                phase = sum(
+                    model.rotation(lag) for lag, b in enumerate(hist, start=1) if b
+                )
+                alpha = (-1) ** bit * math.sqrt(mu) * np.exp(1j * phase)
+                vec = np.power(alpha, ns) / np.exp(0.5 * log_fact)
+                states[(k, bit, hist)] = vec / np.linalg.norm(vec)
+    return states
+
+
+def reference_characterization(states, corr_len):
+    eps = []
+    for d in range(1, corr_len + 1):
+        worst = 1.0
+        for (k, bit, hist), vec in states.items():
+            if len(hist) >= d and hist[d - 1] == 1:
+                partner = states[(k, bit, hist[: d - 1] + (0,) + hist[d:])]
+                worst = min(worst, float(abs(np.vdot(partner, vec))) ** 2)
+        eps.append(min(1.0, max(0.0, 1.0 - worst)))
+    p_vac = [1.0, 1.0]
+    for (k, bit, hist), vec in states.items():
+        p_vac[bit] = min(p_vac[bit], float(abs(vec[0]) ** 2))
+    return sec.SourceCharacterization(
+        corr_len=corr_len, eps=tuple(eps), p_vac0=p_vac[0], p_vac1=p_vac[1]
+    )
+
+
+def reference_tail_overlap(states, fam, t, history):
+    prod = np.ones(())
+    for i in range(1, min(fam.corr_len, fam.n_pulses - t) + 1):
+        w = fam.window(t + i)
+        ov = np.empty((2,) * i)
+        for bits in itertools.product((0, 1), repeat=i):
+            v0, v1 = (
+                states[(t + i, bits[-1], (bits[-2::-1] + (jt, *history))[:w])]
+                for jt in (0, 1)
+            )
+            ov[bits] = abs(np.vdot(v0, v1))
+        prod = prod[..., None] * ov
+    return float(prod.mean())
+
+
 def sample_families():
     """Perturbed, free and coherent families for n <= 4, corr_len <= 2."""
     for n in range(1, 5):
@@ -309,11 +406,11 @@ class TestClosedForms:
         for fam, t, hist in analysis_cases():
             if fam.seed is None:  # coherent: phases fixed by the model
                 continue
-            phases = {
-                key: vec * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-                for key, vec in fam.states.items()
-            }
-            rotated = dataclasses.replace(fam, states=phases)
+            phases = [
+                t * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, (*t.shape[:2], 1)))
+                for t in fam.tables
+            ]
+            rotated = dataclasses.replace(fam, tables=phases)
             a = orc.check_proof_chain(fam, t, hist)
             b = orc.check_proof_chain(rotated, t, hist)
             for name in ("p_minus_act", "p_minus_ref", "fidelity", "a1", "plus_vac_prob"):
@@ -321,6 +418,70 @@ class TestClosedForms:
             assert [getattr(b, f) for f in FLAGS] == [getattr(a, f) for f in FLAGS]
             n_cases += 1
         assert n_cases == 2 * 23
+
+
+REFERENCE_SIZES = [
+    # (n_pulses, corr_len, fock_dim)
+    (1, 0, 2), (2, 1, 3), (3, 2, 2), (4, 2, 8), (5, 1, 6),
+    (7, 3, 4), (9, 6, 3), (12, 4, 5), (12, 10, 3), (12, 10, 8),
+]
+
+
+class TestTableLayout:
+    @pytest.mark.parametrize(
+        "n, lc, fock", REFERENCE_SIZES, ids=lambda v: str(v)
+    )
+    def test_matches_reference_loops(self, monkeypatch, n, lc, fock):
+        seed = 100 * n + lc
+        cases = [
+            (
+                orc.random_family(n, lc, fock, seed=seed, style=style),
+                reference_random_states(n, lc, fock, seed, style),
+            )
+            for style in ("perturbed", "free")
+        ]
+        cases.append(
+            (
+                orc.coherent_family(n, lc, mu=0.2, delta=0.4, fock_dim=fock),
+                reference_coherent_states(n, lc, 0.2, 0.4, fock),
+            )
+        )
+        for fam, states in cases:
+            assert sum(t.shape[0] * t.shape[1] for t in fam.tables) == len(states)
+            for (k, bit, hist), vec in states.items():
+                assert np.array_equal(fam.pulse_state(k, bit, hist), vec)
+            char = orc.measured_characterization(fam)
+            assert char == reference_characterization(states, lc)
+            checks = [
+                orc.check_proof_chain(fam, t, hist, trial=t)
+                for t in range(1, n - lc + 1)
+                for hist in itertools.product((0, 1), repeat=fam.window(t))
+            ]
+            with monkeypatch.context() as m:
+                m.setattr(
+                    orc,
+                    "_tail_overlap",
+                    lambda fam, t, hist: reference_tail_overlap(states, fam, t, hist),
+                )
+                for chk in checks:
+                    ref = orc.check_proof_chain(
+                        fam, chk.t, chk.history, characterization=char, trial=chk.t
+                    )
+                    assert chk == ref
+                    assert chk.line() == ref.line()
+
+    def test_stacked_forms_are_bitwise_equal_to_scalar_ones(self):
+        # The array code relies on these equalities to keep every report
+        # byte: a stacked overlap and np.vdot, np.hypot and abs() of a
+        # complex scalar, the stacked norm and np.linalg.norm.
+        rng = np.random.default_rng(5)
+        for dim in range(2, 21):
+            v = rng.normal(size=(2, 500, dim)) + 1j * rng.normal(size=(2, 500, dim))
+            want = [abs(np.vdot(a, b)) for a, b in zip(v[0], v[1])]
+            assert np.array_equal(orc._lag_overlaps(v, 0), want)
+            z = v[0, :, 0]
+            assert np.array_equal(np.hypot(z.real, z.imag), [abs(c) for c in z])
+            assert np.array_equal(orc._norms(v[1]), [np.linalg.norm(a) for a in v[1]])
 
 
 class TestReach:

@@ -15,13 +15,26 @@ def _bounds(mu: float, delta: float, corr_len: int) -> sec.SecurityBounds:
     return sec.SecurityBounds.from_source(src.characterize(model))
 
 
+def group_indices(block: int, group: int, corr_len: int, group_size: int):
+    """Absolute 1-based pulse positions of one interleaved group, the
+    reference the record positions are checked against.
+
+    Within block ``block`` (1-based), group ``group`` (1-based, up to
+    ``corr_len + 1``) collects every ``(corr_len + 1)``-th pulse starting
+    at offset ``group``, so consecutive members are ``corr_len + 1`` apart.
+    """
+    stride = corr_len + 1
+    base = (block - 1) * stride * group_size
+    return tuple(base + stride * (m - 1) + group for m in range(1, group_size + 1))
+
+
 class TestGroupIndices:
     def test_first_block_layout(self):
-        assert sim.group_indices(1, 1, 2, 10) == (1, 4, 7, 10, 13, 16, 19, 22, 25, 28)
+        assert group_indices(1, 1, 2, 10) == (1, 4, 7, 10, 13, 16, 19, 22, 25, 28)
 
     def test_second_block_offsets_by_block_size(self):
-        base = sim.group_indices(1, 2, 2, 10)
-        shifted = sim.group_indices(2, 2, 2, 10)
+        base = group_indices(1, 2, 2, 10)
+        shifted = group_indices(2, 2, 2, 10)
         assert shifted == tuple(i + 30 for i in base)
 
     def test_groups_partition_each_block(self):
@@ -30,22 +43,14 @@ class TestGroupIndices:
         for block in (1, 2, 5):
             seen = []
             for w in range(1, corr_len + 2):
-                seen.extend(sim.group_indices(block, w, corr_len, size))
+                seen.extend(group_indices(block, w, corr_len, size))
             lo = (block - 1) * block_size + 1
             assert sorted(seen) == list(range(lo, lo + block_size))
 
     def test_members_spaced_beyond_memory(self):
-        idx = sim.group_indices(3, 2, 4, 6)
+        idx = group_indices(3, 2, 4, 6)
         gaps = [b - a for a, b in zip(idx, idx[1:])]
         assert all(g == 5 for g in gaps)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            sim.group_indices(0, 1, 2, 10)
-        with pytest.raises(ValueError):
-            sim.group_indices(1, 4, 2, 10)
-        with pytest.raises(ValueError):
-            sim.group_indices(1, 1, 2, 0)
 
 
 class TestRecords:
@@ -57,7 +62,7 @@ class TestRecords:
                 if not o.success:
                     assert o.first is None and o.delay is None
                     continue
-                members = sim.group_indices(rec.block, o.group, 1, 8)
+                members = group_indices(rec.block, o.group, 1, 8)
                 assert o.first in members and o.second in members
                 assert o.second - o.first == o.delay * 2
                 assert 1 <= o.delay <= 7
@@ -72,6 +77,20 @@ class TestRecords:
                 rel2 = (o.second - 1) % block_size
                 assert o.sent == rec.bits[rel1] ^ rec.bits[rel2]
                 assert o.measured == o.sent ^ int(o.flipped)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{"q_success": 1.5}, {"n_blocks": True}, {"n_blocks": 0}, {"seed": -1}],
+        ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
+    )
+    @pytest.mark.parametrize("records", [True, False], ids=["records", "counts"])
+    def test_bad_arguments_rejected(self, records, bad):
+        args = {"q_success": 0.5, "n_blocks": 10, "seed": 1, **bad}
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            if records:
+                next(sim.iter_block_records(self.CFG, **args))
+            else:
+                sim.run_simulation(self.CFG, _bounds(0.2, 0.1, 1), **args)
 
     def test_prefix_property(self):
         short = list(sim.iter_block_records(self.CFG, 0.5, 300, seed=4))

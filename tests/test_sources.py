@@ -32,24 +32,21 @@ def fock_overlap_mag(mu: float, theta: float, terms: int = 40) -> float:
 
 
 class TestCoherentOverlap:
+    """The overlap behind ``characterize``'s deficits: 1 - eps = overlap^2."""
+
     def test_frozen_value(self):
-        assert src.coherent_overlap_mag(0.1, 0.2) == pytest.approx(
-            OVERLAP_01_02, abs=1e-15
-        )
+        char = src.characterize(src.PhaseRotationModel(mu=0.1, delta=0.2, corr_len=1))
+        assert char.eps[0] == pytest.approx(1.0 - OVERLAP_01_02**2, abs=1e-15)
 
     def test_matches_fock_expansion(self):
         for mu in (0.0, 0.05, 0.3, 1.0):
             for theta in (0.0, 0.1, 0.7, math.pi):
-                assert src.coherent_overlap_mag(mu, theta) == pytest.approx(
-                    fock_overlap_mag(mu, theta), abs=1e-12
+                char = src.characterize(
+                    src.PhaseRotationModel(mu=mu, delta=theta, corr_len=1)
                 )
-
-    def test_identical_states(self):
-        assert src.coherent_overlap_mag(0.4, 0.0) == 1.0
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            src.coherent_overlap_mag(-0.1, 0.2)
+                assert char.eps[0] == pytest.approx(
+                    1.0 - fock_overlap_mag(mu, theta) ** 2, abs=1e-12
+                )
 
 
 class TestPhaseRotationModel:
@@ -94,7 +91,7 @@ class TestCharacterize:
         m = src.PhaseRotationModel(mu=0.1, delta=0.2, corr_len=2)
         char = src.characterize(m)
         for d in (1, 2):
-            ov = src.coherent_overlap_mag(0.1, m.rotation(d))
+            ov = math.exp(0.1 * (math.cos(m.rotation(d)) - 1.0))
             assert char.eps[d - 1] == pytest.approx(1.0 - ov * ov, rel=1e-12)
 
     def test_vacuum_floor(self):
