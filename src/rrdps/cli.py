@@ -43,7 +43,7 @@ from . import __version__
 from .oracle import run_family_campaign, verify_fidelity_proposition
 from .security import KeyRateResult, ProtocolConfig, key_rate
 from .simulate import run_simulation
-from .sources import _coherent_point, optimize_mu, rate_at_mu
+from .sources import _coherent_point, _optimize, rate_at_mu
 
 
 def _fmt(value) -> str:
@@ -207,20 +207,6 @@ def _read_config(args: argparse.Namespace, known: set) -> tuple[dict, _Common]:
         out=out,
     )
     return cfg, common
-
-
-def _optimize(
-    protocol: ProtocolConfig, delta: float, eta: float
-) -> tuple[float, KeyRateResult]:
-    return optimize_mu(
-        protocol.group_size,
-        protocol.corr_len,
-        delta,
-        eta,
-        protocol.e_bit,
-        f_ec_mode=protocol.f_ec_mode,
-        f_ec_fixed=protocol.f_ec_fixed,
-    )
 
 
 def _mu_step(

@@ -311,6 +311,10 @@ class ProofChainCheck:
         )
 
     def line(self) -> str:
+        return self._line(self.passed)
+
+    def _line(self, passed: bool) -> str:
+        # The report line, with the status the caller has already evaluated.
         hist = "".join(str(b) for b in self.history) or "-"
         return (
             f"trial={-1 if self.trial is None else self.trial} "
@@ -322,7 +326,7 @@ class ProofChainCheck:
             f"p_act={self.p_minus_act:.9f} fid={self.fidelity:.9f} "
             f"transfer={self.transfer_value:.9f} a1={self.a1:.9f} "
             f"a1floor={self.a1_floor:.9f} "
-            f"status={'PASS' if self.passed else 'FAIL'}"
+            f"status={'PASS' if passed else 'FAIL'}"
         )
 
 
@@ -464,11 +468,20 @@ def coherent_family(
     return EmissionFamily(corr_len=corr_len, tables=tables, seed=seed)
 
 
-@dataclass
+@dataclass(frozen=True)
 class OracleCampaign:
-    """Aggregated proof-chain trials, serializable one line per trial."""
+    """Aggregated proof-chain trials, serializable one line per trial.
 
-    checks: list[ProofChainCheck] = field(default_factory=list)
+    Each check's status is evaluated once, on construction, since each
+    evaluation re-derives the check's caps; the report lines, the failure
+    count and the verdict all read ``verdicts``.
+    """
+
+    checks: tuple[ProofChainCheck, ...]
+    verdicts: tuple[bool, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "verdicts", tuple(c.passed for c in self.checks))
 
     @property
     def n_trials(self) -> int:
@@ -476,14 +489,14 @@ class OracleCampaign:
 
     @property
     def n_failed(self) -> int:
-        return sum(1 for c in self.checks if not c.passed)
+        return self.verdicts.count(False)
 
     @property
     def passed(self) -> bool:
         return self.n_failed == 0
 
     def lines(self) -> list[str]:
-        out = [c.line() for c in self.checks]
+        out = [c._line(ok) for c, ok in zip(self.checks, self.verdicts)]
         out.append(
             f"summary trials={self.n_trials} failed={self.n_failed} "
             f"status={'PASS' if self.passed else 'FAIL'}"
@@ -529,7 +542,7 @@ def run_family_campaign(
             f"max_pulses={max_pulses}, max_fock={max_fock}: family dimension "
             f"{dim} exceeds MAX_STATE_DIM {MAX_STATE_DIM}"
         )
-    campaign = OracleCampaign()
+    checks = []
     for i in range(n_trials):
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
         rng = np.random.default_rng(ss)
@@ -563,10 +576,9 @@ def run_family_campaign(
                 p_vac0=char.p_vac0,
                 p_vac1=char.p_vac1,
             )
-        campaign.checks.append(
-            check_proof_chain(fam, t, history, characterization=char, trial=i)
-        )
-    return campaign
+        check = check_proof_chain(fam, t, history, characterization=char, trial=i)
+        checks.append(check)
+    return OracleCampaign(tuple(checks))
 
 
 @dataclass(frozen=True)

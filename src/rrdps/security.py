@@ -9,6 +9,15 @@ secure key rate per pulse.
 
 Everything in this module is a pure function of its arguments and safe for
 concurrent use.
+
+The source-side bounds (``SourceCharacterization``, the floors derived from
+it and ``SecurityBounds``) also take equal-length 1-D arrays in place of
+floats, one entry per source, and ``_key_rates`` evaluates the rate of every
+entry at once.  A batch runs its arithmetic on numpy, which rounds exactly as
+float arithmetic does, but makes every libm call and every branch entry by
+entry (``_each``), so that each entry is bitwise equal to a one-point call.
+A one-point rate costs some tens of microseconds, most of it Python and
+numpy call overhead that a batch pays once per array.
 """
 
 from __future__ import annotations
@@ -19,6 +28,38 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
+
+
+def _each(f, x, *more):
+    """``f`` of floats, or, when ``x`` is a 1-D array, of each entry of it
+    and of the other arguments broadcast against it, in order.
+
+    numpy's SIMD ``exp``, ``expm1`` and ``log`` may round the last bit
+    differently from libm, and a branch cannot run on an array, so a batch
+    calls the scalar function once per entry.
+    """
+    if not isinstance(x, np.ndarray):
+        return f(x, *more)
+    columns = (np.broadcast_to(a, x.shape).tolist() for a in (x, *more))
+    return np.array(list(map(f, *columns)), dtype=float)
+
+
+def _require(value, message: str, low: float = 0.0, high: float = 1.0) -> None:
+    """Raise ``ValueError(message.format(v))`` for the first entry ``v`` of
+    ``value``, a float or an array, outside ``[low, high]``; NaN is outside."""
+    if not isinstance(value, np.ndarray):
+        if not low <= value <= high:
+            raise ValueError(message.format(value))
+        return
+    inside = (low <= value) & (value <= high)
+    if not inside.all():
+        raise ValueError(message.format(value[np.argmin(inside)].item()))
+
+
+# v >= _TINIEST exactly when v > 0, and v <= _LARGEST exactly when v < inf,
+# so open ends need no variant of _require.
+_TINIEST = math.ulp(0.0)
+_LARGEST = math.nextafter(math.inf, 0.0)
 
 
 def binary_entropy(x: float) -> float:
@@ -81,17 +122,30 @@ def _log_binom_row(n: int) -> np.ndarray:
     return row
 
 
-def _tail_row(n: int, p: float) -> np.ndarray:
-    # P[Y > s] for s = 0..n-1: the pmf from the log-binomial row, summed
-    # from the top down, so each tail adds its smallest terms first.
-    if p == 0.0:
-        return np.zeros(n)
-    if p == 1.0:
-        return np.ones(n)
+def _tail_row(n: int, p) -> np.ndarray:
+    # P[Y > s] for s = 0..n-1, one row per entry when p is a 1-D array: the
+    # pmf from the log-binomial row, summed from the top down, so each tail
+    # adds its smallest terms first.
     y = np.arange(n + 1)
-    pmf = np.exp(_log_binom_row(n) + y * math.log(p) + (n - y) * math.log1p(-p))
+    log_pmf = _log_binom_row(n) + np.multiply.outer(_each(_log_p, p), y)
+    pmf = np.exp(log_pmf + np.multiply.outer(_each(_log_1mp, p), n - y))
     # Rounding can push a full tail a hair past 1.
-    return np.minimum(np.cumsum(pmf[::-1])[-2::-1], 1.0)
+    return np.minimum(np.cumsum(pmf[..., ::-1], axis=-1)[..., -2::-1], 1.0)
+
+
+# Stands in for log 0 = -inf: y * _LOG_ZERO stays finite for any count y
+# below 1e8, and its exp is exactly 0, so at p = 0 and p = 1 the pmf is
+# exactly one 1 and zeros, and every tail exactly 0 or 1, without a log or
+# NaN warning.
+_LOG_ZERO = -1e300
+
+
+def _log_p(p: float) -> float:
+    return math.log(p) if p > 0.0 else _LOG_ZERO
+
+
+def _log_1mp(p: float) -> float:
+    return math.log1p(-p) if p < 1.0 else _LOG_ZERO
 
 
 def binomial_tail(n: int, s: int, p: float) -> float:
@@ -151,6 +205,9 @@ class SourceCharacterization:
     p_vac0, p_vac1 : float
         Lower bounds on the vacuum probability of pulses encoding bit 0 and
         bit 1, uniform over histories.
+
+    Each deficit and floor may instead be a 1-D array, one entry per
+    source of a batch; every entry is checked as a float would be.
     """
 
     corr_len: int
@@ -162,24 +219,21 @@ class SourceCharacterization:
         _require_integer("corr_len", self.corr_len)
         if self.corr_len < 0:
             raise ValueError(f"correlation length must be >= 0, got {self.corr_len}")
-        object.__setattr__(self, "eps", tuple(float(e) for e in self.eps))
+        object.__setattr__(self, "eps", tuple(_each(float, e) for e in self.eps))
         if len(self.eps) != self.corr_len:
             raise ValueError(
                 f"need one fidelity deficit per lag: expected {self.corr_len}, "
                 f"got {len(self.eps)}"
             )
         for d, e in enumerate(self.eps, start=1):
-            if not 0.0 <= e <= 1.0:
-                raise ValueError(f"fidelity deficit at lag {d} outside [0, 1]: {e}")
+            _require(e, f"fidelity deficit at lag {d} outside [0, 1]: {{}}")
         for name in ("p_vac0", "p_vac1"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+            _require(getattr(self, name), f"{name} must lie in [0, 1], got {{}}")
 
 
 def plus_vac_floor(source: SourceCharacterization) -> float:
     """Floor on P(plus, vacuum): ``(sqrt(p_vac0) + sqrt(p_vac1))^2 / 4``."""
-    root_sum = math.sqrt(source.p_vac0) + math.sqrt(source.p_vac1)
+    root_sum = _each(math.sqrt, source.p_vac0) + _each(math.sqrt, source.p_vac1)
     return root_sum * root_sum / 4.0
 
 
@@ -198,7 +252,7 @@ def a1_floor(source: SourceCharacterization) -> float:
     """
     prod = 1.0
     for e in source.eps:
-        prod *= math.sqrt(1.0 - e)
+        prod = prod * _each(math.sqrt, 1.0 - e)
     return prod
 
 
@@ -217,7 +271,8 @@ class SecurityBounds:
 
     ``minus_act`` transfers the reference cap through the fidelity floor
     (:func:`transfer_bound`; the trivial 1 when ``minus_ref > fidelity^2``),
-    so it cannot disagree with the other two fields.
+    so it cannot disagree with the other two fields.  Built from a batch of
+    sources, the fields are arrays with one entry per source.
     """
 
     minus_ref: float
@@ -225,13 +280,11 @@ class SecurityBounds:
 
     def __post_init__(self) -> None:
         for name in ("minus_ref", "fidelity"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+            _require(getattr(self, name), f"{name} must lie in [0, 1], got {{}}")
 
     @property
     def minus_act(self) -> float:
-        return transfer_bound(self.minus_ref, self.fidelity)
+        return _each(transfer_bound, self.minus_ref, self.fidelity)
 
     @classmethod
     def from_source(cls, source: SourceCharacterization) -> "SecurityBounds":
@@ -273,8 +326,10 @@ class ProtocolConfig:
                 f"f_ec_mode must be 'shannon' or 'fixed', got {self.f_ec_mode!r}"
             )
         if self.f_ec_mode == "fixed":
-            if self.f_ec_fixed is None or not self.f_ec_fixed >= 0.0:
-                raise ValueError("fixed error-correction mode needs f_ec_fixed >= 0")
+            if self.f_ec_fixed is None or not 0.0 <= self.f_ec_fixed < math.inf:
+                raise ValueError(
+                    "fixed error-correction mode needs a finite f_ec_fixed >= 0"
+                )
         elif self.f_ec_fixed is not None:
             raise ValueError("f_ec_fixed only applies when f_ec_mode='fixed'")
 
@@ -301,6 +356,8 @@ def phase_error_upper(group_size: int, minus_act: float, q: float) -> float:
     and clamped at 1 term by term.  All n - 1 tails come from one
     binomial tail row (see :func:`binomial_tail`), so a call costs O(n)
     vector work; the clamped terms are summed exactly with ``math.fsum``.
+    The grid pass of ``optimize_mu`` runs the same code on arrays, one
+    bound per mu.
 
     Parameters
     ----------
@@ -312,17 +369,23 @@ def phase_error_upper(group_size: int, minus_act: float, q: float) -> float:
         Detection rate of the group, in (0, 1].  A rate of exactly 0 leaves
         the bound undefined; callers must skip such groups.
     """
+    return _phase_errors(group_size, minus_act, q)[0]
+
+
+def _phase_errors(group_size: int, minus_act, q) -> list[float]:
+    # phase_error_upper at floats, or at each entry of 1-D arrays: one
+    # entry per tail row.
     if group_size < 3:
         raise ValueError(f"group size must be >= 3, got {group_size}")
-    if not 0.0 <= minus_act <= 1.0:
-        raise ValueError(f"minus_act must lie in [0, 1], got {minus_act}")
-    if not 0.0 < q <= 1.0:
-        raise ValueError(f"detection rate must lie in (0, 1], got {q}")
+    _require(minus_act, "minus_act must lie in [0, 1], got {}")
+    _require(q, "detection rate must lie in (0, 1], got {}", low=_TINIEST)
     n = group_size
     # Capping the tail at q before dividing gives the same bits as capping
-    # the ratio at 1, but cannot overflow when q is subnormal.
-    terms = np.minimum(_tail_row(n, minus_act)[: n - 1], q) / q
-    return math.fsum(terms.tolist()) / (n - 1)
+    # the ratio at 1, but cannot overflow when q is subnormal.  Transposed,
+    # a batch's rows run along the last axis, as its q does.
+    tails = _tail_row(n, minus_act)[..., : n - 1].T
+    terms = (np.minimum(tails, q) / q).T
+    return [math.fsum(row) / (n - 1) for row in terms.reshape(-1, n - 1).tolist()]
 
 
 def pa_fraction(e_ph_upper: float) -> float:
@@ -375,17 +438,56 @@ def key_rate(
     f_ec = cfg.f_ec()
     by_q: dict[float, GroupRate] = {}
     for q in q_list:
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"detection rate must lie in [0, 1], got {q}")
-        if q == 0.0:
-            by_q[q] = GroupRate(q=0.0, e_ph_upper=1.0, f_pa=1.0)
-        elif q not in by_q:
-            e_ph = phase_error_upper(cfg.group_size, bounds.minus_act, q)
-            by_q[q] = GroupRate(q=q, e_ph_upper=e_ph, f_pa=pa_fraction(e_ph))
-    per_group = tuple(by_q[q] for q in q_list)
+        _require(q, _Q_RANGE)
+        if q not in by_q:
+            e_ph = 1.0
+            if q > 0.0:
+                e_ph = phase_error_upper(cfg.group_size, bounds.minus_act, q)
+            by_q[q] = _group_rate(q, e_ph)
+    return _summed(cfg, f_ec, tuple(by_q[q] for q in q_list))
+
+
+def _key_rates(
+    cfg: ProtocolConfig, bounds: SecurityBounds, q: np.ndarray
+) -> KeyRateResult:
+    # key_rate(cfg, bounds, [q] * cfg.n_groups) for a batch of sources:
+    # bounds and the 1-D array q hold one entry per source, and so do the
+    # numbers of the result (_entry reads one out).  Every tail row comes
+    # from one 2-D array and every group's terms from one array step.
+    f_ec = cfg.f_ec()
+    _require(q, _Q_RANGE)
+    live = q > 0.0
+    e_ph = np.ones(len(q))
+    e_ph[live] = _phase_errors(cfg.group_size, bounds.minus_act[live], q[live])
+    return _summed(cfg, f_ec, (_group_rate(q, e_ph),) * cfg.n_groups)
+
+
+def _entry(batch: KeyRateResult, i: int) -> KeyRateResult:
+    # Entry i of a _key_rates result, as key_rate returns it.
+    g = batch.per_group[0]
+    group = GroupRate(g.q[i].item(), g.e_ph_upper[i].item(), g.f_pa[i].item())
+    rate = batch.rate_per_pulse[i].item()
+    return KeyRateResult((group,) * len(batch.per_group), batch.f_ec, rate)
+
+
+_Q_RANGE = "detection rate must lie in [0, 1], got {}"
+
+
+def _group_rate(q, e_ph) -> GroupRate:
+    # The caller passes e_ph = 1, the trivial bound, where q = 0; adding 0.0
+    # records a q of -0.0 as 0.0.
+    return GroupRate(q=q + 0.0, e_ph_upper=e_ph, f_pa=_each(pa_fraction, e_ph))
+
+
+def _summed(cfg: ProtocolConfig, f_ec: float, per_group: tuple) -> KeyRateResult:
     total = 0.0
     for g in per_group:
-        if g.q > 0.0:
-            total += g.q * (1.0 - f_ec - g.f_pa)
-    rate = max(0.0, total) / cfg.block_size
+        # A group without detections, with q = 0 and a finite f_ec, adds an
+        # exact zero, so the sum skips it as if it were left out.
+        total = total + g.q * (1.0 - f_ec - g.f_pa)
+    rate = _each(_clamped, total) / cfg.block_size
     return KeyRateResult(per_group=per_group, f_ec=f_ec, rate_per_pulse=rate)
+
+
+def _clamped(total: float) -> float:
+    return max(0.0, total)

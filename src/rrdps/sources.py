@@ -7,6 +7,11 @@ up to ``corr_len`` pulses.  The model maps onto a
 :class:`~rrdps.security.SourceCharacterization` through coherent-state
 overlaps, and ties into the detection side through the interferometer
 click-rate formula.
+
+``PhaseRotationModel``, ``characterize`` and ``detection_rate`` also take a
+1-D array of mu in place of one mu, which is how ``optimize_mu`` evaluates
+its whole grid in one pass; each entry is bitwise equal to the one-point
+result (see :mod:`rrdps.security`).
 """
 
 from __future__ import annotations
@@ -24,6 +29,11 @@ from .security import (
     ProtocolConfig,
     SecurityBounds,
     SourceCharacterization,
+    _LARGEST,
+    _each,
+    _entry,
+    _key_rates,
+    _require,
     _require_integer,
     key_rate,
 )
@@ -35,7 +45,8 @@ class PhaseRotationModel:
 
     A bit of value 1 encoded at some pulse rotates the phase of the pulse
     ``lag`` positions later by ``delta / 2**(lag-1)`` radians, for lags up
-    to ``corr_len``.  Kicks from several past bits add up.
+    to ``corr_len``.  Kicks from several past bits add up.  ``mu`` may be a
+    1-D array, one source per entry.
     """
 
     mu: float
@@ -43,8 +54,7 @@ class PhaseRotationModel:
     corr_len: int
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.mu < math.inf:
-            raise ValueError(f"mu must be a finite number >= 0, got {self.mu}")
+        _require(self.mu, "mu must be a finite number >= 0, got {}", high=_LARGEST)
         if not -math.inf < self.delta < math.inf:
             raise ValueError(f"delta must be finite, got {self.delta}")
         _require_integer("corr_len", self.corr_len)
@@ -69,8 +79,8 @@ def characterize(model: PhaseRotationModel) -> SourceCharacterization:
     for lag in range(1, model.corr_len + 1):
         theta = model.rotation(lag)
         # 1 - overlap^2, written with expm1 so tiny deficits keep precision
-        eps.append(-math.expm1(2.0 * model.mu * (math.cos(theta) - 1.0)))
-    p_vac = math.exp(-model.mu)
+        eps.append(-_each(math.expm1, 2.0 * model.mu * (math.cos(theta) - 1.0)))
+    p_vac = _each(math.exp, -model.mu)
     return SourceCharacterization(
         corr_len=model.corr_len, eps=tuple(eps), p_vac0=p_vac, p_vac1=p_vac
     )
@@ -87,17 +97,19 @@ def detection_rate(group_size: int, eta: float, mu: float) -> float:
         raise ValueError(f"group size must be >= 1, got {group_size}")
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"transmittance must lie in [0, 1], got {eta}")
-    if not 0.0 <= mu < math.inf:
-        raise ValueError(f"mean photon number must be a finite number >= 0, got {mu}")
+    _require(
+        mu, "mean photon number must be a finite number >= 0, got {}", high=_LARGEST
+    )
     x = group_size * eta * mu
-    return x * math.exp(-x) / 2.0
+    return x * _each(math.exp, -x) / 2.0
 
 
 def _coherent_point(
     cfg: ProtocolConfig, delta: float, eta: float, mu: float
 ) -> tuple[SecurityBounds, float]:
-    # The source bounds and the per-group detection rate at one mu, which
-    # both the analytic rate and a simulated session consume.
+    # The source bounds and the per-group detection rate at mu, or at each
+    # entry of a 1-D array of mu, which both the analytic rate and a
+    # simulated session consume.
     model = PhaseRotationModel(mu=mu, delta=delta, corr_len=cfg.corr_len)
     bounds = SecurityBounds.from_source(characterize(model))
     return bounds, detection_rate(cfg.group_size, eta, mu)
@@ -109,6 +121,15 @@ def rate_at_mu(
     """Key rate of the phase-rotation source at a fixed mean photon number."""
     bounds, q = _coherent_point(cfg, delta, eta, mu)
     return key_rate(cfg, bounds, [q] * cfg.n_groups)
+
+
+def _grid_rates(
+    cfg: ProtocolConfig, delta: float, eta: float, mu: np.ndarray
+) -> KeyRateResult:
+    # rate_at_mu at every entry of the 1-D array mu, in one array pass, as
+    # one result of arrays (see security._entry).
+    bounds, q = _coherent_point(cfg, delta, eta, mu)
+    return _key_rates(cfg, bounds, q)
 
 
 # scipy.optimize.golden's constants and default xtol (sqrt of the double
@@ -163,19 +184,22 @@ def optimize_mu(
 ) -> tuple[float, KeyRateResult]:
     """Maximize the key rate over the mean photon number.
 
-    Scans a fixed grid of ``MU_GRID_POINTS`` (200) log-spaced mu from
-    ``MU_MIN`` (1e-6) to ``MU_MAX`` (10) and refines the best interior
-    point by golden-section search on its bracketing interval.  If
-    no grid point yields a positive rate the grid optimum is returned as is,
-    with rate 0.  Deterministic; grid points may be evaluated in any order.
+    Evaluates a fixed grid of ``MU_GRID_POINTS`` (200) log-spaced mu from
+    ``MU_MIN`` (1e-6) to ``MU_MAX`` (10) in one array pass, each point
+    bitwise equal to ``rate_at_mu`` there, and refines the best interior
+    point by golden-section search on its bracketing interval, one
+    ``rate_at_mu`` call per iterate.  If no grid point yields a positive
+    rate the grid optimum is returned as is, with rate 0.  Deterministic.
 
     The refinement reproduces the iterates of ``scipy.optimize.golden`` at
     its default ``xtol`` of 1.4901161193847656e-08 bit for bit, without
     importing ``scipy.optimize``; it stops once the bracket is about 1.5e-8
     of mu wide.  In an optimised row, digits of ``mu``, ``q``,
     ``e_ph_upper`` and ``f_pa`` past about the 8th significant one therefore
-    follow rounding, not the optimum.  Each mu is evaluated once, except the
-    grid's best point, which the search re-evaluates as scipy does.
+    follow rounding, not the optimum.  The search re-evaluates the grid's
+    best point as scipy does, and no other point twice.
+
+    Every argument is checked before any rate is evaluated.
 
     Returns
     -------
@@ -189,11 +213,19 @@ def optimize_mu(
         f_ec_mode=f_ec_mode,
         f_ec_fixed=f_ec_fixed,
     )
-    grid = [float(mu) for mu in np.geomspace(MU_MIN, MU_MAX, MU_GRID_POINTS)]
-    results = [rate_at_mu(cfg, delta, eta, mu) for mu in grid]
-    rates = np.array([res.rate_per_pulse for res in results])
+    return _optimize(cfg, delta, eta)
+
+
+def _optimize(
+    cfg: ProtocolConfig, delta: float, eta: float
+) -> tuple[float, KeyRateResult]:
+    # optimize_mu on a checked protocol; the CLI's entry point.
+    mus = np.geomspace(MU_MIN, MU_MAX, MU_GRID_POINTS)
+    batch = _grid_rates(cfg, delta, eta, mus)
+    rates = batch.rate_per_pulse
     best = int(np.argmax(rates))
-    mu_opt, result = grid[best], results[best]
+    grid = mus.tolist()
+    mu_opt, result = grid[best], _entry(batch, best)
     if rates[best] > 0.0 and 0 < best < len(grid) - 1:
         if rates[best] > rates[best - 1] and rates[best] > rates[best + 1]:
             searched = {}

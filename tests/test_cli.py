@@ -415,7 +415,7 @@ def test_config_errors_precede_rate_evaluation(tmp_path, monkeypatch, capsys):
     def evaluated(*args, **kwargs):
         raise AssertionError("a rate was evaluated before the config was checked")
 
-    entries = ("optimize_mu", "rate_at_mu", "_coherent_point", "key_rate", "run_simulation")
+    entries = ("_optimize", "rate_at_mu", "_coherent_point", "key_rate", "run_simulation")
     for entry in entries:
         monkeypatch.setattr(cli, entry, evaluated)
     for i, (command, payload) in enumerate(LATE_ERRORS):

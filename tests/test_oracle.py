@@ -584,6 +584,28 @@ class TestCampaigns:
         assert camp.lines()[-1] == "summary trials=5 failed=0 status=PASS"
 
     @pytest.mark.parametrize(
+        "flags", [[], ["--fault-injection"]], ids=["clean", "injected"]
+    )
+    def test_report_evaluates_each_verdict_once(self, monkeypatch, tmp_path, flags):
+        # Each evaluation of passed re-derives the caps, so a report, its
+        # summary and the command's exit status share one per check.
+        from rrdps import cli
+
+        evaluations = []
+        real = orc.ProofChainCheck.passed
+
+        def counted(check):
+            evaluations.append(check.trial)
+            return real.fget(check)
+
+        monkeypatch.setattr(orc.ProofChainCheck, "passed", property(counted))
+        out = tmp_path / "report.txt"
+        args = ["oracle", "--trials", "30", "--seed", "3", *flags, "--out", str(out)]
+        assert cli.main(args) == 0
+        assert sorted(evaluations) == list(range(30))
+        assert "summary trials=30" in out.read_text()
+
+    @pytest.mark.parametrize(
         "bad",
         [
             {"n_trials": 0},

@@ -275,6 +275,7 @@ class TestProtocolConfig:
             ("corr_len", 0.5),
             ("corr_len", True),
             ("f_ec_fixed", math.nan),
+            ("f_ec_fixed", math.inf),
         ],
     )
     def test_rejects_non_integer_or_nan(self, field, value):

@@ -201,6 +201,70 @@ class TestOptimizeMu:
         mu_opt, res = src.optimize_mu(16, 1, 0.2, 0.3, 0.03)
         assert res == src.rate_at_mu(cfg, 0.2, 0.3, mu_opt)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((16, 1, math.nan, 0.3), "delta must be finite, got nan"),
+            ((16, 1, math.inf, 0.3), "delta must be finite, got inf"),
+            ((16, 1, -math.inf, 0.3), "delta must be finite, got -inf"),
+            ((16, 1, 0.2, math.nan), "transmittance must lie in [0, 1], got nan"),
+            ((16, 1, 0.2, -0.1), "transmittance must lie in [0, 1], got -0.1"),
+            ((16, 1, 0.2, 1.5), "transmittance must lie in [0, 1], got 1.5"),
+            ((2, 1, 0.2, 0.3), "group size must be >= 3, got 2"),
+        ],
+        ids=["delta-nan", "delta-inf", "delta-minus-inf", "eta-nan", "eta-negative",
+             "eta-above-one", "group-size-2"],
+    )
+    def test_bad_input_is_rejected_before_any_rate(self, monkeypatch, args, message):
+        # The messages are the ones the per-mu grid raised at its first point.
+        def evaluated(*_):
+            raise AssertionError("a rate was evaluated before the input was checked")
+
+        monkeypatch.setattr(sec, "_tail_row", evaluated)
+        monkeypatch.setattr(sec, "_phase_errors", evaluated)
+        with pytest.raises(ValueError) as err:
+            src.optimize_mu(*args, 0.03)
+        assert str(err.value) == message
+
+
+class TestGridBatch:
+    """One array pass over the grid against a per-mu loop of rate_at_mu."""
+
+    @pytest.mark.parametrize("eta", [0.0, 0.03, 1.0])
+    @pytest.mark.parametrize("delta", [0.0, 0.2, 3.0])
+    @pytest.mark.parametrize("corr_len", [0, 10])
+    @pytest.mark.parametrize("group_size", [3, 32, 1024])
+    def test_bitwise_equal_to_per_mu_loop(self, group_size, corr_len, delta, eta):
+        cfg = sec.ProtocolConfig(group_size=group_size, corr_len=corr_len, e_bit=0.03)
+        grid = np.geomspace(src.MU_MIN, src.MU_MAX, src.MU_GRID_POINTS)
+        reference = [src.rate_at_mu(cfg, delta, eta, mu) for mu in grid.tolist()]
+        batch = src._grid_rates(cfg, delta, eta, grid)
+        got = [sec._entry(batch, i) for i in range(len(grid))]
+        assert got == reference
+        # repr tells -0.0 from 0.0 and an int from a float, which == does not.
+        assert [repr(r) for r in got] == [repr(r) for r in reference]
+        assert batch.rate_per_pulse.tolist() == [r.rate_per_pulse for r in reference]
+
+    def test_source_front_rounds_as_libm(self):
+        # numpy's exp and expm1 differ from libm in the last bit on some
+        # inputs, for floats and arrays alike, so the comparison above
+        # cannot see them swapped in; pin the libm values instead.
+        mu = np.geomspace(src.MU_MIN, src.MU_MAX, src.MU_GRID_POINTS)
+        for point in (mu, *mu.tolist()[::20]):
+            model = src.PhaseRotationModel(mu=point, delta=0.7, corr_len=4)
+            char = src.characterize(model)
+            mus = np.atleast_1d(point).tolist()
+            for lag, eps in enumerate(char.eps, start=1):
+                c = math.cos(0.7 / 2 ** (lag - 1)) - 1.0
+                assert np.atleast_1d(eps).tolist() == [
+                    -math.expm1(2.0 * m * c) for m in mus
+                ]
+            assert np.atleast_1d(char.p_vac0).tolist() == [math.exp(-m) for m in mus]
+            xs = [32 * 0.2 * m for m in mus]
+            assert np.atleast_1d(src.detection_rate(32, 0.2, point)).tolist() == [
+                x * math.exp(-x) / 2.0 for x in xs
+            ]
+
 
 # The README keyrate config: group size 32, delta 0.2, e_bit 0.03.
 README_ROWS = [
@@ -239,7 +303,7 @@ class TestGoldenSection:
         )
 
     def test_readme_rows_match_scipy(self, monkeypatch):
-        real_golden, real_rate = src._golden, src.rate_at_mu
+        real_golden, real_rate, real_grid = src._golden, src.rate_at_mu, src._grid_rates
         searches = []  # (objective, bracket, rate evaluations in the search)
         n_rate = 0
 
@@ -248,6 +312,12 @@ class TestGoldenSection:
             n_rate += 1
             return real_rate(*args)
 
+        def count_grid(cfg, delta, eta, mu):
+            # One array pass evaluates every grid mu.
+            nonlocal n_rate
+            n_rate += len(mu)
+            return real_grid(cfg, delta, eta, mu)
+
         def record_golden(func, *brack):
             start = n_rate
             x = real_golden(func, *brack)
@@ -255,6 +325,7 @@ class TestGoldenSection:
             return x
 
         monkeypatch.setattr(src, "rate_at_mu", count_rate)
+        monkeypatch.setattr(src, "_grid_rates", count_grid)
         monkeypatch.setattr(src, "_golden", record_golden)
         for corr_len, eta in README_ROWS:
             start = n_rate
