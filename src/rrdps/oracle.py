@@ -41,6 +41,8 @@ import numpy as np
 from .security import (
     SecurityBounds,
     SourceCharacterization,
+    _LARGEST,
+    _require,
     _require_integer,
     a1_floor,
     fidelity_bound,
@@ -413,6 +415,7 @@ def random_family(
         _require_integer(name, value)
     if corr_len < 0 or fock_dim < 2:
         raise ValueError(f"need corr_len >= 0 and fock_dim >= 2, got {sizes}")
+    _require_integer("seed", seed, 0)
     if style not in ("perturbed", "free"):
         raise ValueError(f"unknown family style {style!r}")
     rng = np.random.default_rng(seed)
@@ -521,21 +524,14 @@ def run_family_campaign(
     correlations and must trip the checks.  Every argument is checked
     before the first trial, the largest family against ``MAX_STATE_DIM``.
     """
-    for name, value in (
-        ("n_trials", n_trials), ("max_pulses", max_pulses), ("max_fock", max_fock)
-    ):
-        _require_integer(name, value)
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    if max_pulses < 2:
-        raise ValueError(f"max_pulses must be >= 2, got {max_pulses}")
-    if max_fock < 6:
-        # Coherent families keep at least 6 Fock levels.
-        raise ValueError(f"max_fock must be >= 6, got {max_fock}")
-    if eps_scale is not None and (
-        isinstance(eps_scale, bool) or not 0.0 <= eps_scale < math.inf
-    ):
-        raise ValueError(f"eps_scale must be a finite number >= 0, got {eps_scale}")
+    _require_integer("n_trials", n_trials, 1)
+    _require_integer("seed", seed, 0)
+    _require_integer("max_pulses", max_pulses, 2)
+    # Coherent families keep at least 6 Fock levels.
+    _require_integer("max_fock", max_fock, 6)
+    if eps_scale is not None:
+        message = "eps_scale must be a finite number >= 0, got {}"
+        _require(eps_scale, message, high=_LARGEST)
     dim = (2 * max_fock) ** max_pulses
     if dim > MAX_STATE_DIM:
         raise ValueError(
@@ -612,11 +608,10 @@ def verify_fidelity_proposition(
     its overlap falls below the floor by more than ``FIDELITY_TOL``.
     """
     _require_integer("dim", dim)
-    _require_integer("n_trials", n_trials)
     if dim < 2:
         raise ValueError(f"need dimension >= 2, got {dim}")
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    _require_integer("n_trials", n_trials, 1)
+    _require_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     failed = 0
     worst = math.inf

@@ -12,12 +12,13 @@ concurrent use.
 
 The source-side bounds (``SourceCharacterization``, the floors derived from
 it and ``SecurityBounds``) also take equal-length 1-D arrays in place of
-floats, one entry per source, and ``_key_rates`` evaluates the rate of every
-entry at once.  A batch runs its arithmetic on numpy, which rounds exactly as
-float arithmetic does, but makes every libm call and every branch entry by
-entry (``_each``), so that each entry is bitwise equal to a one-point call.
-A one-point rate costs some tens of microseconds, most of it Python and
-numpy call overhead that a batch pays once per array.
+floats, one entry per source; given such bounds and array detection
+rates, ``key_rate`` evaluates the rate of every entry at once.  A batch runs
+its arithmetic on numpy, which rounds exactly as float arithmetic does, but
+makes every libm call and every branch entry by entry (``_each``), so that
+each entry is bitwise equal to a one-point call.  A one-point rate costs
+some tens of microseconds, most of it Python and numpy call overhead that a
+batch pays once per array.
 """
 
 from __future__ import annotations
@@ -46,14 +47,14 @@ def _each(f, x, *more):
 
 def _require(value, message: str, low: float = 0.0, high: float = 1.0) -> None:
     """Raise ``ValueError(message.format(v))`` for the first entry ``v`` of
-    ``value``, a float or an array, outside ``[low, high]``; NaN is outside."""
-    if not isinstance(value, np.ndarray):
-        if not low <= value <= high:
-            raise ValueError(message.format(value))
-        return
-    inside = (low <= value) & (value <= high)
-    if not inside.all():
-        raise ValueError(message.format(value[np.argmin(inside)].item()))
+    ``value``, a float or an array, outside ``[low, high]``; NaN is outside,
+    and so is a bool, which is an int but no number of this package."""
+    if isinstance(value, np.ndarray):
+        inside = (low <= value) & (value <= high)
+        if not inside.all():
+            raise ValueError(message.format(value[np.argmin(inside)].item()))
+    elif isinstance(value, bool) or not low <= value <= high:
+        raise ValueError(message.format(value))
 
 
 # v >= _TINIEST exactly when v > 0, and v <= _LARGEST exactly when v < inf,
@@ -68,9 +69,13 @@ def binary_entropy(x: float) -> float:
     Returns ``-x*log2(x) - (1-x)*log2(1-x)`` for ``x`` in [0, 0.5] (with
     the limit value 0 at x = 0) and returns 1.0 for any ``x`` above 0.5,
     so the privacy-amplification cost never decreases past the midpoint.
+    A 1-D array ``x`` gives an array, entry by entry.
     """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"entropy argument must lie in [0, 1], got {x}")
+    _require(x, "entropy argument must lie in [0, 1], got {}")
+    return _each(_entropy, x)
+
+
+def _entropy(x: float) -> float:
     if x > 0.5:
         return 1.0
     if x == 0.0:
@@ -102,10 +107,12 @@ def transfer_bound(x: float, y: float) -> float:
     float
         The transferred probability bound, in [max(x, 1 - y^2), 1].
     """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"probability bound must lie in [0, 1], got {x}")
-    if not 0.0 <= y <= 1.0:
-        raise ValueError(f"overlap bound must lie in [0, 1], got {y}")
+    _require(x, "probability bound must lie in [0, 1], got {}")
+    _require(y, "overlap bound must lie in [0, 1], got {}")
+    return _transfer(x, y)
+
+
+def _transfer(x: float, y: float) -> float:
     if x > y * y:
         return 1.0
     comp = 1.0 - y * y
@@ -168,12 +175,13 @@ def binomial_tail(n: int, s: int, p: float) -> float:
     p : float
         Per-trial success probability in [0, 1].
     """
+    _require_integer("n", n)
+    _require_integer("s", s)
     if n < 1:
         raise ValueError(f"need at least one trial, got n={n}")
     if not 0 <= s <= n - 1:
         raise ValueError(f"threshold must lie in [0, {n - 1}], got s={s}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"success probability must lie in [0, 1], got {p}")
+    _require(p, "success probability must lie in [0, 1], got {}")
     return float(_tail_row(n, p)[s])
 
 
@@ -185,8 +193,8 @@ def vacuum_fidelity_bound(p_vac_a: float, p_vac_b: float) -> float:
     ``2*sqrt(p_vac_a*p_vac_b) - 1``; the bound degrades to the trivial 0
     when the vacuum weights are too small to constrain anything.
     """
-    if not 0.0 <= p_vac_a <= 1.0 or not 0.0 <= p_vac_b <= 1.0:
-        raise ValueError("vacuum probabilities must lie in [0, 1]")
+    for p_vac in (p_vac_a, p_vac_b):
+        _require(p_vac, "vacuum probabilities must lie in [0, 1]")
     return max(0.0, 2.0 * math.sqrt(p_vac_a * p_vac_b) - 1.0)
 
 
@@ -284,17 +292,20 @@ class SecurityBounds:
 
     @property
     def minus_act(self) -> float:
-        return _each(transfer_bound, self.minus_ref, self.fidelity)
+        # transfer_bound without its checks, which __post_init__ has made.
+        return _each(_transfer, self.minus_ref, self.fidelity)
 
     @classmethod
     def from_source(cls, source: SourceCharacterization) -> "SecurityBounds":
         return cls(minus_ref=minus_ref_bound(source), fidelity=fidelity_bound(source))
 
 
-def _require_integer(name: str, value) -> None:
+def _require_integer(name: str, value, low: Optional[int] = None) -> None:
     # bool is an int subclass, but True is no group size.
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -319,17 +330,16 @@ class ProtocolConfig:
             raise ValueError(f"group size must be >= 3, got {self.group_size}")
         if self.corr_len < 0:
             raise ValueError(f"correlation length must be >= 0, got {self.corr_len}")
-        if not 0.0 <= self.e_bit <= 0.5:
-            raise ValueError(f"bit error rate must lie in [0, 0.5], got {self.e_bit}")
+        _require(self.e_bit, "bit error rate must lie in [0, 0.5], got {}", high=0.5)
         if self.f_ec_mode not in ("shannon", "fixed"):
             raise ValueError(
                 f"f_ec_mode must be 'shannon' or 'fixed', got {self.f_ec_mode!r}"
             )
         if self.f_ec_mode == "fixed":
-            if self.f_ec_fixed is None or not 0.0 <= self.f_ec_fixed < math.inf:
-                raise ValueError(
-                    "fixed error-correction mode needs a finite f_ec_fixed >= 0"
-                )
+            # A missing value fails as NaN does.
+            fixed = math.nan if self.f_ec_fixed is None else self.f_ec_fixed
+            message = "fixed error-correction mode needs a finite f_ec_fixed >= 0"
+            _require(fixed, message, high=_LARGEST)
         elif self.f_ec_fixed is not None:
             raise ValueError("f_ec_fixed only applies when f_ec_mode='fixed'")
 
@@ -344,7 +354,8 @@ class ProtocolConfig:
     def f_ec(self) -> float:
         if self.f_ec_mode == "fixed":
             return float(self.f_ec_fixed)  # type: ignore[arg-type]
-        return binary_entropy(self.e_bit)
+        # binary_entropy without its check, which __post_init__ has made.
+        return _entropy(self.e_bit)
 
 
 def phase_error_upper(group_size: int, minus_act: float, q: float) -> float:
@@ -375,6 +386,7 @@ def phase_error_upper(group_size: int, minus_act: float, q: float) -> float:
 def _phase_errors(group_size: int, minus_act, q) -> list[float]:
     # phase_error_upper at floats, or at each entry of 1-D arrays: one
     # entry per tail row.
+    _require_integer("group_size", group_size)
     if group_size < 3:
         raise ValueError(f"group size must be >= 3, got {group_size}")
     _require(minus_act, "minus_act must lie in [0, 1], got {}")
@@ -418,16 +430,23 @@ def key_rate(
     block size; a negative total clamps to zero rather than erroring.
     Groups with ``q_w = 0`` contribute nothing and skip the phase-error
     evaluation (their per-group record conservatively carries the trivial
-    bound 1).  The bound depends on a group only through ``q_w``, so it is
-    evaluated once per distinct detection rate and shared by the groups
-    that have it.
+    bound 1, so ``f_pa_w = 1``).  The bound depends on a group only through
+    ``q_w``, so it is evaluated once per distinct detection rate and shared
+    by the groups that have it.
+
+    The batch form prices many sources at once: ``bounds`` built from a
+    batch of sources, and each group's rate a 1-D array with one entry per
+    source.  Every number of the result is then such an array, and each
+    entry is bitwise equal to the one-point rate of its source (``_entry``
+    reads one out).  An array is evaluated once per object, so passing the
+    same array for every group builds each source's tail row once.
 
     Parameters
     ----------
     cfg : ProtocolConfig
     bounds : SecurityBounds
         Source-side bounds; only ``minus_act`` enters the phase-error tail.
-    q_list : sequence of float
+    q_list : sequence of float or of 1-D arrays
         Detection rate per group; must have ``corr_len + 1`` entries.
     """
     if len(q_list) != cfg.n_groups:
@@ -436,57 +455,44 @@ def key_rate(
             f"got {len(q_list)}"
         )
     f_ec = cfg.f_ec()
-    by_q: dict[float, GroupRate] = {}
-    for q in q_list:
-        _require(q, _Q_RANGE)
-        if q not in by_q:
-            e_ph = 1.0
-            if q > 0.0:
-                e_ph = phase_error_upper(cfg.group_size, bounds.minus_act, q)
-            by_q[q] = _group_rate(q, e_ph)
-    return _summed(cfg, f_ec, tuple(by_q[q] for q in q_list))
-
-
-def _key_rates(
-    cfg: ProtocolConfig, bounds: SecurityBounds, q: np.ndarray
-) -> KeyRateResult:
-    # key_rate(cfg, bounds, [q] * cfg.n_groups) for a batch of sources:
-    # bounds and the 1-D array q hold one entry per source, and so do the
-    # numbers of the result (_entry reads one out).  Every tail row comes
-    # from one 2-D array and every group's terms from one array step.
-    f_ec = cfg.f_ec()
-    _require(q, _Q_RANGE)
-    live = q > 0.0
-    e_ph = np.ones(len(q))
-    e_ph[live] = _phase_errors(cfg.group_size, bounds.minus_act[live], q[live])
-    return _summed(cfg, f_ec, (_group_rate(q, e_ph),) * cfg.n_groups)
-
-
-def _entry(batch: KeyRateResult, i: int) -> KeyRateResult:
-    # Entry i of a _key_rates result, as key_rate returns it.
-    g = batch.per_group[0]
-    group = GroupRate(g.q[i].item(), g.e_ph_upper[i].item(), g.f_pa[i].item())
-    rate = batch.rate_per_pulse[i].item()
-    return KeyRateResult((group,) * len(batch.per_group), batch.f_ec, rate)
-
-
-_Q_RANGE = "detection rate must lie in [0, 1], got {}"
-
-
-def _group_rate(q, e_ph) -> GroupRate:
-    # The caller passes e_ph = 1, the trivial bound, where q = 0; adding 0.0
-    # records a q of -0.0 as 0.0.
-    return GroupRate(q=q + 0.0, e_ph_upper=e_ph, f_pa=_each(pa_fraction, e_ph))
-
-
-def _summed(cfg: ProtocolConfig, f_ec: float, per_group: tuple) -> KeyRateResult:
+    by_q: dict = {}
+    per_group = []
     total = 0.0
-    for g in per_group:
+    for q in q_list:
+        # An array is keyed by identity, a float by value.
+        key = (id(q),) if isinstance(q, np.ndarray) else q
+        if key not in by_q:
+            by_q[key] = _group_rate(cfg.group_size, bounds, q)
+        g = by_q[key]
+        per_group.append(g)
         # A group without detections, with q = 0 and a finite f_ec, adds an
         # exact zero, so the sum skips it as if it were left out.
         total = total + g.q * (1.0 - f_ec - g.f_pa)
     rate = _each(_clamped, total) / cfg.block_size
-    return KeyRateResult(per_group=per_group, f_ec=f_ec, rate_per_pulse=rate)
+    return KeyRateResult(per_group=tuple(per_group), f_ec=f_ec, rate_per_pulse=rate)
+
+
+def _entry(batch: KeyRateResult, i: int) -> KeyRateResult:
+    # Entry i of a batch key_rate result, as a one-point key_rate returns it.
+    per_group = tuple(
+        GroupRate(g.q[i].item(), g.e_ph_upper[i].item(), g.f_pa[i].item())
+        for g in batch.per_group
+    )
+    return KeyRateResult(per_group, batch.f_ec, batch.rate_per_pulse[i].item())
+
+
+def _group_rate(group_size: int, bounds: SecurityBounds, q) -> GroupRate:
+    # One group at detection rate q, a float or a batch's 1-D array.  Where
+    # q = 0 the bound is skipped for the trivial e_ph = 1; adding 0.0
+    # records a q of -0.0 as 0.0.
+    _require(q, "detection rate must lie in [0, 1], got {}")
+    if not isinstance(q, np.ndarray):
+        e_ph = phase_error_upper(group_size, bounds.minus_act, q) if q > 0.0 else 1.0
+    else:
+        live = q > 0.0
+        e_ph = np.ones(len(q))
+        e_ph[live] = _phase_errors(group_size, bounds.minus_act[live], q[live])
+    return GroupRate(q=q + 0.0, e_ph_upper=e_ph, f_pa=pa_fraction(e_ph))
 
 
 def _clamped(total: float) -> float:

@@ -30,10 +30,10 @@ import numpy as np
 from .security import (
     ProtocolConfig,
     SecurityBounds,
+    _require,
     _require_integer,
     binary_entropy,
-    pa_fraction,
-    phase_error_upper,
+    key_rate,
 )
 from .sources import _coherent_point
 
@@ -117,14 +117,9 @@ def _below(words: np.ndarray, p: float) -> np.ndarray:
 
 
 def _check_run_args(q_success: float, n_blocks: int, seed: int) -> None:
-    if not 0.0 <= q_success <= 1.0:
-        raise ValueError(f"q_success must lie in [0, 1], got {q_success}")
-    _require_integer("n_blocks", n_blocks)
-    _require_integer("seed", seed)
-    if n_blocks < 1:
-        raise ValueError(f"n_blocks must be >= 1, got {n_blocks}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    _require(q_success, "q_success must lie in [0, 1], got {}")
+    _require_integer("n_blocks", n_blocks, 1)
+    _require_integer("seed", seed, 0)
 
 
 def iter_block_records(
@@ -215,10 +210,10 @@ def run_simulation(
     """Simulate a session and size the extractable key from its counts.
 
     Error correction is priced at the observed error rate (or the fixed
-    override), privacy amplification at the phase-error bound evaluated on
-    each group's observed success rate.  Groups without successes
-    contribute nothing.  The final length is clamped at zero and floored
-    to an integer.
+    override), privacy amplification at the per-group bounds that
+    ``key_rate`` gives for the observed success rates ``q_hat``.  Groups
+    without successes contribute nothing.  The final length is clamped at
+    zero and floored to an integer.
     """
     _check_run_args(q_success, n_blocks, seed)
     n_success = np.zeros(cfg.n_groups, dtype=np.int64)
@@ -240,19 +235,11 @@ def run_simulation(
     else:
         f_ec = binary_entropy(e_hat)
     q_hat = tuple(float(n) / n_blocks for n in n_success)
-    e_ph = []
-    f_pa = []
+    per_group = key_rate(cfg, bounds, q_hat).per_group
     secret = 0.0
-    for w in range(cfg.n_groups):
-        if n_success[w] == 0:
-            e_ph.append(1.0)
-            f_pa.append(1.0)
-            continue
-        e = phase_error_upper(cfg.group_size, bounds.minus_act, q_hat[w])
-        f = pa_fraction(e)
-        e_ph.append(e)
-        f_pa.append(f)
-        secret += n_success[w] * (1.0 - f_ec - f)
+    for n, g in zip(n_success.tolist(), per_group):
+        # A dark group adds an exact zero, as f_ec is finite.
+        secret = secret + n * (1.0 - f_ec - g.f_pa)
     return SimResult(
         n_blocks=n_blocks,
         seed=seed,
@@ -264,8 +251,8 @@ def run_simulation(
         q_hat=q_hat,
         e_bit_hat=e_hat,
         f_ec=f_ec,
-        e_ph_upper=tuple(e_ph),
-        f_pa=tuple(f_pa),
+        e_ph_upper=tuple(g.e_ph_upper for g in per_group),
+        f_pa=tuple(g.f_pa for g in per_group),
         key_length=int(math.floor(max(0.0, secret))),
     )
 

@@ -8,10 +8,10 @@ up to ``corr_len`` pulses.  The model maps onto a
 overlaps, and ties into the detection side through the interferometer
 click-rate formula.
 
-``PhaseRotationModel``, ``characterize`` and ``detection_rate`` also take a
-1-D array of mu in place of one mu, which is how ``optimize_mu`` evaluates
-its whole grid in one pass; each entry is bitwise equal to the one-point
-result (see :mod:`rrdps.security`).
+``PhaseRotationModel``, ``characterize``, ``detection_rate`` and
+``rate_at_mu`` also take a 1-D array of mu in place of one mu, which is how
+``optimize_mu`` evaluates its whole grid in one pass; each entry is bitwise
+equal to the one-point result (see :mod:`rrdps.security`).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .security import (
     _LARGEST,
     _each,
     _entry,
-    _key_rates,
     _require,
     _require_integer,
     key_rate,
@@ -55,8 +54,7 @@ class PhaseRotationModel:
 
     def __post_init__(self) -> None:
         _require(self.mu, "mu must be a finite number >= 0, got {}", high=_LARGEST)
-        if not -math.inf < self.delta < math.inf:
-            raise ValueError(f"delta must be finite, got {self.delta}")
+        _require(self.delta, "delta must be finite, got {}", -_LARGEST, _LARGEST)
         _require_integer("corr_len", self.corr_len)
         if self.corr_len < 0:
             raise ValueError(f"correlation length must be >= 0, got {self.corr_len}")
@@ -95,8 +93,7 @@ def detection_rate(group_size: int, eta: float, mu: float) -> float:
     _require_integer("group_size", group_size)
     if group_size < 1:
         raise ValueError(f"group size must be >= 1, got {group_size}")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"transmittance must lie in [0, 1], got {eta}")
+    _require(eta, "transmittance must lie in [0, 1], got {}")
     _require(
         mu, "mean photon number must be a finite number >= 0, got {}", high=_LARGEST
     )
@@ -118,18 +115,14 @@ def _coherent_point(
 def rate_at_mu(
     cfg: ProtocolConfig, delta: float, eta: float, mu: float
 ) -> KeyRateResult:
-    """Key rate of the phase-rotation source at a fixed mean photon number."""
+    """Key rate of the phase-rotation source at a fixed mean photon number.
+
+    Given a 1-D array of mu, prices every entry in one array pass through
+    the batch form of ``key_rate``: the result's numbers are arrays with one
+    entry per mu, each bitwise equal to the one-point rate there.
+    """
     bounds, q = _coherent_point(cfg, delta, eta, mu)
     return key_rate(cfg, bounds, [q] * cfg.n_groups)
-
-
-def _grid_rates(
-    cfg: ProtocolConfig, delta: float, eta: float, mu: np.ndarray
-) -> KeyRateResult:
-    # rate_at_mu at every entry of the 1-D array mu, in one array pass, as
-    # one result of arrays (see security._entry).
-    bounds, q = _coherent_point(cfg, delta, eta, mu)
-    return _key_rates(cfg, bounds, q)
 
 
 # scipy.optimize.golden's constants and default xtol (sqrt of the double
@@ -185,11 +178,12 @@ def optimize_mu(
     """Maximize the key rate over the mean photon number.
 
     Evaluates a fixed grid of ``MU_GRID_POINTS`` (200) log-spaced mu from
-    ``MU_MIN`` (1e-6) to ``MU_MAX`` (10) in one array pass, each point
-    bitwise equal to ``rate_at_mu`` there, and refines the best interior
-    point by golden-section search on its bracketing interval, one
-    ``rate_at_mu`` call per iterate.  If no grid point yields a positive
-    rate the grid optimum is returned as is, with rate 0.  Deterministic.
+    ``MU_MIN`` (1e-6) to ``MU_MAX`` (10) in one ``rate_at_mu`` call on the
+    array, each point bitwise equal to the one-point rate, and refines the
+    best interior point by golden-section search on its bracketing
+    interval, one ``rate_at_mu`` call per iterate.  If no grid point yields
+    a positive rate the grid optimum is returned as is, with rate 0.
+    Deterministic.
 
     The refinement reproduces the iterates of ``scipy.optimize.golden`` at
     its default ``xtol`` of 1.4901161193847656e-08 bit for bit, without
@@ -221,7 +215,7 @@ def _optimize(
 ) -> tuple[float, KeyRateResult]:
     # optimize_mu on a checked protocol; the CLI's entry point.
     mus = np.geomspace(MU_MIN, MU_MAX, MU_GRID_POINTS)
-    batch = _grid_rates(cfg, delta, eta, mus)
+    batch = rate_at_mu(cfg, delta, eta, mus)
     rates = batch.rate_per_pulse
     best = int(np.argmax(rates))
     grid = mus.tolist()

@@ -163,6 +163,23 @@ class TestRunSimulation:
             assert res.e_ph_upper[w] == want
             assert res.f_pa[w] == sec.pa_fraction(want)
 
+    @pytest.mark.parametrize(
+        "group_size, corr_len, q_success, n_blocks, seed",
+        [(8, 3, 0.01, 100, 0), (32, 10, 0.116, 20000, 1)],
+        ids=["dark-group", "corr-len-10"],
+    )
+    def test_group_bounds_are_key_rates(
+        self, group_size, corr_len, q_success, n_blocks, seed
+    ):
+        cfg = sec.ProtocolConfig(group_size=group_size, corr_len=corr_len, e_bit=0.03)
+        bounds = _bounds(0.05, 0.2, corr_len)
+        res = sim.run_simulation(cfg, bounds, q_success, n_blocks, seed)
+        if corr_len == 3:
+            assert 0 in res.n_success and max(res.n_success) > 0
+        per_group = sec.key_rate(cfg, bounds, res.q_hat).per_group
+        assert res.e_ph_upper == tuple(g.e_ph_upper for g in per_group)
+        assert res.f_pa == tuple(g.f_pa for g in per_group)
+
     def test_clean_channel_has_no_errors(self):
         cfg = sec.ProtocolConfig(group_size=8, corr_len=1, e_bit=0.0)
         res = sim.run_simulation(cfg, _bounds(0.2, 0.1, 1), 0.5, 400, seed=2)

@@ -238,7 +238,7 @@ class TestGridBatch:
         cfg = sec.ProtocolConfig(group_size=group_size, corr_len=corr_len, e_bit=0.03)
         grid = np.geomspace(src.MU_MIN, src.MU_MAX, src.MU_GRID_POINTS)
         reference = [src.rate_at_mu(cfg, delta, eta, mu) for mu in grid.tolist()]
-        batch = src._grid_rates(cfg, delta, eta, grid)
+        batch = src.rate_at_mu(cfg, delta, eta, grid)
         got = [sec._entry(batch, i) for i in range(len(grid))]
         assert got == reference
         # repr tells -0.0 from 0.0 and an int from a float, which == does not.
@@ -303,20 +303,15 @@ class TestGoldenSection:
         )
 
     def test_readme_rows_match_scipy(self, monkeypatch):
-        real_golden, real_rate, real_grid = src._golden, src.rate_at_mu, src._grid_rates
+        real_golden, real_rate = src._golden, src.rate_at_mu
         searches = []  # (objective, bracket, rate evaluations in the search)
         n_rate = 0
 
-        def count_rate(*args):
+        def count_rate(cfg, delta, eta, mu):
+            # An array pass evaluates every mu of the array.
             nonlocal n_rate
-            n_rate += 1
-            return real_rate(*args)
-
-        def count_grid(cfg, delta, eta, mu):
-            # One array pass evaluates every grid mu.
-            nonlocal n_rate
-            n_rate += len(mu)
-            return real_grid(cfg, delta, eta, mu)
+            n_rate += np.size(mu)
+            return real_rate(cfg, delta, eta, mu)
 
         def record_golden(func, *brack):
             start = n_rate
@@ -325,7 +320,6 @@ class TestGoldenSection:
             return x
 
         monkeypatch.setattr(src, "rate_at_mu", count_rate)
-        monkeypatch.setattr(src, "_grid_rates", count_grid)
         monkeypatch.setattr(src, "_golden", record_golden)
         for corr_len, eta in README_ROWS:
             start = n_rate
