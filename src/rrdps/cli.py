@@ -339,11 +339,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    flags = f"--trials {args.trials} --pulses {args.pulses} --fock {args.fock}"
+    flags = f"--trials {args.trials} --seed {args.seed} --pulses {args.pulses}"
+    flags += f" --fock {args.fock}"
     if args.fault_injection is not None:
         flags += f" --fault-injection {args.fault_injection}"
-    if args.seed < 0:
-        raise ValueError(f"--seed {args.seed}: seed must be >= 0")
     try:
         campaign = run_family_campaign(
             n_trials=args.trials,

@@ -24,10 +24,11 @@ the window overlaps enter the tail overlap by their moduli, which is
 what the alignment makes them; so the stored family vectors may carry
 arbitrary phases, and the tail overlap is real and nonnegative.
 
-No state vector larger than one pulse is ever formed, so the only size
-limit is on randomized campaigns, whose pulse count and truncation level
-come from the command line: ``(2 * max_fock) ** max_pulses`` must not
-exceed ``MAX_STATE_DIM``.
+No state vector larger than one pulse is ever formed.  Randomized
+campaigns, whose pulse count and truncation level come from the command
+line, still require ``(2 * max_fock) ** max_pulses`` not to exceed
+``MAX_STATE_DIM``; no vector of that size exists, so the limit only caps
+the flags until a cap on the tables a campaign builds replaces it.
 """
 
 from __future__ import annotations
@@ -83,16 +84,10 @@ class EmissionFamily:
         object.__setattr__(
             self, "tables", tuple(np.asarray(t, dtype=complex) for t in self.tables)
         )
-        _require_integer("corr_len", self.corr_len)
-        if self.corr_len < 0:
-            raise ValueError(f"correlation length must be >= 0, got {self.corr_len}")
-        if self.n_pulses < self.corr_len + 1:
-            raise ValueError(
-                f"{self.n_pulses} pulses cannot realize correlation length "
-                f"{self.corr_len}"
-            )
-        if self.fock_dim < 2:
-            raise ValueError(f"Fock dimension must be >= 2, got {self.fock_dim}")
+        _require_integer("corr_len", self.corr_len, 0)
+        # A bit must be able to reach corr_len later pulses.
+        _require_integer("n_pulses", self.n_pulses, self.corr_len + 1)
+        _require_integer("fock_dim", self.fock_dim, 2)
         for k, table in enumerate(self.tables, start=1):
             shape = (2, 2 ** self.window(k), self.fock_dim)
             if table.shape != shape:
@@ -120,8 +115,7 @@ class EmissionFamily:
     def pulse_state(self, k: int, bit: int, history: Sequence[int]) -> np.ndarray:
         """Stored vector for pulse k; ``history`` may be longer than the
         window and is trimmed to the bits that actually matter."""
-        if not 1 <= k <= self.n_pulses:
-            raise ValueError(f"pulse index must lie in [1, {self.n_pulses}], got {k}")
+        _require_integer("k", k, 1, self.n_pulses)
         w = self.window(k)
         if len(history) < w:
             raise ValueError(f"pulse {k} needs {w} history bits, got {len(history)}")
@@ -161,13 +155,8 @@ def _vacuum_aligned(vec: np.ndarray) -> np.ndarray:
 
 
 def _check_analysis_args(family: EmissionFamily, t: int, history: Sequence[int]) -> None:
-    if not 1 <= t <= family.n_pulses:
-        raise ValueError(f"pulse index must lie in [1, {family.n_pulses}], got {t}")
-    if t + family.corr_len > family.n_pulses:
-        raise ValueError(
-            f"analysis of pulse {t} needs {family.corr_len} later pulses, "
-            f"only {family.n_pulses - t} available"
-        )
+    # Pulse t is analyzed with the corr_len pulses after it.
+    _require_integer("t", t, 1, family.n_pulses - family.corr_len)
     w = family.window(t)
     if len(history) != w:
         raise ValueError(f"pulse {t} takes {w} history bits, got {len(history)}")
@@ -410,11 +399,9 @@ def random_family(
     table entry's real and imaginary normals come from one draw, in table
     order.
     """
-    sizes = {"n_pulses": n_pulses, "corr_len": corr_len, "fock_dim": fock_dim}
-    for name, value in sizes.items():
-        _require_integer(name, value)
-    if corr_len < 0 or fock_dim < 2:
-        raise ValueError(f"need corr_len >= 0 and fock_dim >= 2, got {sizes}")
+    _require_integer("n_pulses", n_pulses)
+    _require_integer("corr_len", corr_len, 0)
+    _require_integer("fock_dim", fock_dim, 2)
     _require_integer("seed", seed, 0)
     if style not in ("perturbed", "free"):
         raise ValueError(f"unknown family style {style!r}")
@@ -454,6 +441,8 @@ def coherent_family(
     default keeps the truncation error, the dropped photon-number
     probability, below 1e-9 for mu <= 0.29.
     """
+    _require_integer("n_pulses", n_pulses)
+    _require_integer("fock_dim", fock_dim, 2)
     model = PhaseRotationModel(mu=mu, delta=delta, corr_len=corr_len)
     ns = np.arange(fock_dim)
     log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, fock_dim)))))
@@ -522,7 +511,8 @@ def run_family_campaign(
     order independent.  ``eps_scale`` multiplies the measured per-lag
     deficits before the bounds are formed; values below 1 understate the
     correlations and must trip the checks.  Every argument is checked
-    before the first trial, the largest family against ``MAX_STATE_DIM``.
+    before the first trial, and ``(2 * max_fock) ** max_pulses`` against
+    ``MAX_STATE_DIM``, a cap on the flags rather than on any vector built.
     """
     _require_integer("n_trials", n_trials, 1)
     _require_integer("seed", seed, 0)
@@ -533,11 +523,7 @@ def run_family_campaign(
         message = "eps_scale must be a finite number >= 0, got {}"
         _require(eps_scale, message, high=_LARGEST)
     dim = (2 * max_fock) ** max_pulses
-    if dim > MAX_STATE_DIM:
-        raise ValueError(
-            f"max_pulses={max_pulses}, max_fock={max_fock}: family dimension "
-            f"{dim} exceeds MAX_STATE_DIM {MAX_STATE_DIM}"
-        )
+    _require_integer("(2 * max_fock) ** max_pulses", dim, 1, MAX_STATE_DIM)
     checks = []
     for i in range(n_trials):
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
@@ -607,9 +593,7 @@ def verify_fidelity_proposition(
     is nontrivial; the rest exercise the trivial branch.  A pair fails when
     its overlap falls below the floor by more than ``FIDELITY_TOL``.
     """
-    _require_integer("dim", dim)
-    if dim < 2:
-        raise ValueError(f"need dimension >= 2, got {dim}")
+    _require_integer("dim", dim, 2)
     _require_integer("n_trials", n_trials, 1)
     _require_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)

@@ -8,7 +8,9 @@ vacuum-probability floors) into an upper bound on the phase-error rate and a
 secure key rate per pulse.
 
 Everything in this module is a pure function of its arguments and safe for
-concurrent use.
+concurrent use.  Public functions and constructors check their arguments,
+reals through ``_require`` and integers through ``_require_integer``, and
+underscored helpers trust them.
 
 The source-side bounds (``SourceCharacterization``, the floors derived from
 it and ``SecurityBounds``) also take equal-length 1-D arrays in place of
@@ -45,16 +47,31 @@ def _each(f, x, *more):
     return np.array(list(map(f, *columns)), dtype=float)
 
 
+_BOOLS = (bool, np.bool_)
+
+
 def _require(value, message: str, low: float = 0.0, high: float = 1.0) -> None:
     """Raise ``ValueError(message.format(v))`` for the first entry ``v`` of
     ``value``, a float or an array, outside ``[low, high]``; NaN is outside,
-    and so is a bool, which is an int but no number of this package."""
+    and so is every bool (Python's, numpy's or a bool array's entry), which
+    compares as 0 or 1 but is no number of this package."""
     if isinstance(value, np.ndarray):
-        inside = (low <= value) & (value <= high)
+        inside = (low <= value) & (value <= high) & (value.dtype != bool)
         if not inside.all():
             raise ValueError(message.format(value[np.argmin(inside)].item()))
-    elif isinstance(value, bool) or not low <= value <= high:
+    elif isinstance(value, _BOOLS) or not low <= value <= high:
         raise ValueError(message.format(value))
+
+
+def _require_integer(name: str, value, low=None, high=None) -> None:
+    """Raise a ``ValueError`` naming ``name`` unless ``value`` is an integer,
+    not a bool, at least ``low`` and, given ``high``, in ``[low, high]``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if high is not None and not low <= value <= high:
+        raise ValueError(f"{name} must lie in [{low}, {high}], got {value}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 # v >= _TINIEST exactly when v > 0, and v <= _LARGEST exactly when v < inf,
@@ -175,12 +192,8 @@ def binomial_tail(n: int, s: int, p: float) -> float:
     p : float
         Per-trial success probability in [0, 1].
     """
-    _require_integer("n", n)
-    _require_integer("s", s)
-    if n < 1:
-        raise ValueError(f"need at least one trial, got n={n}")
-    if not 0 <= s <= n - 1:
-        raise ValueError(f"threshold must lie in [0, {n - 1}], got s={s}")
+    _require_integer("n", n, 1)
+    _require_integer("s", s, 0, n - 1)
     _require(p, "success probability must lie in [0, 1], got {}")
     return float(_tail_row(n, p)[s])
 
@@ -224,17 +237,16 @@ class SourceCharacterization:
     p_vac1: float
 
     def __post_init__(self) -> None:
-        _require_integer("corr_len", self.corr_len)
-        if self.corr_len < 0:
-            raise ValueError(f"correlation length must be >= 0, got {self.corr_len}")
-        object.__setattr__(self, "eps", tuple(_each(float, e) for e in self.eps))
-        if len(self.eps) != self.corr_len:
+        _require_integer("corr_len", self.corr_len, 0)
+        eps = tuple(self.eps)
+        if len(eps) != self.corr_len:
             raise ValueError(
                 f"need one fidelity deficit per lag: expected {self.corr_len}, "
-                f"got {len(self.eps)}"
+                f"got {len(eps)}"
             )
-        for d, e in enumerate(self.eps, start=1):
-            _require(e, f"fidelity deficit at lag {d} outside [0, 1]: {{}}")
+        for d, e in enumerate(eps, start=1):
+            _require(e, f"eps at lag {d} must lie in [0, 1], got {{}}")
+        object.__setattr__(self, "eps", tuple(_each(float, e) for e in eps))
         for name in ("p_vac0", "p_vac1"):
             _require(getattr(self, name), f"{name} must lie in [0, 1], got {{}}")
 
@@ -300,14 +312,6 @@ class SecurityBounds:
         return cls(minus_ref=minus_ref_bound(source), fidelity=fidelity_bound(source))
 
 
-def _require_integer(name: str, value, low: Optional[int] = None) -> None:
-    # bool is an int subclass, but True is no group size.
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if low is not None and value < low:
-        raise ValueError(f"{name} must be >= {low}, got {value}")
-
-
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Protocol-level parameters.
@@ -324,12 +328,8 @@ class ProtocolConfig:
     f_ec_fixed: Optional[float] = None
 
     def __post_init__(self) -> None:
-        _require_integer("group_size", self.group_size)
-        _require_integer("corr_len", self.corr_len)
-        if self.group_size < 3:
-            raise ValueError(f"group size must be >= 3, got {self.group_size}")
-        if self.corr_len < 0:
-            raise ValueError(f"correlation length must be >= 0, got {self.corr_len}")
+        _require_integer("group_size", self.group_size, 3)
+        _require_integer("corr_len", self.corr_len, 0)
         _require(self.e_bit, "bit error rate must lie in [0, 0.5], got {}", high=0.5)
         if self.f_ec_mode not in ("shannon", "fixed"):
             raise ValueError(
@@ -380,17 +380,15 @@ def phase_error_upper(group_size: int, minus_act: float, q: float) -> float:
         Detection rate of the group, in (0, 1].  A rate of exactly 0 leaves
         the bound undefined; callers must skip such groups.
     """
+    _require_integer("group_size", group_size, 3)
+    _require(minus_act, "minus_act must lie in [0, 1], got {}")
+    _require(q, "detection rate must lie in (0, 1], got {}", low=_TINIEST)
     return _phase_errors(group_size, minus_act, q)[0]
 
 
 def _phase_errors(group_size: int, minus_act, q) -> list[float]:
     # phase_error_upper at floats, or at each entry of 1-D arrays: one
     # entry per tail row.
-    _require_integer("group_size", group_size)
-    if group_size < 3:
-        raise ValueError(f"group size must be >= 3, got {group_size}")
-    _require(minus_act, "minus_act must lie in [0, 1], got {}")
-    _require(q, "detection rate must lie in (0, 1], got {}", low=_TINIEST)
     n = group_size
     # Capping the tail at q before dividing gives the same bits as capping
     # the ratio at 1, but cannot overflow when q is subnormal.  Transposed,
@@ -447,7 +445,8 @@ def key_rate(
     bounds : SecurityBounds
         Source-side bounds; only ``minus_act`` enters the phase-error tail.
     q_list : sequence of float or of 1-D arrays
-        Detection rate per group; must have ``corr_len + 1`` entries.
+        Detection rate per group; must have ``corr_len + 1`` entries, each
+        shaped as the fields of ``bounds``.
     """
     if len(q_list) != cfg.n_groups:
         raise ValueError(
@@ -455,6 +454,7 @@ def key_rate(
             f"got {len(q_list)}"
         )
     f_ec = cfg.f_ec()
+    shape = getattr(bounds.minus_ref, "shape", ())
     by_q: dict = {}
     per_group = []
     total = 0.0
@@ -462,6 +462,10 @@ def key_rate(
         # An array is keyed by identity, a float by value.
         key = (id(q),) if isinstance(q, np.ndarray) else q
         if key not in by_q:
+            _require(q, "detection rate must lie in [0, 1], got {}")
+            if getattr(q, "shape", ()) != shape:
+                message = "detection rate of shape {} does not match bounds of shape {}"
+                raise ValueError(message.format(np.shape(q), shape))
             by_q[key] = _group_rate(cfg.group_size, bounds, q)
         g = by_q[key]
         per_group.append(g)
@@ -485,7 +489,6 @@ def _group_rate(group_size: int, bounds: SecurityBounds, q) -> GroupRate:
     # One group at detection rate q, a float or a batch's 1-D array.  Where
     # q = 0 the bound is skipped for the trivial e_ph = 1; adding 0.0
     # records a q of -0.0 as 0.0.
-    _require(q, "detection rate must lie in [0, 1], got {}")
     if not isinstance(q, np.ndarray):
         e_ph = phase_error_upper(group_size, bounds.minus_act, q) if q > 0.0 else 1.0
     else:

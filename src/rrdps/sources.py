@@ -55,14 +55,11 @@ class PhaseRotationModel:
     def __post_init__(self) -> None:
         _require(self.mu, "mu must be a finite number >= 0, got {}", high=_LARGEST)
         _require(self.delta, "delta must be finite, got {}", -_LARGEST, _LARGEST)
-        _require_integer("corr_len", self.corr_len)
-        if self.corr_len < 0:
-            raise ValueError(f"correlation length must be >= 0, got {self.corr_len}")
+        _require_integer("corr_len", self.corr_len, 0)
 
     def rotation(self, lag: int) -> float:
         """Phase kick at the given lag, in radians."""
-        if not 1 <= lag <= self.corr_len:
-            raise ValueError(f"lag must lie in [1, {self.corr_len}], got {lag}")
+        _require_integer("lag", lag, 1, self.corr_len)
         return self.delta / 2 ** (lag - 1)
 
 
@@ -90,9 +87,7 @@ def detection_rate(group_size: int, eta: float, mu: float) -> float:
     ``group_size * eta * mu * exp(-group_size * eta * mu) / 2`` for overall
     transmittance ``eta`` and mean photon number ``mu``.
     """
-    _require_integer("group_size", group_size)
-    if group_size < 1:
-        raise ValueError(f"group size must be >= 1, got {group_size}")
+    _require_integer("group_size", group_size, 1)
     _require(eta, "transmittance must lie in [0, 1], got {}")
     _require(
         mu, "mean photon number must be a finite number >= 0, got {}", high=_LARGEST

@@ -257,7 +257,7 @@ class TestOracleCommand:
             (["--trials", "-3"], "--trials"),
             (["--fault-injection", "nan"], "--fault-injection"),
             (["--fock", "5"], "--fock"),
-            # (2 * 20)^4 amplitudes exceed MAX_STATE_DIM.
+            # (2 * 20)^4 exceeds MAX_STATE_DIM, which caps the flags.
             (["--fock", "20"], "--fock"),
             (["--seed", "-1"], "--seed"),
         ],

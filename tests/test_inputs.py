@@ -1,6 +1,7 @@
 """Bad input at the package's float, size and seed boundaries, named in a
 ValueError before any work is done."""
 
+import numpy as np
 import pytest
 
 from rrdps import oracle as orc
@@ -10,10 +11,12 @@ from rrdps import sources as src
 
 CFG = sec.ProtocolConfig(group_size=8, corr_len=1, e_bit=0.05)
 BOUNDS = sec.SecurityBounds(minus_ref=0.1, fidelity=0.9)
+BATCH = sec.SecurityBounds(minus_ref=np.full(3, 0.1), fidelity=np.full(3, 0.9))
+FAMILY = orc.random_family(3, 1, 3, seed=1)
 
 # A bool is an int, and so passes a bare range check as 0 or 1; a float
 # size or seed, or a negative seed, otherwise fails deep inside numpy
-# under another exception type or an unnamed message.
+# under another exception type or an unnamed message, or is used as is.
 BAD_INPUTS = {
     "bounds-minus-ref-bool": (
         lambda: sec.SecurityBounds(minus_ref=True, fidelity=0.9), "minus_ref"
@@ -72,6 +75,62 @@ BAD_INPUTS = {
     ),
     "fidelity-seed-negative": (
         lambda: orc.verify_fidelity_proposition(2, 1, -1), "seed must be >= 0, got -1"
+    ),
+    "pulse-state-k-bool": (
+        lambda: FAMILY.pulse_state(True, 0, ()), "k must be an integer, got True"
+    ),
+    "proof-chain-t-bool": (
+        lambda: orc.check_proof_chain(FAMILY, True, ()), "t must be an integer"
+    ),
+    "proof-chain-t-float": (
+        lambda: orc.check_proof_chain(FAMILY, 1.5, ()), "t must be an integer, got 1.5"
+    ),
+    "coherent-fock-float": (
+        lambda: orc.coherent_family(2, 0, 0.1, 0.2, fock_dim=1.5),
+        "fock_dim must be an integer, got 1.5",
+    ),
+    "coherent-pulses-float": (
+        lambda: orc.coherent_family(2.5, 0, 0.1, 0.2), "n_pulses must be an integer"
+    ),
+    "rotation-lag-float": (
+        lambda: src.PhaseRotationModel(mu=0.1, delta=0.2, corr_len=2).rotation(1.5),
+        "lag must be an integer, got 1.5",
+    ),
+    "bounds-minus-ref-numpy-bool": (
+        lambda: sec.SecurityBounds(minus_ref=np.True_, fidelity=0.9),
+        "minus_ref must lie in",
+    ),
+    "bounds-minus-ref-bool-array": (
+        lambda: sec.SecurityBounds(
+            minus_ref=np.array([False, True]), fidelity=np.full(2, 0.9)
+        ),
+        "minus_ref must lie in",
+    ),
+    "config-e-bit-numpy-bool": (
+        lambda: sec.ProtocolConfig(group_size=8, corr_len=0, e_bit=np.False_),
+        "bit error rate",
+    ),
+    "phase-error-q-numpy-bool": (
+        lambda: sec.phase_error_upper(8, 0.1, np.True_), "detection rate"
+    ),
+    "characterization-eps-bool": (
+        lambda: sec.SourceCharacterization(
+            corr_len=1, eps=(True,), p_vac0=0.9, p_vac1=0.9
+        ),
+        "eps at lag 1 must lie in",
+    ),
+    # The batch form of key_rate needs every rate shaped like the bounds.
+    "key-rate-array-q-point-bounds": (
+        lambda: sec.key_rate(CFG, BOUNDS, [np.array([0.1, 0.2])] * 2),
+        r"shape \(2,\) does not match bounds of shape \(\)",
+    ),
+    "key-rate-q-shorter-than-bounds": (
+        lambda: sec.key_rate(CFG, BATCH, [np.array([0.1, 0.2])] * 2),
+        r"shape \(2,\) does not match bounds of shape \(3,\)",
+    ),
+    "key-rate-float-q-batch-bounds": (
+        lambda: sec.key_rate(CFG, BATCH, [0.1, 0.2]),
+        r"shape \(\) does not match bounds of shape \(3,\)",
     ),
 }
 

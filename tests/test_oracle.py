@@ -61,7 +61,7 @@ class TestEmissionFamily:
 
     def test_too_few_pulses_for_memory(self):
         one_pulse = product_family(1, ([1.0, 0.0], [1.0, 0.0])).tables
-        with pytest.raises(ValueError, match="cannot realize"):
+        with pytest.raises(ValueError, match="n_pulses must be >= 2, got 1"):
             orc.EmissionFamily(corr_len=1, tables=one_pulse)
 
     @pytest.mark.parametrize("n_pulses", [True, 2.0])
@@ -647,8 +647,9 @@ class TestCampaigns:
         assert n_failed > 0
 
     def test_size_limit_binds_campaigns_only(self):
-        # The largest family at fock 20 spans (2*20)^4 = 2.56e6 amplitudes.
-        with pytest.raises(ValueError, match="MAX_STATE_DIM"):
+        # (2*20)^4 = 2.56e6 exceeds MAX_STATE_DIM = 2**21.
+        limit = r"max_pulses must lie in \[1, 2097152\], got 2560000"
+        with pytest.raises(ValueError, match=limit):
             orc.run_family_campaign(n_trials=1, seed=1, max_pulses=4, max_fock=20)
         # The proof-chain check forms no state of that size and has no limit.
         fam = orc.random_family(4, 0, 20, seed=1)

@@ -191,7 +191,7 @@ class TestOptimizeMu:
             assert src.MU_MIN <= mu_opt <= src.MU_MAX
 
     def test_domain(self):
-        with pytest.raises(ValueError, match="group size"):
+        with pytest.raises(ValueError, match="group_size"):
             src.optimize_mu(2, 0, 0.2, 0.3, 0.03)
         with pytest.raises(ValueError, match="transmittance"):
             src.optimize_mu(16, 0, 0.2, 1.5, 0.03)
@@ -210,7 +210,7 @@ class TestOptimizeMu:
             ((16, 1, 0.2, math.nan), "transmittance must lie in [0, 1], got nan"),
             ((16, 1, 0.2, -0.1), "transmittance must lie in [0, 1], got -0.1"),
             ((16, 1, 0.2, 1.5), "transmittance must lie in [0, 1], got 1.5"),
-            ((2, 1, 0.2, 0.3), "group size must be >= 3, got 2"),
+            ((2, 1, 0.2, 0.3), "group_size must be >= 3, got 2"),
         ],
         ids=["delta-nan", "delta-inf", "delta-minus-inf", "eta-nan", "eta-negative",
              "eta-above-one", "group-size-2"],
