@@ -24,17 +24,15 @@ the window overlaps enter the tail overlap by their moduli, which is
 what the alignment makes them; so the stored family vectors may carry
 arbitrary phases, and the tail overlap is real and nonnegative.
 
-No state vector larger than one pulse is ever formed.  Randomized
-campaigns, whose pulse count and truncation level come from the command
-line, still require ``(2 * max_fock) ** max_pulses`` not to exceed
-``MAX_STATE_DIM``; no vector of that size exists, so the limit only caps
-the flags until a cap on the tables a campaign builds replaces it.
+No state vector larger than one pulse is ever formed.  A randomized
+campaign caps the tables instead: the largest family its arguments allow
+must fit ``_TABLE_BUDGET`` (2**21) amplitudes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -45,21 +43,28 @@ from .security import (
     _LARGEST,
     _require,
     _require_integer,
+    _transfer,
     a1_floor,
     fidelity_bound,
     minus_ref_bound,
     plus_vac_floor,
-    transfer_bound,
     vacuum_fidelity_bound,
 )
 from .sources import PhaseRotationModel
 
-# Largest (2 * max_fock) ** max_pulses a campaign accepts.
-MAX_STATE_DIM = 2**21
+# Most amplitudes the tables of a campaign's largest family may hold.
+_TABLE_BUDGET = 2**21
+# A campaign draws corr_len up to this, and up to its last pulse's window.
+_DRAWN_CORR_LEN = 2
 # Tolerance of every proof-chain inequality, and of the vacuum-overlap
 # floor on random state pairs.
 CHECK_TOL = 1e-9
 FIDELITY_TOL = 1e-12
+
+
+def _window(corr_len: int, k: int) -> int:
+    """How many history bits the state of pulse k may depend on."""
+    return min(corr_len, k - 1)
 
 
 @dataclass(frozen=True)
@@ -67,13 +72,12 @@ class EmissionFamily:
     """Table of emitted states for a short pulse train.
 
     ``tables[k-1]`` holds the unit vectors of Fock amplitudes of pulse k
-    in an array of shape ``(2, 2**w, fock_dim)`` with
-    ``w = window(k) = min(corr_len, k-1)``: the first index is the encoded
-    bit, the second the history, the previous w bits read most recent
-    first as a binary number, so the most recent bit is the most
-    significant.  Older bits never index a table, which is exactly the
-    bounded-range correlation assumption.  ``n_pulses`` and ``fock_dim``
-    are read off the tables.
+    in an array of shape ``(2, 2**w, fock_dim)`` with ``w = min(corr_len,
+    k-1)``: the first index is the encoded bit, the second the history,
+    the previous w bits read most recent first as a binary number, so the
+    most recent bit is the most significant.  Older bits never index a
+    table, which is exactly the bounded-range correlation assumption.
+    ``n_pulses`` and ``fock_dim`` are read off the tables.
     """
 
     corr_len: int
@@ -89,7 +93,7 @@ class EmissionFamily:
         _require_integer("n_pulses", self.n_pulses, self.corr_len + 1)
         _require_integer("fock_dim", self.fock_dim, 2)
         for k, table in enumerate(self.tables, start=1):
-            shape = (2, 2 ** self.window(k), self.fock_dim)
+            shape = (2, 2 ** _window(self.corr_len, k), self.fock_dim)
             if table.shape != shape:
                 raise ValueError(f"pulse {k} table has shape {table.shape}, not {shape}")
             if not np.all(np.abs(_norms(table) - 1.0) <= 1e-12):
@@ -103,20 +107,16 @@ class EmissionFamily:
     def fock_dim(self) -> int:
         return self.tables[0].shape[-1]
 
-    def window(self, k: int) -> int:
-        """How many history bits the state of pulse k may depend on."""
-        return min(self.corr_len, k - 1)
-
     def _bit_axes(self, k: int) -> np.ndarray:
         # Pulse k's table with one axis per bit: axis 0 the encoded bit,
         # axis d the bit d pulses earlier, the last axis the amplitudes.
-        return self.tables[k - 1].reshape((2,) * (self.window(k) + 1) + (-1,))
+        return self.tables[k - 1].reshape((2,) * (_window(self.corr_len, k) + 1) + (-1,))
 
     def pulse_state(self, k: int, bit: int, history: Sequence[int]) -> np.ndarray:
         """Stored vector for pulse k; ``history`` may be longer than the
         window and is trimmed to the bits that actually matter."""
         _require_integer("k", k, 1, self.n_pulses)
-        w = self.window(k)
+        w = _window(self.corr_len, k)
         if len(history) < w:
             raise ValueError(f"pulse {k} needs {w} history bits, got {len(history)}")
         bits = (bit, *history[:w])
@@ -154,14 +154,6 @@ def _vacuum_aligned(vec: np.ndarray) -> np.ndarray:
     return vec * (abs(c) / c)
 
 
-def _check_analysis_args(family: EmissionFamily, t: int, history: Sequence[int]) -> None:
-    # Pulse t is analyzed with the corr_len pulses after it.
-    _require_integer("t", t, 1, family.n_pulses - family.corr_len)
-    w = family.window(t)
-    if len(history) != w:
-        raise ValueError(f"pulse {t} takes {w} history bits, got {len(history)}")
-
-
 def _tail_overlap(family: EmissionFamily, t: int, history: tuple[int, ...]) -> float:
     """Overlap g of the bit-0 and bit-1 tails of pulse t, with no tail built.
 
@@ -174,7 +166,7 @@ def _tail_overlap(family: EmissionFamily, t: int, history: tuple[int, ...]) -> f
     by its modulus.
     """
     prod = np.ones(())
-    for i in range(1, min(family.corr_len, family.n_pulses - t) + 1):
+    for i in range(1, family.corr_len + 1):
         # Axes of pulse t + i: its bit, the tail bits from t + i - 1 back to
         # t + 1, bit t at axis i, then the history bits inside its window.
         states = family._bit_axes(t + i)
@@ -334,7 +326,11 @@ def check_proof_chain(
     corrupted bounds through it is how fault injection exercises the
     violation detection.
     """
-    _check_analysis_args(family, t, history)
+    # Pulse t is analyzed with the corr_len pulses after it.
+    _require_integer("t", t, 1, family.n_pulses - family.corr_len)
+    w = _window(family.corr_len, t)
+    if len(history) != w:
+        raise ValueError(f"pulse {t} takes {w} history bits, got {len(history)}")
     # Closed forms on the actual block (|0> b0 T0 + |1> b1 T1) / sqrt(2)
     # and the reference block, which carries T0 in both branches.  Reading
     # b0 and b1 checks the history bits.
@@ -348,10 +344,7 @@ def check_proof_chain(
     p_act = _probability((1.0 - base.real * g) / 2.0, "minus probability")
     p_ref = _probability((1.0 - base.real) / 2.0, "minus probability")
     plus_vac = _probability(abs(complex(b0[0] + b1[0])) ** 2 / 4.0, "joint probability")
-    fid = (1.0 + g) / 2.0
-    if fid > 1.0 + 1e-12:
-        raise ArithmeticError(f"fidelity {fid} outside [0, 1] tolerance")
-    fid = min(1.0, fid)
+    fid = _probability((1.0 + g) / 2.0, "fidelity")
     return ProofChainCheck(
         n_pulses=family.n_pulses,
         fock_dim=family.fock_dim,
@@ -361,7 +354,7 @@ def check_proof_chain(
         p_minus_ref=p_ref,
         p_minus_act=p_act,
         fidelity=fid,
-        transfer_value=transfer_bound(p_ref, fid),
+        transfer_value=_transfer(p_ref, fid),
         a1=min(1.0, g),
         plus_vac_prob=plus_vac,
         trial=trial,
@@ -377,7 +370,7 @@ def _vacuum_weighted_unit(
     rng: np.random.Generator, dim: int, weight: float
 ) -> np.ndarray:
     rest = rng.normal(size=dim - 1) + 1j * rng.normal(size=dim - 1)
-    rest *= math.sqrt(1.0 - weight) / np.linalg.norm(rest)
+    rest *= math.sqrt(1.0 - weight) / _norms(rest)
     phase = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
     return np.concatenate(([math.sqrt(weight) * phase], rest))
 
@@ -414,7 +407,7 @@ def random_family(
             ]
         )
         strength = 10.0 ** rng.uniform(-3.0, math.log10(0.6))
-    sizes = [2 * 2 ** min(corr_len, k - 1) for k in range(1, n_pulses + 1)]
+    sizes = [2 * 2 ** _window(corr_len, k) for k in range(1, n_pulses + 1)]
     normals = rng.normal(size=(sum(sizes), 2, fock_dim))
     units = _normalized(normals[:, 0] + 1j * normals[:, 1])
     rows = np.split(units, np.cumsum(sizes)[:-1])
@@ -443,13 +436,15 @@ def coherent_family(
     """
     _require_integer("n_pulses", n_pulses)
     _require_integer("fock_dim", fock_dim, 2)
+    if np.ndim(mu) != 0:
+        raise ValueError(f"mu must be a single number, got {mu!r}")
     model = PhaseRotationModel(mu=mu, delta=delta, corr_len=corr_len)
     ns = np.arange(fock_dim)
     log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, fock_dim)))))
     root_fact = np.exp(0.5 * log_fact)
     tables = []
     for k in range(1, n_pulses + 1):
-        w = min(corr_len, k - 1)
+        w = _window(corr_len, k)
         # The kicks add lag by lag, in order; a reordered sum can differ in
         # the last bit.
         phase = np.zeros(2**w)
@@ -511,8 +506,8 @@ def run_family_campaign(
     order independent.  ``eps_scale`` multiplies the measured per-lag
     deficits before the bounds are formed; values below 1 understate the
     correlations and must trip the checks.  Every argument is checked
-    before the first trial, and ``(2 * max_fock) ** max_pulses`` against
-    ``MAX_STATE_DIM``, a cap on the flags rather than on any vector built.
+    before the first trial, and so is the largest family the arguments
+    allow: its tables must fit ``_TABLE_BUDGET`` (2**21) amplitudes.
     """
     _require_integer("n_trials", n_trials, 1)
     _require_integer("seed", seed, 0)
@@ -522,15 +517,20 @@ def run_family_campaign(
     if eps_scale is not None:
         message = "eps_scale must be a finite number >= 0, got {}"
         _require(eps_scale, message, high=_LARGEST)
-    dim = (2 * max_fock) ** max_pulses
-    _require_integer("(2 * max_fock) ** max_pulses", dim, 1, MAX_STATE_DIM)
+    # Pulse k's table holds 2 * 2**min(top, k - 1) * max_fock amplitudes, so
+    # the largest family holds this many, counted in Python ints so that a
+    # numpy integer argument cannot wrap:
+    top = _window(_DRAWN_CORR_LEN, max_pulses)
+    amplitudes = 2 * int(max_fock) * ((int(max_pulses) - top + 1) * 2**top - 1)
+    name = f"table amplitudes at max_pulses {max_pulses}, max_fock {max_fock}"
+    _require_integer(name, amplitudes, 1, _TABLE_BUDGET)
     checks = []
     for i in range(n_trials):
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
         rng = np.random.default_rng(ss)
         fam_seed = int(ss.generate_state(1, np.uint32)[0])
         n = int(rng.integers(2, max_pulses + 1))
-        lc = int(rng.integers(0, min(2, n - 1) + 1))
+        lc = int(rng.integers(0, _window(_DRAWN_CORR_LEN, n) + 1))
         kind = rng.random()
         if kind < 0.1:
             fock = int(rng.integers(6, max_fock + 1))
@@ -549,15 +549,11 @@ def run_family_campaign(
                 n_pulses=n, corr_len=lc, fock_dim=fock, seed=fam_seed, style=style
             )
         t = int(rng.integers(1, n - lc + 1))
-        history = tuple(int(b) for b in rng.integers(0, 2, size=min(lc, t - 1)))
+        history = tuple(int(b) for b in rng.integers(0, 2, size=_window(lc, t)))
         char = measured_characterization(fam)
         if eps_scale is not None:
-            char = SourceCharacterization(
-                corr_len=char.corr_len,
-                eps=tuple(min(1.0, max(0.0, e * eps_scale)) for e in char.eps),
-                p_vac0=char.p_vac0,
-                p_vac1=char.p_vac1,
-            )
+            eps = tuple(min(1.0, max(0.0, e * eps_scale)) for e in char.eps)
+            char = replace(char, eps=eps)
         check = check_proof_chain(fam, t, history, characterization=char, trial=i)
         checks.append(check)
     return OracleCampaign(tuple(checks))

@@ -74,6 +74,17 @@ def _require_integer(name: str, value, low=None, high=None) -> None:
         raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
+def _require_one_shape(fields: dict) -> None:
+    """Raise a ``ValueError`` naming two fields whose values differ in shape,
+    a float's shape being ()."""
+    shapes = [getattr(v, "shape", ()) for v in fields.values()]
+    if shapes.count(shapes[0]) < len(shapes):
+        (first, want), *rest = zip(fields, shapes)
+        name, shape = next(pair for pair in rest if pair[1] != want)
+        message = f"{name} of shape {shape} does not match {first} of shape {want}"
+        raise ValueError(message)
+
+
 # v >= _TINIEST exactly when v > 0, and v <= _LARGEST exactly when v < inf,
 # so open ends need no variant of _require.
 _TINIEST = math.ulp(0.0)
@@ -227,8 +238,8 @@ class SourceCharacterization:
         Lower bounds on the vacuum probability of pulses encoding bit 0 and
         bit 1, uniform over histories.
 
-    Each deficit and floor may instead be a 1-D array, one entry per
-    source of a batch; every entry is checked as a float would be.
+    Each deficit and floor may instead be a 1-D array of one shape, one
+    entry per source of a batch, each checked as a float would be.
     """
 
     corr_len: int
@@ -244,11 +255,12 @@ class SourceCharacterization:
                 f"need one fidelity deficit per lag: expected {self.corr_len}, "
                 f"got {len(eps)}"
             )
-        for d, e in enumerate(eps, start=1):
-            _require(e, f"eps at lag {d} must lie in [0, 1], got {{}}")
+        fields = {f"eps at lag {d}": e for d, e in enumerate(eps, start=1)}
+        fields.update(p_vac0=self.p_vac0, p_vac1=self.p_vac1)
+        for name, value in fields.items():
+            _require(value, f"{name} must lie in [0, 1], got {{}}")
+        _require_one_shape(fields)
         object.__setattr__(self, "eps", tuple(_each(float, e) for e in eps))
-        for name in ("p_vac0", "p_vac1"):
-            _require(getattr(self, name), f"{name} must lie in [0, 1], got {{}}")
 
 
 def plus_vac_floor(source: SourceCharacterization) -> float:
@@ -268,9 +280,10 @@ def minus_ref_bound(source: SourceCharacterization) -> float:
 def a1_floor(source: SourceCharacterization) -> float:
     """Floor on the overlap of the bit-0 and bit-1 tails of later pulses.
 
-    ``prod_d sqrt(1 - eps_d)``, which is 1 without correlations.
+    ``prod_d sqrt(1 - eps_d)``, which is 1 without correlations, for
+    every source of a batch.
     """
-    prod = 1.0
+    prod = np.ones_like(source.p_vac0) if isinstance(source.p_vac0, np.ndarray) else 1.0
     for e in source.eps:
         prod = prod * _each(math.sqrt, 1.0 - e)
     return prod
@@ -292,7 +305,7 @@ class SecurityBounds:
     ``minus_act`` transfers the reference cap through the fidelity floor
     (:func:`transfer_bound`; the trivial 1 when ``minus_ref > fidelity^2``),
     so it cannot disagree with the other two fields.  Built from a batch of
-    sources, the fields are arrays with one entry per source.
+    sources, the fields are arrays of one shape, with one entry per source.
     """
 
     minus_ref: float
@@ -301,6 +314,7 @@ class SecurityBounds:
     def __post_init__(self) -> None:
         for name in ("minus_ref", "fidelity"):
             _require(getattr(self, name), f"{name} must lie in [0, 1], got {{}}")
+        _require_one_shape({"minus_ref": self.minus_ref, "fidelity": self.fidelity})
 
     @property
     def minus_act(self) -> float:
@@ -351,11 +365,12 @@ class ProtocolConfig:
     def n_groups(self) -> int:
         return self.corr_len + 1
 
-    def f_ec(self) -> float:
+    def f_ec(self, e_bit: Optional[float] = None) -> float:
+        """Error-correction cost per sifted bit; ``e_bit`` defaults to the config's."""
         if self.f_ec_mode == "fixed":
             return float(self.f_ec_fixed)  # type: ignore[arg-type]
-        # binary_entropy without its check, which __post_init__ has made.
-        return _entropy(self.e_bit)
+        # The configured rate needs no check: __post_init__ has made it.
+        return _entropy(self.e_bit) if e_bit is None else binary_entropy(e_bit)
 
 
 def phase_error_upper(group_size: int, minus_act: float, q: float) -> float:
@@ -396,11 +411,6 @@ def _phase_errors(group_size: int, minus_act, q) -> list[float]:
     tails = _tail_row(n, minus_act)[..., : n - 1].T
     terms = (np.minimum(tails, q) / q).T
     return [math.fsum(row) / (n - 1) for row in terms.reshape(-1, n - 1).tolist()]
-
-
-def pa_fraction(e_ph_upper: float) -> float:
-    """Fraction of the sifted key consumed by privacy amplification."""
-    return binary_entropy(e_ph_upper)
 
 
 @dataclass(frozen=True)
@@ -454,7 +464,6 @@ def key_rate(
             f"got {len(q_list)}"
         )
     f_ec = cfg.f_ec()
-    shape = getattr(bounds.minus_ref, "shape", ())
     by_q: dict = {}
     per_group = []
     total = 0.0
@@ -463,9 +472,7 @@ def key_rate(
         key = (id(q),) if isinstance(q, np.ndarray) else q
         if key not in by_q:
             _require(q, "detection rate must lie in [0, 1], got {}")
-            if getattr(q, "shape", ()) != shape:
-                message = "detection rate of shape {} does not match bounds of shape {}"
-                raise ValueError(message.format(np.shape(q), shape))
+            _require_one_shape({"bounds": bounds.minus_ref, "detection rate": q})
             by_q[key] = _group_rate(cfg.group_size, bounds, q)
         g = by_q[key]
         per_group.append(g)
@@ -495,7 +502,7 @@ def _group_rate(group_size: int, bounds: SecurityBounds, q) -> GroupRate:
         live = q > 0.0
         e_ph = np.ones(len(q))
         e_ph[live] = _phase_errors(group_size, bounds.minus_act[live], q[live])
-    return GroupRate(q=q + 0.0, e_ph_upper=e_ph, f_pa=pa_fraction(e_ph))
+    return GroupRate(q=q + 0.0, e_ph_upper=e_ph, f_pa=_each(_entropy, e_ph))
 
 
 def _clamped(total: float) -> float:

@@ -32,7 +32,6 @@ from .security import (
     SecurityBounds,
     _require,
     _require_integer,
-    binary_entropy,
     key_rate,
 )
 from .sources import _coherent_point
@@ -230,10 +229,7 @@ def run_simulation(
     total_suc = int(n_success.sum())
     total_err = int(n_errors.sum())
     e_hat = total_err / total_suc if total_suc > 0 else 0.0
-    if cfg.f_ec_mode == "fixed":
-        f_ec = cfg.f_ec()
-    else:
-        f_ec = binary_entropy(e_hat)
+    f_ec = cfg.f_ec(e_hat)
     q_hat = tuple(float(n) / n_blocks for n in n_success)
     per_group = key_rate(cfg, bounds, q_hat).per_group
     secret = 0.0

@@ -343,17 +343,20 @@ def test_criterion_8_proof_chain_at_paper_memory_lengths(capsys):
     n_checks = n_failed = 0
     worst_gap = 0.0
     for corr_len in (4, 10):
-        families = []
+        cases = []
         for eta in (1e-3, 0.03, 1.0):
             mu, _ = src.optimize_mu(group_size, corr_len, delta, eta, e_bit)
             fam = orc.coherent_family(
                 corr_len + 2, corr_len, mu, delta=delta, fock_dim=8
             )
-            families.append((fam, True))
+            # The analytic rate rests on the model's own characterisation,
+            # so the chain must hold under it as under the measured one.
+            model = src.PhaseRotationModel(mu, delta, corr_len)
+            cases.append((fam, orc.measured_characterization(fam), True))
+            cases.append((fam, src.characterize(model), True))
         fam = orc.random_family(corr_len + 2, corr_len, 8, seed=20240815 + corr_len)
-        families.append((fam, False))
-        for fam, coherent in families:
-            char = orc.measured_characterization(fam)
+        cases.append((fam, orc.measured_characterization(fam), False))
+        for fam, char, coherent in cases:
             for t, hist in ((1, ()), (2, (1,))):
                 chk = orc.check_proof_chain(fam, t, hist, characterization=char)
                 n_checks += 1

@@ -245,6 +245,22 @@ class TestOracleCommand:
         assert code == 2
         assert "fault-injection MISSED" in out.read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize(
+        "flags, verdict",
+        [
+            ([], "summary trials=200 failed=0 status=PASS"),
+            (["--fault-injection"], "fault-injection DETECTED"),
+        ],
+        ids=["clean", "injected"],
+    )
+    def test_long_pulse_trains(self, tmp_path, flags, verdict):
+        # Twelve pulses at corr_len 2 hold 2 * 8 * 43 amplitudes, well inside
+        # the table budget.
+        out = tmp_path / "report.txt"
+        args = ["oracle", "--pulses", "12", "--trials", "200", "--seed", "1", *flags]
+        assert cli.main([*args, "--out", str(out)]) == 0
+        assert verdict in out.read_text(encoding="utf-8")
+
     def test_stdout_report(self, capsys):
         code = cli.main(["oracle", "--trials", "5", "--seed", "3"])
         assert code == 0
@@ -257,8 +273,9 @@ class TestOracleCommand:
             (["--trials", "-3"], "--trials"),
             (["--fault-injection", "nan"], "--fault-injection"),
             (["--fock", "5"], "--fock"),
-            # (2 * 20)^4 exceeds MAX_STATE_DIM, which caps the flags.
-            (["--fock", "20"], "--fock"),
+            # 4 pulses of 100000 Fock levels hold 2 * 100000 * 11 amplitudes,
+            # beyond the table budget of 2**21.
+            (["--fock", "100000"], "--fock"),
             (["--seed", "-1"], "--seed"),
         ],
         ids=[
@@ -266,7 +283,7 @@ class TestOracleCommand:
             "trials-negative",
             "injection-nan",
             "fock-5",
-            "fock-20",
+            "fock-100000",
             "seed-negative",
         ],
     )

@@ -132,6 +132,31 @@ BAD_INPUTS = {
         lambda: sec.key_rate(CFG, BATCH, [0.1, 0.2]),
         r"shape \(\) does not match bounds of shape \(3,\)",
     ),
+    # A batch's fields hold one entry per source, so they share one shape.
+    "characterization-batch-lengths": (
+        lambda: sec.SourceCharacterization(
+            corr_len=1, eps=(np.full(3, 0.1),), p_vac0=np.full(2, 0.9), p_vac1=0.9
+        ),
+        r"p_vac0 of shape \(2,\) does not match eps at lag 1 of shape \(3,\)",
+    ),
+    "characterization-batch-float-floor": (
+        lambda: sec.SourceCharacterization(
+            corr_len=1, eps=(np.full(2, 0.1),), p_vac0=np.full(2, 0.9), p_vac1=0.9
+        ),
+        r"p_vac1 of shape \(\) does not match eps at lag 1 of shape \(2,\)",
+    ),
+    "bounds-float-and-array": (
+        lambda: sec.SecurityBounds(minus_ref=0.1, fidelity=np.array([0.9, 0.8])),
+        r"fidelity of shape \(2,\) does not match minus_ref of shape \(\)",
+    ),
+    "bounds-batch-lengths": (
+        lambda: sec.SecurityBounds(minus_ref=np.full(3, 0.1), fidelity=np.full(2, 0.9)),
+        r"fidelity of shape \(2,\) does not match minus_ref of shape \(3,\)",
+    ),
+    "coherent-array-mu": (
+        lambda: orc.coherent_family(3, 1, np.array([0.1, 0.2]), 0.2),
+        "mu must be a single number",
+    ),
 }
 
 

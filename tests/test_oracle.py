@@ -184,7 +184,7 @@ def canonical_state(fam, t, k, bit, history):
     vec = fam.pulse_state(k, bit, history)
     if k == t:
         anchor = vec[0]
-    elif 0 <= k - t - 1 < fam.window(k) and history[k - t - 1] == 1:
+    elif 0 <= k - t - 1 < orc._window(fam.corr_len, k) and history[k - t - 1] == 1:
         partner = list(history)
         partner[k - t - 1] = 0
         anchor = np.vdot(fam.pulse_state(k, bit, partner), vec)
@@ -203,7 +203,7 @@ def kron_tail(state, fam, t, jt, history):
         for zeta in range(t + 1, n + 1):
             hist = tuple(
                 bit_at(zeta - 1 - i, t, jt, history, branch)
-                for i in range(fam.window(zeta))
+                for i in range(orc._window(fam.corr_len, zeta))
             )
             vec = np.kron(vec, KRON_QUBIT[branch[zeta - t - 1]])
             vec = np.kron(vec, state(zeta, branch[zeta - t - 1], hist))
@@ -316,7 +316,7 @@ def reference_characterization(states, corr_len):
 def reference_tail_overlap(states, fam, t, history):
     prod = np.ones(())
     for i in range(1, min(fam.corr_len, fam.n_pulses - t) + 1):
-        w = fam.window(t + i)
+        w = orc._window(fam.corr_len, t + i)
         ov = np.empty((2,) * i)
         for bits in itertools.product((0, 1), repeat=i):
             v0, v1 = (
@@ -343,7 +343,7 @@ def analysis_cases():
     """Every valid (t, history) of every sample family."""
     for fam in sample_families():
         for t in range(1, fam.n_pulses - fam.corr_len + 1):
-            for hist in itertools.product((0, 1), repeat=fam.window(t)):
+            for hist in itertools.product((0, 1), repeat=orc._window(fam.corr_len, t)):
                 yield fam, t, hist
 
 
@@ -455,7 +455,7 @@ class TestTableLayout:
             checks = [
                 orc.check_proof_chain(fam, t, hist, trial=t)
                 for t in range(1, n - lc + 1)
-                for hist in itertools.product((0, 1), repeat=fam.window(t))
+                for hist in itertools.product((0, 1), repeat=orc._window(lc, t))
             ]
             with monkeypatch.context() as m:
                 m.setattr(
@@ -485,7 +485,7 @@ class TestTableLayout:
 
 
 class TestReach:
-    """Checks far past ``MAX_STATE_DIM``, at the paper's correlation lengths."""
+    """Checks at the paper's correlation lengths, far past any campaign's draw."""
 
     @pytest.mark.parametrize("corr_len", [4, 10])
     def test_coherent_family_is_tight(self, corr_len):
@@ -612,8 +612,10 @@ class TestCampaigns:
             {"n_trials": -3},
             {"max_pulses": 1},
             {"max_fock": 5},
-            {"max_fock": 20},
-            {"max_pulses": 7},
+            # 2 * 10**5 * 11 and 16 * (4 * (10**5 - 1) - 1) amplitudes, both
+            # beyond the table budget of 2**21.
+            {"max_fock": 10**5},
+            {"max_pulses": 10**5},
             {"eps_scale": math.nan},
             {"eps_scale": -0.5},
             {"eps_scale": True},
@@ -647,11 +649,15 @@ class TestCampaigns:
         assert n_failed > 0
 
     def test_size_limit_binds_campaigns_only(self):
-        # (2*20)^4 = 2.56e6 exceeds MAX_STATE_DIM = 2**21.
-        limit = r"max_pulses must lie in \[1, 2097152\], got 2560000"
+        # Four pulses at corr_len 2 hold 1 + 2 + 4 + 4 = 11 entries of
+        # 2 * max_fock amplitudes each; 2 * 95326 * 11 exceeds 2**21.
+        limit = (
+            r"table amplitudes at max_pulses 4, max_fock 95326 "
+            r"must lie in \[1, 2097152\], got 2097172"
+        )
         with pytest.raises(ValueError, match=limit):
-            orc.run_family_campaign(n_trials=1, seed=1, max_pulses=4, max_fock=20)
-        # The proof-chain check forms no state of that size and has no limit.
+            orc.run_family_campaign(n_trials=1, seed=1, max_pulses=4, max_fock=95326)
+        # The proof-chain check has no size limit of its own.
         fam = orc.random_family(4, 0, 20, seed=1)
         assert orc.check_proof_chain(fam, 1, ()).passed
 

@@ -248,10 +248,12 @@ class TestProtocolConfig:
     def test_f_ec_modes(self):
         shan = sec.ProtocolConfig(group_size=8, corr_len=0, e_bit=0.03)
         assert shan.f_ec() == sec.binary_entropy(0.03)
+        # An observed error rate replaces the configured one.
+        assert shan.f_ec(0.11) == sec.binary_entropy(0.11)
         fixed = sec.ProtocolConfig(
             group_size=8, corr_len=0, e_bit=0.03, f_ec_mode="fixed", f_ec_fixed=0.25
         )
-        assert fixed.f_ec() == 0.25
+        assert fixed.f_ec() == fixed.f_ec(0.11) == 0.25
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -161,7 +161,7 @@ class TestRunSimulation:
                 continue
             want = sec.phase_error_upper(8, bounds.minus_act, res.q_hat[w])
             assert res.e_ph_upper[w] == want
-            assert res.f_pa[w] == sec.pa_fraction(want)
+            assert res.f_pa[w] == sec.binary_entropy(want)
 
     @pytest.mark.parametrize(
         "group_size, corr_len, q_success, n_blocks, seed",
