@@ -31,6 +31,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from itertools import product
@@ -338,20 +339,32 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+# The oracle flag (as its argparse attribute) that sets each argument of
+# run_family_campaign.
+_CAMPAIGN_FLAGS = {
+    "n_trials": "trials",
+    "seed": "seed",
+    "max_pulses": "pulses",
+    "max_fock": "fock",
+    "eps_scale": "fault_injection",
+}
+
+
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    flags = f"--trials {args.trials} --seed {args.seed} --pulses {args.pulses}"
-    flags += f" --fock {args.fock}"
-    if args.fault_injection is not None:
-        flags += f" --fault-injection {args.fault_injection}"
     try:
         campaign = run_family_campaign(
-            n_trials=args.trials,
-            seed=args.seed,
-            max_pulses=args.pulses,
-            max_fock=args.fock,
-            eps_scale=args.fault_injection,
+            **{name: getattr(args, attr) for name, attr in _CAMPAIGN_FLAGS.items()}
         )
     except ValueError as exc:
+        # Put the flags the message names in front of it; every set flag if
+        # it names none.
+        words = set(re.findall(r"\w+", str(exc)))
+        named = [a for n, a in _CAMPAIGN_FLAGS.items() if n in words]
+        flags = " ".join(
+            f"--{attr.replace('_', '-')} {getattr(args, attr)}"
+            for attr in named or _CAMPAIGN_FLAGS.values()
+            if getattr(args, attr) is not None
+        )
         raise ValueError(f"{flags}: {exc}") from None
     lines = [f"# rrdps {__version__} oracle seed={args.seed} trials={args.trials}"]
     if args.fault_injection is not None:

@@ -24,6 +24,16 @@ the window overlaps enter the tail overlap by their moduli, which is
 what the alignment makes them; so the stored family vectors may carry
 arbitrary phases, and the tail overlap is real and nonnegative.
 
+Families are built, checked and characterized in stacks: every array step
+takes the tables of families that share one layout (pulse count,
+correlation length and Fock dimension) with a leading trial axis.  The
+public functions run it on a stack of one.  A campaign runs in two steps
+over windows of ``_WINDOW`` trials: a draw step makes each trial's random
+draws, in trial order and from the trial's own streams, and an array step
+then evaluates each layout's trials in one pass.  Stacked norms and
+overlaps are bitwise equal to the one-vector forms, so a stack's results
+do not depend on what else it holds.
+
 No state vector larger than one pulse is ever formed.  A randomized
 campaign caps the tables instead: the largest family its arguments allow
 must fit ``_TABLE_BUDGET`` (2**21) amplitudes.
@@ -32,7 +42,8 @@ must fit ``_TABLE_BUDGET`` (2**21) amplitudes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -56,6 +67,9 @@ from .sources import PhaseRotationModel
 _TABLE_BUDGET = 2**21
 # A campaign draws corr_len up to this, and up to its last pulse's window.
 _DRAWN_CORR_LEN = 2
+# Trials (or state pairs) drawn before the array step evaluates them, which
+# bounds the draws held at once.
+_WINDOW = 256
 # Tolerance of every proof-chain inequality, and of the vacuum-overlap
 # floor on random state pairs.
 CHECK_TOL = 1e-9
@@ -65,6 +79,41 @@ FIDELITY_TOL = 1e-12
 def _window(corr_len: int, k: int) -> int:
     """How many history bits the state of pulse k may depend on."""
     return min(corr_len, k - 1)
+
+
+def _bits(bits: Sequence[int]) -> tuple[int, ...]:
+    if any(b not in (0, 1) for b in bits):
+        raise ValueError(f"bit and history bits must be 0 or 1, got {tuple(bits)}")
+    # int(): a bool in an index tuple would act as a mask.
+    return tuple(int(b) for b in bits)
+
+
+def _bit_axes(table: np.ndarray, corr_len: int, k: int) -> np.ndarray:
+    # Pulse k's table, or a stack of them, with one axis per bit after any
+    # leading trial axis: the encoded bit, then the bit d pulses earlier at
+    # d places further, the last axis the amplitudes.
+    bit_axes = (2,) * (_window(corr_len, k) + 1)
+    return table.reshape(table.shape[:-3] + bit_axes + (-1,))
+
+
+def _check_tables(corr_len: int, tables: Sequence[np.ndarray]) -> None:
+    """The layout and norm checks of a stack of families' tables, each
+    table with a leading trial axis."""
+    _require_integer("n_pulses", len(tables), corr_len + 1)
+    fock_dim = tables[0].shape[-1]
+    _require_integer("fock_dim", fock_dim, 2)
+    for k, table in enumerate(tables, start=1):
+        shape = (2, 2 ** _window(corr_len, k), fock_dim)
+        if table.shape[1:] != shape:
+            raise ValueError(f"pulse {k} table has shape {table.shape[1:]}, not {shape}")
+
+    def normalized(v: np.ndarray) -> bool:
+        return bool(np.all(np.abs(_norms(v) - 1.0) <= 1e-12))
+
+    rows = [table.reshape(len(table), -1, fock_dim) for table in tables]
+    if not normalized(np.concatenate(rows, axis=1)):
+        k = next(k for k, table in enumerate(tables, start=1) if not normalized(table))
+        raise ValueError(f"pulse {k} holds a state that is not normalized")
 
 
 @dataclass(frozen=True)
@@ -89,15 +138,7 @@ class EmissionFamily:
             self, "tables", tuple(np.asarray(t, dtype=complex) for t in self.tables)
         )
         _require_integer("corr_len", self.corr_len, 0)
-        # A bit must be able to reach corr_len later pulses.
-        _require_integer("n_pulses", self.n_pulses, self.corr_len + 1)
-        _require_integer("fock_dim", self.fock_dim, 2)
-        for k, table in enumerate(self.tables, start=1):
-            shape = (2, 2 ** _window(self.corr_len, k), self.fock_dim)
-            if table.shape != shape:
-                raise ValueError(f"pulse {k} table has shape {table.shape}, not {shape}")
-            if not np.all(np.abs(_norms(table) - 1.0) <= 1e-12):
-                raise ValueError(f"pulse {k} holds a state that is not normalized")
+        _check_tables(self.corr_len, self._stack())
 
     @property
     def n_pulses(self) -> int:
@@ -107,10 +148,9 @@ class EmissionFamily:
     def fock_dim(self) -> int:
         return self.tables[0].shape[-1]
 
-    def _bit_axes(self, k: int) -> np.ndarray:
-        # Pulse k's table with one axis per bit: axis 0 the encoded bit,
-        # axis d the bit d pulses earlier, the last axis the amplitudes.
-        return self.tables[k - 1].reshape((2,) * (_window(self.corr_len, k) + 1) + (-1,))
+    def _stack(self) -> list[np.ndarray]:
+        # The tables as a stack of one family.
+        return [table[None] for table in self.tables]
 
     def pulse_state(self, k: int, bit: int, history: Sequence[int]) -> np.ndarray:
         """Stored vector for pulse k; ``history`` may be longer than the
@@ -119,11 +159,8 @@ class EmissionFamily:
         w = _window(self.corr_len, k)
         if len(history) < w:
             raise ValueError(f"pulse {k} needs {w} history bits, got {len(history)}")
-        bits = (bit, *history[:w])
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError(f"bit and history bits must be 0 or 1, got {bits}")
-        # int(): a bool in an index tuple would act as a mask.
-        return self._bit_axes(k)[tuple(int(b) for b in bits)]
+        bits = _bits((bit, *history[:w]))
+        return _bit_axes(self.tables[k - 1], self.corr_len, k)[bits]
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -133,47 +170,93 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
 
 
-def _normalized(v: np.ndarray) -> np.ndarray:
-    return v / _norms(v)[..., None]
+def _overlaps(states: np.ndarray, d: int) -> np.ndarray:
+    """Overlaps ``<v0|v1>`` of the states at index 0 and 1 of axis d, over
+    every other index, each bitwise equal to ``np.vdot(v0, v1)``; the last
+    axis holds the amplitudes."""
+    pick = (slice(None),) * d
+    v0, v1 = states[pick + (0,)], states[pick + (1,)]
+    return (v0.conj()[..., None, :] @ v1[..., :, None])[..., 0, 0]
 
 
 def _lag_overlaps(states: np.ndarray, d: int) -> np.ndarray:
-    """Moduli of the overlaps of the states at index 0 and 1 of axis d,
-    over every other index, each bitwise equal to ``abs(np.vdot(v0, v1))``;
-    the last axis holds the amplitudes."""
-    pick = (slice(None),) * d
-    v0, v1 = states[pick + (0,)], states[pick + (1,)]
-    ov = (v0.conj()[..., None, :] @ v1[..., :, None])[..., 0, 0]
+    """Moduli of ``_overlaps(states, d)``, each bitwise equal to
+    ``abs(np.vdot(v0, v1))``."""
+    ov = _overlaps(states, d)
     return np.hypot(ov.real, ov.imag)
 
 
-def _vacuum_aligned(vec: np.ndarray) -> np.ndarray:
-    c = vec[0]
-    if abs(c) < 1e-12:
-        return vec
-    return vec * (abs(c) / c)
+def _complex(normals: np.ndarray) -> np.ndarray:
+    # Complex vectors from normals of shape (..., 2, dim), the real parts
+    # at index 0 of the second-last axis and the imaginary parts at index 1.
+    out = np.empty(normals.shape[:-2] + normals.shape[-1:], dtype=complex)
+    out.real = normals[..., 0, :]
+    out.imag = normals[..., 1, :]
+    return out
 
 
-def _tail_overlap(family: EmissionFamily, t: int, history: tuple[int, ...]) -> float:
-    """Overlap g of the bit-0 and bit-1 tails of pulse t, with no tail built.
+def _units(normals: np.ndarray) -> np.ndarray:
+    """Random unit vectors from normals of shape (..., 2, dim)."""
+    units = _complex(normals)
+    units /= _norms(units)[..., None]
+    return units
+
+
+def _draw_vacuum_weighted(rng: np.random.Generator, dim: int, weight: float) -> tuple:
+    # The draws of one unit vector with vacuum weight ``weight``: the normals
+    # of its other amplitudes and the phase of its vacuum amplitude.
+    return weight, rng.normal(size=(2, dim - 1)), rng.uniform(0.0, 2.0 * math.pi)
+
+
+def _vacuum_weighted_units(
+    weight: np.ndarray, normals: np.ndarray, angle: np.ndarray
+) -> np.ndarray:
+    """Unit vectors from stacked ``_draw_vacuum_weighted`` draws."""
+    rest = _complex(normals)
+    rest *= (np.sqrt(1.0 - weight) / _norms(rest))[..., None]
+    vacuum = np.sqrt(weight) * np.exp(1j * angle)
+    return np.concatenate((vacuum[..., None], rest), axis=-1)
+
+
+class _LagOverlaps(dict):
+    """``self[k, d]``: the lag-d overlap moduli of pulse k of every family in
+    a stack, computed on first use, with the trial axis first and then the
+    axes of the remaining bits in ``_bit_axes`` order."""
+
+    def __init__(self, corr_len: int, tables: Sequence[np.ndarray]) -> None:
+        super().__init__()
+        self.corr_len = corr_len
+        self.tables = tables
+
+    def __missing__(self, key: tuple[int, int]) -> np.ndarray:
+        k, d = key
+        states = _bit_axes(self.tables[k - 1], self.corr_len, k)
+        self[key] = overlaps = _lag_overlaps(states, d + 1)
+        return overlaps
+
+
+def _tail_overlap(
+    lags: _LagOverlaps, j: int, t: int, history: tuple[int, ...]
+) -> float:
+    """Overlap g of the bit-0 and bit-1 tails of pulse t of family j of a
+    stack, with no tail built.
 
     Ancilla branches are orthogonal, so g is the mean over the tail bits of
     the product of per-pulse overlaps.  Pulses past the forward window of t
     emit the same vector in both tails and contribute a factor of 1; window
     pulse t + i depends on the first i tail bits only, so its 2^i overlaps
-    are formed once and broadcast over the later bits.  In the canonical
+    are read once and broadcast over the later bits.  In the canonical
     purification each window overlap is real and nonnegative, so it enters
     by its modulus.
     """
     prod = np.ones(())
-    for i in range(1, family.corr_len + 1):
-        # Axes of pulse t + i: its bit, the tail bits from t + i - 1 back to
-        # t + 1, bit t at axis i, then the history bits inside its window.
-        states = family._bit_axes(t + i)
-        states = states[(slice(None),) * (i + 1) + history[: states.ndim - i - 2]]
-        # Tail bits in pulse order, C-contiguous, so the mean sums as before.
-        ov = np.ascontiguousarray(_lag_overlaps(states, i).T)
-        prod = prod[..., None] * ov
+    for i in range(1, lags.corr_len + 1):
+        # Pulse t + i's overlaps across bit t: axes its bit, the tail bits
+        # from t + i - 1 back to t + 1, then the history bits in its window.
+        ov = lags[t + i, i][j]
+        ov = ov[(slice(None),) * i + history[: ov.ndim - i]]
+        # Tail bits in pulse order, C-contiguous, so the mean sums in order.
+        prod = prod[..., None] * np.ascontiguousarray(ov.T)
     return float(prod.mean())
 
 
@@ -181,6 +264,41 @@ def _probability(p: float, what: str) -> float:
     if not -1e-12 <= p <= 1.0 + 1e-12:
         raise ArithmeticError(f"{what} {p} outside [0, 1] tolerance")
     return min(1.0, max(0.0, p))
+
+
+def _characterizations(
+    lags: _LagOverlaps, eps_scale: Optional[float] = None
+) -> list[SourceCharacterization]:
+    """The measured characterization of every family in a stack, with each
+    per-lag deficit scaled by ``eps_scale`` and clipped to [0, 1] if given."""
+    tables, n_trials = lags.tables, len(lags.tables[0])
+    worst = [
+        np.min(
+            [
+                lags[k, d].reshape(n_trials, -1).min(axis=1)
+                for k in range(d + 1, len(tables) + 1)
+            ],
+            axis=0,
+        )
+        for d in range(1, lags.corr_len + 1)
+    ]
+    worst = np.reshape(worst, (lags.corr_len, n_trials)).T.tolist()
+    vac = np.concatenate([table[..., 0] for table in tables], axis=2)
+    vac = np.hypot(vac.real, vac.imag).min(axis=2).tolist()
+    chars = []
+    for overlaps, floors in zip(worst, vac):
+        # Squared as Python floats: an array square can differ in the last
+        # bit.
+        eps = [1.0 - min(1.0, w**2) for w in overlaps]
+        if eps_scale is not None:
+            eps = [min(1.0, max(0.0, e * eps_scale)) for e in eps]
+        p_vac0, p_vac1 = (min(1.0, v**2) for v in floors)
+        chars.append(
+            SourceCharacterization(
+                corr_len=lags.corr_len, eps=tuple(eps), p_vac0=p_vac0, p_vac1=p_vac1
+            )
+        )
+    return chars
 
 
 def measured_characterization(family: EmissionFamily) -> SourceCharacterization:
@@ -192,22 +310,7 @@ def measured_characterization(family: EmissionFamily) -> SourceCharacterization:
     the returned characterization is valid for the family by construction
     rather than by assumption.
     """
-    eps = []
-    for d in range(1, family.corr_len + 1):
-        worst = min(
-            float(_lag_overlaps(family._bit_axes(k), d).min())
-            for k in range(d + 1, family.n_pulses + 1)
-        )
-        # Squared as a Python float: an array square can differ in the
-        # last bit.
-        eps.append(1.0 - min(1.0, worst**2))
-    vac = np.concatenate([table[:, :, 0] for table in family.tables], axis=1)
-    p_vac0, p_vac1 = (
-        min(1.0, float(v) ** 2) for v in np.hypot(vac.real, vac.imag).min(axis=1)
-    )
-    return SourceCharacterization(
-        corr_len=family.corr_len, eps=tuple(eps), p_vac0=p_vac0, p_vac1=p_vac1
-    )
+    return _characterizations(_LagOverlaps(family.corr_len, family._stack()))[0]
 
 
 @dataclass(frozen=True)
@@ -215,9 +318,9 @@ class ProofChainCheck:
     """All inequalities of the bound derivation, evaluated on one family.
 
     The caps and floors derive from the (possibly overridden)
-    characterization; the probability and overlap fields are exact
-    state-vector quantities.  Each ``ok_*`` flag compares one side of the
-    chain at ``CHECK_TOL``.
+    characterization, all at once on first use; the probability and overlap
+    fields are exact state-vector quantities.  Each ``ok_*`` flag compares
+    one side of the chain at ``CHECK_TOL``.
     """
 
     n_pulses: int
@@ -238,25 +341,34 @@ class ProofChainCheck:
     def corr_len(self) -> int:
         return self.characterization.corr_len
 
+    @cached_property
+    def _caps(self) -> tuple[float, float, float, float, float]:
+        # The five caps and floors, derived once, together: a second cached
+        # attribute would grow every check's instance dict tenfold.
+        char = self.characterization
+        minus_ref, fidelity = minus_ref_bound(char), fidelity_bound(char)
+        minus_act = SecurityBounds(minus_ref, fidelity).minus_act
+        return minus_ref, fidelity, minus_act, a1_floor(char), plus_vac_floor(char)
+
     @property
     def minus_ref_cap(self) -> float:
-        return minus_ref_bound(self.characterization)
+        return self._caps[0]
 
     @property
     def fidelity_floor(self) -> float:
-        return fidelity_bound(self.characterization)
+        return self._caps[1]
 
     @property
     def minus_act_cap(self) -> float:
-        return SecurityBounds.from_source(self.characterization).minus_act
+        return self._caps[2]
 
     @property
     def a1_floor(self) -> float:
-        return a1_floor(self.characterization)
+        return self._caps[3]
 
     @property
     def plus_vac_floor(self) -> float:
-        return plus_vac_floor(self.characterization)
+        return self._caps[4]
 
     @property
     def ok_ref_cap(self) -> bool:
@@ -294,10 +406,6 @@ class ProofChainCheck:
         )
 
     def line(self) -> str:
-        return self._line(self.passed)
-
-    def _line(self, passed: bool) -> str:
-        # The report line, with the status the caller has already evaluated.
         hist = "".join(str(b) for b in self.history) or "-"
         return (
             f"trial={-1 if self.trial is None else self.trial} "
@@ -309,8 +417,65 @@ class ProofChainCheck:
             f"p_act={self.p_minus_act:.9f} fid={self.fidelity:.9f} "
             f"transfer={self.transfer_value:.9f} a1={self.a1:.9f} "
             f"a1floor={self.a1_floor:.9f} "
-            f"status={'PASS' if passed else 'FAIL'}"
+            f"status={'PASS' if self.passed else 'FAIL'}"
         )
+
+
+def _proof_chain_checks(
+    lags: _LagOverlaps,
+    ts: Sequence[int],
+    histories: Sequence[tuple[int, ...]],
+    chars: Sequence[SourceCharacterization],
+    trials: Sequence[Optional[int]],
+    seeds: Sequence[Optional[int]],
+) -> list[ProofChainCheck]:
+    """One check per family of a stack, of pulse ``ts[j]`` of family j
+    under ``histories[j]`` against ``chars[j]``.
+
+    Closed forms on the actual block (|0> b0 T0 + |1> b1 T1) / sqrt(2) and
+    the reference block, which carries T0 in both branches.
+    """
+    corr_len, tables = lags.corr_len, lags.tables
+    states = np.array(
+        [
+            _bit_axes(tables[t - 1], corr_len, t)[(j, slice(None), *history)]
+            for j, (t, history) in enumerate(zip(ts, histories))
+        ]
+    )
+    # Rotate b0 and b1 so that each vacuum amplitude is real nonnegative;
+    # a state without vacuum stays as it is.
+    vacuum = states[..., 0]
+    modulus = np.hypot(vacuum.real, vacuum.imag)
+    align = np.divide(modulus, vacuum, out=np.ones_like(vacuum), where=modulus >= 1e-12)
+    states *= align[..., None]
+    base = _overlaps(states, 1).real.tolist()
+    plus = states[:, 0, 0] + states[:, 1, 0]
+    plus = np.hypot(plus.real, plus.imag).tolist()
+    checks = []
+    for j, (t, history, char) in enumerate(zip(ts, histories, chars)):
+        g = _tail_overlap(lags, j, t, history)
+        p_act = _probability((1.0 - base[j] * g) / 2.0, "minus probability")
+        p_ref = _probability((1.0 - base[j]) / 2.0, "minus probability")
+        plus_vac = _probability(plus[j] ** 2 / 4.0, "joint probability")
+        fid = _probability((1.0 + g) / 2.0, "fidelity")
+        checks.append(
+            ProofChainCheck(
+                n_pulses=len(tables),
+                fock_dim=tables[0].shape[-1],
+                t=t,
+                history=history,
+                characterization=char,
+                p_minus_ref=p_ref,
+                p_minus_act=p_act,
+                fidelity=fid,
+                transfer_value=_transfer(p_ref, fid),
+                a1=min(1.0, g),
+                plus_vac_prob=plus_vac,
+                trial=trials[j],
+                seed=seeds[j],
+            )
+        )
+    return checks
 
 
 def check_proof_chain(
@@ -331,48 +496,53 @@ def check_proof_chain(
     w = _window(family.corr_len, t)
     if len(history) != w:
         raise ValueError(f"pulse {t} takes {w} history bits, got {len(history)}")
-    # Closed forms on the actual block (|0> b0 T0 + |1> b1 T1) / sqrt(2)
-    # and the reference block, which carries T0 in both branches.  Reading
-    # b0 and b1 checks the history bits.
-    b0, b1 = (_vacuum_aligned(family.pulse_state(t, jt, history)) for jt in (0, 1))
-    history = tuple(int(b) for b in history)
-    char = characterization or measured_characterization(family)
+    history = _bits(history)
+    lags = _LagOverlaps(family.corr_len, family._stack())
+    char = characterization or _characterizations(lags)[0]
     if char.corr_len != family.corr_len:
         raise ValueError("characterization correlation length mismatch")
-    g = _tail_overlap(family, t, history)
-    base = complex(np.vdot(b0, b1))
-    p_act = _probability((1.0 - base.real * g) / 2.0, "minus probability")
-    p_ref = _probability((1.0 - base.real) / 2.0, "minus probability")
-    plus_vac = _probability(abs(complex(b0[0] + b1[0])) ** 2 / 4.0, "joint probability")
-    fid = _probability((1.0 + g) / 2.0, "fidelity")
-    return ProofChainCheck(
-        n_pulses=family.n_pulses,
-        fock_dim=family.fock_dim,
-        t=t,
-        history=history,
-        characterization=char,
-        p_minus_ref=p_ref,
-        p_minus_act=p_act,
-        fidelity=fid,
-        transfer_value=_transfer(p_ref, fid),
-        a1=min(1.0, g),
-        plus_vac_prob=plus_vac,
-        trial=trial,
-        seed=family.seed,
-    )
+    return _proof_chain_checks(lags, [t], [history], [char], [trial], [family.seed])[0]
 
 
-def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
-    return _normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+def _draw_random(
+    seed: int, style: str, n_pulses: int, corr_len: int, fock_dim: int
+) -> tuple[list, list, np.ndarray]:
+    # A random family's draws from its own stream, as a stack of one: the
+    # two vacuum-weighted base draws and the kick strength of a perturbed
+    # family, and the real and imaginary normals of every table entry, in
+    # table order.
+    rng = np.random.default_rng(seed)
+    bases, strengths = [], []
+    if style == "perturbed":
+        for _ in (0, 1):
+            bases.append(_draw_vacuum_weighted(rng, fock_dim, rng.uniform(0.55, 0.95)))
+        strengths = [10.0 ** rng.uniform(-3.0, math.log10(0.6))]
+    rows = sum(2 * 2 ** _window(corr_len, k) for k in range(1, n_pulses + 1))
+    return bases, strengths, rng.normal(size=(1, rows, 2, fock_dim))
 
 
-def _vacuum_weighted_unit(
-    rng: np.random.Generator, dim: int, weight: float
-) -> np.ndarray:
-    rest = rng.normal(size=dim - 1) + 1j * rng.normal(size=dim - 1)
-    rest *= math.sqrt(1.0 - weight) / _norms(rest)
-    phase = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-    return np.concatenate(([math.sqrt(weight) * phase], rest))
+def _random_tables(
+    style: str, n_pulses: int, corr_len: int, draws: tuple[list, list, np.ndarray]
+) -> list[np.ndarray]:
+    """Stacked tables of random families from their stacked draws (see
+    ``_draw_random``): random unit vectors, which a perturbed family scales
+    by its strength, adds to its base state of the same bit and normalizes
+    again, all in place."""
+    bases, strengths, normals = draws
+    if style == "perturbed":
+        # Built first, so that its temporaries never meet the unit rows.
+        base = _vacuum_weighted_units(*(np.array(x) for x in zip(*bases)))
+        base = base.reshape(len(normals), 2, 1, -1)
+    units = _units(normals)
+    sizes = [2 ** _window(corr_len, k) for k in range(1, n_pulses + 1)]
+    rows = np.split(units, np.cumsum(sizes)[:-1] * 2, axis=1)
+    tables = [r.reshape(len(units), 2, size, -1) for r, size in zip(rows, sizes)]
+    if style == "perturbed":
+        units *= np.array(strengths)[:, None, None]
+        for table in tables:
+            table += base
+        units /= _norms(units)[..., None]
+    return tables
 
 
 def random_family(
@@ -398,23 +568,45 @@ def random_family(
     _require_integer("seed", seed, 0)
     if style not in ("perturbed", "free"):
         raise ValueError(f"unknown family style {style!r}")
-    rng = np.random.default_rng(seed)
-    if style == "perturbed":
-        base = np.array(
-            [
-                _vacuum_weighted_unit(rng, fock_dim, rng.uniform(0.55, 0.95))
-                for _ in (0, 1)
-            ]
-        )
-        strength = 10.0 ** rng.uniform(-3.0, math.log10(0.6))
-    sizes = [2 * 2 ** _window(corr_len, k) for k in range(1, n_pulses + 1)]
-    normals = rng.normal(size=(sum(sizes), 2, fock_dim))
-    units = _normalized(normals[:, 0] + 1j * normals[:, 1])
-    rows = np.split(units, np.cumsum(sizes)[:-1])
-    tables = [r.reshape(2, size // 2, fock_dim) for r, size in zip(rows, sizes)]
-    if style == "perturbed":
-        tables = [_normalized(base[:, None] + strength * t) for t in tables]
-    return EmissionFamily(corr_len=corr_len, tables=tables, seed=seed)
+    # Passed unnamed, the draws are freed before the constructor's checks
+    # copy the tables.
+    tables = _random_tables(
+        style, n_pulses, corr_len, _draw_random(seed, style, n_pulses, corr_len, fock_dim)
+    )
+    return EmissionFamily(corr_len=corr_len, tables=[t[0] for t in tables], seed=seed)
+
+
+def _coherent_tables(
+    n_pulses: int,
+    corr_len: int,
+    fock_dim: int,
+    mu: Sequence[float],
+    delta: Sequence[float],
+) -> list[np.ndarray]:
+    """Stacked tables of coherent families, one per pair of mu and delta."""
+    models = [PhaseRotationModel(m, d, corr_len) for m, d in zip(mu, delta)]
+    rotation = np.reshape(
+        [[m.rotation(lag) for lag in range(1, corr_len + 1)] for m in models],
+        (len(models), corr_len),
+    )
+    ns = np.arange(fock_dim)
+    log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, fock_dim)))))
+    root_fact = np.exp(0.5 * log_fact)
+    amplitude = np.array([[1.0], [-1.0]]) * np.sqrt(mu)[:, None, None]
+    tables = []
+    for k in range(1, n_pulses + 1):
+        w = _window(corr_len, k)
+        # The kicks add lag by lag, in order; a reordered sum can differ in
+        # the last bit.
+        phase = np.zeros((len(models), 2**w))
+        for lag in range(1, w + 1):
+            kicked = np.arange(2**w) >> (w - lag) & 1
+            phase += np.where(kicked, rotation[:, lag - 1 : lag], 0.0)
+        alpha = amplitude * np.exp(1j * phase)[:, None]
+        table = np.power(alpha[..., None], ns) / root_fact
+        table /= _norms(table)[..., None]
+        tables.append(table)
+    return tables
 
 
 def coherent_family(
@@ -438,57 +630,82 @@ def coherent_family(
     _require_integer("fock_dim", fock_dim, 2)
     if np.ndim(mu) != 0:
         raise ValueError(f"mu must be a single number, got {mu!r}")
-    model = PhaseRotationModel(mu=mu, delta=delta, corr_len=corr_len)
-    ns = np.arange(fock_dim)
-    log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, fock_dim)))))
-    root_fact = np.exp(0.5 * log_fact)
-    tables = []
-    for k in range(1, n_pulses + 1):
-        w = _window(corr_len, k)
-        # The kicks add lag by lag, in order; a reordered sum can differ in
-        # the last bit.
-        phase = np.zeros(2**w)
-        for lag in range(1, w + 1):
-            phase += np.where(np.arange(2**w) >> (w - lag) & 1, model.rotation(lag), 0.0)
-        alpha = np.array([[1.0], [-1.0]]) * math.sqrt(mu) * np.exp(1j * phase)
-        tables.append(_normalized(np.power(alpha[..., None], ns) / root_fact))
-    return EmissionFamily(corr_len=corr_len, tables=tables, seed=seed)
+    tables = _coherent_tables(n_pulses, corr_len, fock_dim, [mu], [delta])
+    return EmissionFamily(corr_len=corr_len, tables=[t[0] for t in tables], seed=seed)
 
 
 @dataclass(frozen=True)
 class OracleCampaign:
-    """Aggregated proof-chain trials, serializable one line per trial.
-
-    Each check's status is evaluated once, on construction, since each
-    evaluation re-derives the check's caps; the report lines, the failure
-    count and the verdict all read ``verdicts``.
-    """
+    """Aggregated proof-chain trials, serializable one line per trial."""
 
     checks: tuple[ProofChainCheck, ...]
-    verdicts: tuple[bool, ...] = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "verdicts", tuple(c.passed for c in self.checks))
 
     @property
     def n_trials(self) -> int:
         return len(self.checks)
 
-    @property
+    @cached_property
     def n_failed(self) -> int:
-        return self.verdicts.count(False)
+        return sum(not c.passed for c in self.checks)
 
     @property
     def passed(self) -> bool:
         return self.n_failed == 0
 
     def lines(self) -> list[str]:
-        out = [c._line(ok) for c, ok in zip(self.checks, self.verdicts)]
+        out = [c.line() for c in self.checks]
         out.append(
             f"summary trials={self.n_trials} failed={self.n_failed} "
             f"status={'PASS' if self.passed else 'FAIL'}"
         )
         return out
+
+
+def _draw_trial(seed: int, i: int, max_pulses: int, max_fock: int) -> tuple:
+    """Trial i's draws, from its counter-keyed stream and its family's.
+
+    Returns the trial's table layout (family kind, pulse count, correlation
+    length, Fock dimension) and the trial: its index, its family seed, its
+    family's parameters (mu and delta) or draws, the analyzed pulse and
+    its history.
+    """
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
+    rng = np.random.default_rng(ss)
+    fam_seed = int(ss.generate_state(1, np.uint32)[0])
+    n = int(rng.integers(2, max_pulses + 1))
+    lc = int(rng.integers(0, _window(_DRAWN_CORR_LEN, n) + 1))
+    u = rng.random()
+    if u < 0.1:
+        kind = "coherent"
+        fock = int(rng.integers(6, max_fock + 1))
+        params = float(rng.uniform(0.02, 0.3)), float(rng.uniform(0.05, 0.6))
+    else:
+        kind = "free" if u > 0.85 else "perturbed"
+        fock = int(rng.integers(2, max_fock + 1))
+        params = _draw_random(fam_seed, kind, n, lc, fock)
+    t = int(rng.integers(1, n - lc + 1))
+    history = tuple(int(b) for b in rng.integers(0, 2, size=_window(lc, t)))
+    return (kind, n, lc, fock), (i, fam_seed, params, t, history)
+
+
+def _layout_checks(
+    layout: tuple, trials: Sequence[tuple], eps_scale: Optional[float]
+) -> list[ProofChainCheck]:
+    """The checks of drawn trials that share one table layout, in one array
+    pass: build the tables, check them, characterize and check."""
+    kind, n_pulses, corr_len, fock_dim = layout
+    ids, seeds, params, ts, histories = zip(*trials)
+    if kind == "coherent":
+        mu, delta = zip(*params)
+        tables = _coherent_tables(n_pulses, corr_len, fock_dim, mu, delta)
+    else:
+        bases, strengths, normals = zip(*params)
+        draws = (sum(bases, []), sum(strengths, []), np.concatenate(normals))
+        tables = _random_tables(kind, n_pulses, corr_len, draws)
+    _check_tables(corr_len, tables)
+    lags = _LagOverlaps(corr_len, tables)
+    chars = _characterizations(lags, eps_scale)
+    return _proof_chain_checks(lags, ts, histories, chars, ids, seeds)
 
 
 def run_family_campaign(
@@ -508,6 +725,13 @@ def run_family_campaign(
     correlations and must trip the checks.  Every argument is checked
     before the first trial, and so is the largest family the arguments
     allow: its tables must fit ``_TABLE_BUDGET`` (2**21) amplitudes.
+
+    Trials run in windows of ``_WINDOW``.  The draw step makes each trial's
+    draws in trial order; the array step then groups the window's trials by
+    table layout and builds, checks, characterizes and checks each group in
+    one array pass.  Each check equals the one ``check_proof_chain`` gives
+    on the family ``random_family`` or ``coherent_family`` builds from the
+    same draws.
     """
     _require_integer("n_trials", n_trials, 1)
     _require_integer("seed", seed, 0)
@@ -525,37 +749,13 @@ def run_family_campaign(
     name = f"table amplitudes at max_pulses {max_pulses}, max_fock {max_fock}"
     _require_integer(name, amplitudes, 1, _TABLE_BUDGET)
     checks = []
-    for i in range(n_trials):
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
-        rng = np.random.default_rng(ss)
-        fam_seed = int(ss.generate_state(1, np.uint32)[0])
-        n = int(rng.integers(2, max_pulses + 1))
-        lc = int(rng.integers(0, _window(_DRAWN_CORR_LEN, n) + 1))
-        kind = rng.random()
-        if kind < 0.1:
-            fock = int(rng.integers(6, max_fock + 1))
-            fam = coherent_family(
-                n_pulses=n,
-                corr_len=lc,
-                mu=float(rng.uniform(0.02, 0.3)),
-                delta=float(rng.uniform(0.05, 0.6)),
-                fock_dim=fock,
-                seed=fam_seed,
-            )
-        else:
-            style = "free" if kind > 0.85 else "perturbed"
-            fock = int(rng.integers(2, max_fock + 1))
-            fam = random_family(
-                n_pulses=n, corr_len=lc, fock_dim=fock, seed=fam_seed, style=style
-            )
-        t = int(rng.integers(1, n - lc + 1))
-        history = tuple(int(b) for b in rng.integers(0, 2, size=_window(lc, t)))
-        char = measured_characterization(fam)
-        if eps_scale is not None:
-            eps = tuple(min(1.0, max(0.0, e * eps_scale)) for e in char.eps)
-            char = replace(char, eps=eps)
-        check = check_proof_chain(fam, t, history, characterization=char, trial=i)
-        checks.append(check)
+    for start in range(0, n_trials, _WINDOW):
+        groups: dict[tuple, list] = {}
+        for i in range(start, min(start + _WINDOW, n_trials)):
+            layout, trial = _draw_trial(seed, i, max_pulses, max_fock)
+            groups.setdefault(layout, []).append(trial)
+        window = [c for g in groups.items() for c in _layout_checks(*g, eps_scale)]
+        checks += sorted(window, key=lambda c: c.trial)
     return OracleCampaign(tuple(checks))
 
 
@@ -587,32 +787,42 @@ def verify_fidelity_proposition(
 
     Half the pairs are biased toward large vacuum amplitude so the floor
     is nontrivial; the rest exercise the trivial branch.  A pair fails when
-    its overlap falls below the floor by more than ``FIDELITY_TOL``.
+    its overlap falls below the floor by more than ``FIDELITY_TOL``.  The
+    pairs are drawn one by one, and the overlaps and vacuum weights of each
+    window of ``_WINDOW`` pairs are computed in one array pass.
     """
     _require_integer("dim", dim, 2)
     _require_integer("n_trials", n_trials, 1)
     _require_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
-    failed = 0
-    worst = math.inf
-    for _ in range(n_trials):
-        pair = []
-        for _ in range(2):
-            if rng.random() < 0.5:
-                pair.append(_vacuum_weighted_unit(rng, dim, rng.uniform(0.4, 1.0)))
+    margins = []
+    for start in range(0, n_trials, _WINDOW):
+        count = 2 * min(_WINDOW, n_trials - start)
+        weighted = np.zeros(count, dtype=bool)
+        weight, angle = np.empty(count), np.empty(count)
+        normals = np.empty((count, 2, dim))
+        for v in range(count):
+            weighted[v] = rng.random() < 0.5
+            if weighted[v]:
+                draws = _draw_vacuum_weighted(rng, dim, rng.uniform(0.4, 1.0))
+                weight[v], normals[v, :, 1:], angle[v] = draws
             else:
-                pair.append(_random_unit(rng, dim))
-        lhs = float(abs(np.vdot(pair[0], pair[1])))
-        rhs = vacuum_fidelity_bound(
-            float(abs(pair[0][0]) ** 2), float(abs(pair[1][0]) ** 2)
+                normals[v] = rng.normal(size=(2, dim))
+        states = np.empty((count, dim), dtype=complex)
+        states[weighted] = _vacuum_weighted_units(
+            weight[weighted], normals[weighted, :, 1:], angle[weighted]
         )
-        margin = lhs - rhs
-        worst = min(worst, margin)
-        if margin < -FIDELITY_TOL:
-            failed += 1
+        states[~weighted] = _units(normals[~weighted])
+        pairs = states.reshape(-1, 2, dim)
+        overlaps = _lag_overlaps(pairs, 1).tolist()
+        vac = np.hypot(pairs[..., 0].real, pairs[..., 0].imag).tolist()
+        margins += [
+            lhs - vacuum_fidelity_bound(a**2, b**2)
+            for lhs, (a, b) in zip(overlaps, vac)
+        ]
     return FidelityPropositionResult(
         dim=dim,
         n_trials=n_trials,
-        n_failed=failed,
-        worst_margin=worst,
+        n_failed=sum(m < -FIDELITY_TOL for m in margins),
+        worst_margin=min(margins),
     )

@@ -267,16 +267,16 @@ class TestOracleCommand:
         assert "summary trials=5" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "flags, flag",
+        "flags, blamed",
         [
-            (["--trials", "0"], "--trials"),
-            (["--trials", "-3"], "--trials"),
-            (["--fault-injection", "nan"], "--fault-injection"),
-            (["--fock", "5"], "--fock"),
+            (["--trials", "0"], ["--trials"]),
+            (["--trials", "-3"], ["--trials"]),
+            (["--fault-injection", "nan"], ["--fault-injection"]),
+            (["--fock", "5"], ["--fock"]),
             # 4 pulses of 100000 Fock levels hold 2 * 100000 * 11 amplitudes,
-            # beyond the table budget of 2**21.
-            (["--fock", "100000"], "--fock"),
-            (["--seed", "-1"], "--seed"),
+            # beyond the table budget of 2**21, which both flags set.
+            (["--fock", "100000"], ["--pulses", "--fock"]),
+            (["--seed", "-1"], ["--seed"]),
         ],
         ids=[
             "trials-0",
@@ -287,11 +287,18 @@ class TestOracleCommand:
             "seed-negative",
         ],
     )
-    def test_bad_flag_rejected(self, tmp_path, capsys, flags, flag):
+    def test_bad_flag_rejected(self, tmp_path, capsys, flags, blamed):
+        # The message names the flags at fault, with their values, and no
+        # other flag.
         out = tmp_path / "report.txt"
         args = ["oracle", "--trials", "3", "--seed", "3", *flags, "--out", str(out)]
         assert cli.main(args) == 1
-        assert flag in capsys.readouterr().err
+        err = capsys.readouterr().err
+        every = ["--trials", "--seed", "--pulses", "--fock", "--fault-injection"]
+        assert [f for f in every if f in err] == blamed
+        named = dict(zip(args[1::2], args[2::2]))
+        for flag in blamed:
+            assert f"{flag} {named.get(flag, '4')}" in err
         assert not out.exists()
 
 

@@ -1,9 +1,11 @@
 """Tests for the exact small-system verification engine."""
 
+import collections
 import dataclasses
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,6 +141,25 @@ class TestCoherentFamily:
             orc.coherent_family(3, 1, **kwargs)
 
 
+class TestBuildMemory:
+    @pytest.mark.parametrize("style", ["perturbed", "free"])
+    def test_build_peak_is_bounded_by_the_tables(self, style):
+        # The float normals, the complex rows and the copy the norm check
+        # makes are each as large as the tables; at most two are alive at
+        # once.  A first build runs numpy's one-time set-up outside the
+        # trace.
+        orc.random_family(3, 1, 3, seed=2, style=style)
+        tracemalloc.start()
+        try:
+            fam = orc.random_family(4, 2, 20000, seed=1, style=style)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stored = sum(t.nbytes for t in fam.tables)
+        assert stored == 22 * 20000 * 16
+        assert peak <= 2.5 * stored
+
+
 class TestCanonicalForm:
     def test_z_statistics_unchanged(self):
         # The phase conventions must not move any computational-basis weight.
@@ -258,11 +279,18 @@ def plus_vacuum_probability(block, fock_dim):
 # by (k, bit, history tuple), and the measured characterization and tail
 # overlap read from that dict one context at a time.  The array code must
 # reproduce them bit for bit.
+def reference_vacuum_weighted_unit(rng, dim, weight):
+    rest = rng.normal(size=dim - 1) + 1j * rng.normal(size=dim - 1)
+    rest *= math.sqrt(1.0 - weight) / np.linalg.norm(rest)
+    phase = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+    return np.concatenate(([math.sqrt(weight) * phase], rest))
+
+
 def reference_random_states(n_pulses, corr_len, fock_dim, seed, style):
     rng = np.random.default_rng(seed)
     if style == "perturbed":
         base = {
-            bit: orc._vacuum_weighted_unit(rng, fock_dim, rng.uniform(0.55, 0.95))
+            bit: reference_vacuum_weighted_unit(rng, fock_dim, rng.uniform(0.55, 0.95))
             for bit in (0, 1)
         }
         strength = 10.0 ** rng.uniform(-3.0, math.log10(0.6))
@@ -461,7 +489,7 @@ class TestTableLayout:
                 m.setattr(
                     orc,
                     "_tail_overlap",
-                    lambda fam, t, hist: reference_tail_overlap(states, fam, t, hist),
+                    lambda lags, j, t, hist: reference_tail_overlap(states, fam, t, hist),
                 )
                 for chk in checks:
                     ref = orc.check_proof_chain(
@@ -472,13 +500,15 @@ class TestTableLayout:
 
     def test_stacked_forms_are_bitwise_equal_to_scalar_ones(self):
         # The array code relies on these equalities to keep every report
-        # byte: a stacked overlap and np.vdot, np.hypot and abs() of a
-        # complex scalar, the stacked norm and np.linalg.norm.
+        # byte: a stacked overlap and np.vdot, its modulus and abs() of
+        # np.vdot, np.hypot and abs() of a complex scalar, the stacked norm
+        # and np.linalg.norm.
         rng = np.random.default_rng(5)
         for dim in range(2, 21):
             v = rng.normal(size=(2, 500, dim)) + 1j * rng.normal(size=(2, 500, dim))
-            want = [abs(np.vdot(a, b)) for a, b in zip(v[0], v[1])]
-            assert np.array_equal(orc._lag_overlaps(v, 0), want)
+            vdots = [np.vdot(a, b) for a, b in zip(v[0], v[1])]
+            assert np.array_equal(orc._overlaps(v, 0), vdots)
+            assert np.array_equal(orc._lag_overlaps(v, 0), [abs(z) for z in vdots])
             z = v[0, :, 0]
             assert np.array_equal(np.hypot(z.real, z.imag), [abs(c) for c in z])
             assert np.array_equal(orc._norms(v[1]), [np.linalg.norm(a) for a in v[1]])
@@ -562,6 +592,34 @@ class TestProofChain:
         assert "p_act=" in line and "actcap=" in line
 
 
+def reference_campaign(n_trials, seed, eps_scale, max_pulses=4, max_fock=8):
+    """The checks of a campaign made trial by trial: each trial's family
+    drawn from its streams, built alone by the public builders and checked
+    by check_proof_chain."""
+    for i in range(n_trials):
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
+        rng = np.random.default_rng(ss)
+        fam_seed = int(ss.generate_state(1, np.uint32)[0])
+        n = int(rng.integers(2, max_pulses + 1))
+        lc = int(rng.integers(0, min(2, n - 1) + 1))
+        kind = rng.random()
+        if kind < 0.1:
+            fock = int(rng.integers(6, max_fock + 1))
+            mu, delta = float(rng.uniform(0.02, 0.3)), float(rng.uniform(0.05, 0.6))
+            fam = orc.coherent_family(n, lc, mu, delta, fock_dim=fock, seed=fam_seed)
+        else:
+            style = "free" if kind > 0.85 else "perturbed"
+            fock = int(rng.integers(2, max_fock + 1))
+            fam = orc.random_family(n, lc, fock, seed=fam_seed, style=style)
+        t = int(rng.integers(1, n - lc + 1))
+        history = tuple(int(b) for b in rng.integers(0, 2, size=min(lc, t - 1)))
+        char = orc.measured_characterization(fam)
+        if eps_scale is not None:
+            eps = tuple(min(1.0, max(0.0, e * eps_scale)) for e in char.eps)
+            char = dataclasses.replace(char, eps=eps)
+        yield orc.check_proof_chain(fam, t, history, characterization=char, trial=i)
+
+
 class TestCampaigns:
     def test_deterministic(self):
         a = orc.run_family_campaign(n_trials=20, seed=11)
@@ -587,23 +645,38 @@ class TestCampaigns:
         "flags", [[], ["--fault-injection"]], ids=["clean", "injected"]
     )
     def test_report_evaluates_each_verdict_once(self, monkeypatch, tmp_path, flags):
-        # Each evaluation of passed re-derives the caps, so a report, its
-        # summary and the command's exit status share one per check.
+        # The report lines, the summary and the command's exit status all
+        # read each check's verdict, which reads its caps; each check
+        # derives each cap once.
         from rrdps import cli
 
-        evaluations = []
-        real = orc.ProofChainCheck.passed
+        derived = collections.defaultdict(list)
+        for name in ("minus_ref_bound", "fidelity_bound", "a1_floor", "plus_vac_floor"):
 
-        def counted(check):
-            evaluations.append(check.trial)
-            return real.fget(check)
+            def counted(char, name=name, real=getattr(orc, name)):
+                derived[name].append(id(char))
+                return real(char)
 
-        monkeypatch.setattr(orc.ProofChainCheck, "passed", property(counted))
+            monkeypatch.setattr(orc, name, counted)
+
+        class CountedBounds(orc.SecurityBounds):
+            @property
+            def minus_act(self):
+                derived["minus_act"].append(id(self))
+                return super().minus_act
+
+        monkeypatch.setattr(orc, "SecurityBounds", CountedBounds)
         out = tmp_path / "report.txt"
         args = ["oracle", "--trials", "30", "--seed", "3", *flags, "--out", str(out)]
         assert cli.main(args) == 0
-        assert sorted(evaluations) == list(range(30))
         assert "summary trials=30" in out.read_text()
+        assert sorted(derived) == sorted(
+            ["minus_ref_bound", "fidelity_bound", "a1_floor", "plus_vac_floor", "minus_act"]
+        )
+        for name, chars in derived.items():
+            assert len(chars) == 30, name
+            if name != "minus_act":  # the bounds objects are transient
+                assert len(set(chars)) == 30, name
 
     @pytest.mark.parametrize(
         "bad",
@@ -628,9 +701,28 @@ class TestCampaigns:
         def checked(*args, **kwargs):
             raise AssertionError("a trial ran before the arguments were checked")
 
-        monkeypatch.setattr(orc, "check_proof_chain", checked)
+        # The draw step is the first thing a trial runs.
+        monkeypatch.setattr(orc, "_draw_trial", checked)
         with pytest.raises(ValueError, match=next(iter(bad))):
             orc.run_family_campaign(**{"n_trials": 5, "seed": 2, **bad})
+
+    @pytest.mark.parametrize("eps_scale", [None, 0.5], ids=["clean", "scaled"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_equals_families_checked_one_by_one(self, seed, eps_scale):
+        # The array step over groups and windows must give each trial the
+        # check the public per-family functions give it.
+        camp = orc.run_family_campaign(300, seed, eps_scale=eps_scale)
+        want = list(reference_campaign(300, seed, eps_scale))
+        assert len(camp.checks) == len(want)
+        for got, ref in zip(camp.checks, want):
+            assert got == ref
+            assert got.line() == ref.line()
+
+    def test_windows_and_groups_leak_nothing(self):
+        # 1000 trials span four windows; the first 300 span two.
+        long = orc.run_family_campaign(1000, 4).lines()
+        short = orc.run_family_campaign(300, 4).lines()
+        assert long[:300] == short[:300]
 
     def test_flag_implications(self):
         # The bounds make three flags follow from others; a campaign that
@@ -662,7 +754,35 @@ class TestCampaigns:
         assert orc.check_proof_chain(fam, 1, ()).passed
 
 
+def reference_fidelity_proposition(dim, n_trials, seed):
+    """The fidelity check made pair by pair."""
+    rng = np.random.default_rng(seed)
+    failed, worst = 0, math.inf
+    for _ in range(n_trials):
+        pair = []
+        for _ in range(2):
+            if rng.random() < 0.5:
+                weight = rng.uniform(0.4, 1.0)
+                pair.append(reference_vacuum_weighted_unit(rng, dim, weight))
+            else:
+                vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+                pair.append(vec / np.linalg.norm(vec))
+        lhs = float(abs(np.vdot(pair[0], pair[1])))
+        rhs = sec.vacuum_fidelity_bound(
+            float(abs(pair[0][0]) ** 2), float(abs(pair[1][0]) ** 2)
+        )
+        worst = min(worst, lhs - rhs)
+        failed += lhs - rhs < -orc.FIDELITY_TOL
+    return orc.FidelityPropositionResult(dim, n_trials, failed, worst)
+
+
 class TestFidelityProposition:
+    @pytest.mark.parametrize("dim", [2, 3, 6])
+    def test_equals_pairs_checked_one_by_one(self, dim):
+        # 300 pairs span two windows.
+        want = reference_fidelity_proposition(dim, 300, seed=dim)
+        assert orc.verify_fidelity_proposition(dim, 300, seed=dim) == want
+
     def test_random_pairs_pass(self):
         res = orc.verify_fidelity_proposition(dim=5, n_trials=500, seed=8)
         assert res.passed
