@@ -28,11 +28,12 @@ Families are built, checked and characterized in stacks: every array step
 takes the tables of families that share one layout (pulse count,
 correlation length and Fock dimension) with a leading trial axis.  The
 public functions run it on a stack of one.  A campaign runs in two steps
-over windows of ``_WINDOW`` trials: a draw step makes each trial's random
-draws, in trial order and from the trial's own streams, and an array step
-then evaluates each layout's trials in one pass.  Stacked norms and
-overlaps are bitwise equal to the one-vector forms, so a stack's results
-do not depend on what else it holds.
+over windows, each ended by ``_WINDOW`` trials or by ``_WINDOW_AMPLITUDES``
+table amplitudes: a draw step makes each trial's random draws, in trial
+order and from the trial's own streams, and an array step then evaluates
+each layout's trials in one pass.  Stacked norms and overlaps are bitwise
+equal to the one-vector forms, so a stack's results do not depend on what
+else it holds.
 
 No state vector larger than one pulse is ever formed.  A randomized
 campaign caps the tables instead: the largest family its arguments allow
@@ -67,9 +68,12 @@ from .sources import PhaseRotationModel
 _TABLE_BUDGET = 2**21
 # A campaign draws corr_len up to this, and up to its last pulse's window.
 _DRAWN_CORR_LEN = 2
-# Trials (or state pairs) drawn before the array step evaluates them, which
-# bounds the draws held at once.
+# Most trials (or state pairs) drawn before the array step evaluates them.
 _WINDOW = 256
+# A campaign window ends once its trials' tables hold this many amplitudes,
+# so at a large max_fock it holds about one family's draws, while 256
+# trials at the default max_fock of 8 hold about 10**4 amplitudes.
+_WINDOW_AMPLITUDES = 2**16
 # Tolerance of every proof-chain inequality, and of the vacuum-overlap
 # floor on random state pairs.
 CHECK_TOL = 1e-9
@@ -79,6 +83,11 @@ FIDELITY_TOL = 1e-12
 def _window(corr_len: int, k: int) -> int:
     """How many history bits the state of pulse k may depend on."""
     return min(corr_len, k - 1)
+
+
+def _rows(n_pulses: int, corr_len: int) -> int:
+    """How many states the tables of a family hold."""
+    return sum(2 * 2 ** _window(corr_len, k) for k in range(1, n_pulses + 1))
 
 
 def _bits(bits: Sequence[int]) -> tuple[int, ...]:
@@ -506,34 +515,40 @@ def check_proof_chain(
 
 def _draw_random(
     seed: int, style: str, n_pulses: int, corr_len: int, fock_dim: int
-) -> tuple[list, list, np.ndarray]:
+) -> tuple[list, list, list]:
     # A random family's draws from its own stream, as a stack of one: the
     # two vacuum-weighted base draws and the kick strength of a perturbed
     # family, and the real and imaginary normals of every table entry, in
-    # table order.
+    # table order, in a list that the build empties.
     rng = np.random.default_rng(seed)
     bases, strengths = [], []
     if style == "perturbed":
         for _ in (0, 1):
             bases.append(_draw_vacuum_weighted(rng, fock_dim, rng.uniform(0.55, 0.95)))
         strengths = [10.0 ** rng.uniform(-3.0, math.log10(0.6))]
-    rows = sum(2 * 2 ** _window(corr_len, k) for k in range(1, n_pulses + 1))
-    return bases, strengths, rng.normal(size=(1, rows, 2, fock_dim))
+    return bases, strengths, [rng.normal(size=(1, _rows(n_pulses, corr_len), 2, fock_dim))]
 
 
 def _random_tables(
-    style: str, n_pulses: int, corr_len: int, draws: tuple[list, list, np.ndarray]
+    style: str, n_pulses: int, corr_len: int, draws: tuple[list, list, list]
 ) -> list[np.ndarray]:
-    """Stacked tables of random families from their stacked draws (see
+    """Stacked tables of random families from their draws (see
     ``_draw_random``): random unit vectors, which a perturbed family scales
     by its strength, adds to its base state of the same bit and normalizes
-    again, all in place."""
+    again, all in place.
+
+    The list of normals is emptied as they are stacked, so when it holds
+    their only reference they are freed before the complex rows are made.
+    """
     bases, strengths, normals = draws
     if style == "perturbed":
         # Built first, so that its temporaries never meet the unit rows.
         base = _vacuum_weighted_units(*(np.array(x) for x in zip(*bases)))
-        base = base.reshape(len(normals), 2, 1, -1)
-    units = _units(normals)
+        base = base.reshape(len(strengths), 2, 1, -1)
+    # A stack of one is its family's normals, uncopied.
+    stack = normals.pop() if len(normals) == 1 else np.concatenate(normals)
+    normals.clear()
+    units = _units(stack)
     sizes = [2 ** _window(corr_len, k) for k in range(1, n_pulses + 1)]
     rows = np.split(units, np.cumsum(sizes)[:-1] * 2, axis=1)
     tables = [r.reshape(len(units), 2, size, -1) for r, size in zip(rows, sizes)]
@@ -591,7 +606,11 @@ def _coherent_tables(
     )
     ns = np.arange(fock_dim)
     log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, fock_dim)))))
-    root_fact = np.exp(0.5 * log_fact)
+    # sqrt(n!) overflows past about 300 levels, which then get amplitude 0.
+    # Their true amplitudes are below 1e-20 of the largest whenever alpha**n
+    # stays finite there (mu up to about 110).
+    with np.errstate(over="ignore"):
+        root_fact = np.exp(0.5 * log_fact)
     amplitude = np.array([[1.0], [-1.0]]) * np.sqrt(mu)[:, None, None]
     tables = []
     for k in range(1, n_pulses + 1):
@@ -700,8 +719,12 @@ def _layout_checks(
         tables = _coherent_tables(n_pulses, corr_len, fock_dim, mu, delta)
     else:
         bases, strengths, normals = zip(*params)
-        draws = (sum(bases, []), sum(strengths, []), np.concatenate(normals))
-        tables = _random_tables(kind, n_pulses, corr_len, draws)
+        # Moved out of the trials, so that the build frees them as it stacks
+        # them.
+        normals = [ns.pop() for ns in normals]
+        tables = _random_tables(
+            kind, n_pulses, corr_len, (sum(bases, []), sum(strengths, []), normals)
+        )
     _check_tables(corr_len, tables)
     lags = _LagOverlaps(corr_len, tables)
     chars = _characterizations(lags, eps_scale)
@@ -726,12 +749,14 @@ def run_family_campaign(
     before the first trial, and so is the largest family the arguments
     allow: its tables must fit ``_TABLE_BUDGET`` (2**21) amplitudes.
 
-    Trials run in windows of ``_WINDOW``.  The draw step makes each trial's
-    draws in trial order; the array step then groups the window's trials by
-    table layout and builds, checks, characterizes and checks each group in
-    one array pass.  Each check equals the one ``check_proof_chain`` gives
-    on the family ``random_family`` or ``coherent_family`` builds from the
-    same draws.
+    Trials run in windows, each ended by its ``_WINDOW``-th trial or by the
+    trial that brings its tables to ``_WINDOW_AMPLITUDES`` amplitudes, so a
+    window holds at most about one large family's draws.  The draw step
+    makes each trial's draws in trial order; the array step then groups the
+    window's trials by table layout and builds, checks, characterizes and
+    checks each group in one array pass.  Each check equals the one
+    ``check_proof_chain`` gives on the family ``random_family`` or
+    ``coherent_family`` builds from the same draws.
     """
     _require_integer("n_trials", n_trials, 1)
     _require_integer("seed", seed, 0)
@@ -748,14 +773,19 @@ def run_family_campaign(
     amplitudes = 2 * int(max_fock) * ((int(max_pulses) - top + 1) * 2**top - 1)
     name = f"table amplitudes at max_pulses {max_pulses}, max_fock {max_fock}"
     _require_integer(name, amplitudes, 1, _TABLE_BUDGET)
-    checks = []
-    for start in range(0, n_trials, _WINDOW):
-        groups: dict[tuple, list] = {}
-        for i in range(start, min(start + _WINDOW, n_trials)):
-            layout, trial = _draw_trial(seed, i, max_pulses, max_fock)
-            groups.setdefault(layout, []).append(trial)
-        window = [c for g in groups.items() for c in _layout_checks(*g, eps_scale)]
-        checks += sorted(window, key=lambda c: c.trial)
+    checks: list[ProofChainCheck] = []
+    groups: dict[tuple, list] = {}
+    held = drawn = 0
+    for i in range(n_trials):
+        layout, trial = _draw_trial(seed, i, max_pulses, max_fock)
+        groups.setdefault(layout, []).append(trial)
+        _, n_pulses, corr_len, fock_dim = layout
+        held += _rows(n_pulses, corr_len) * fock_dim
+        drawn += 1
+        if drawn == _WINDOW or held >= _WINDOW_AMPLITUDES or i + 1 == n_trials:
+            window = [c for g in groups.items() for c in _layout_checks(*g, eps_scale)]
+            checks += sorted(window, key=lambda c: c.trial)
+            groups, held, drawn = {}, 0, 0
     return OracleCampaign(tuple(checks))
 
 

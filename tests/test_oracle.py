@@ -131,6 +131,15 @@ class TestCoherentFamily:
             assert dropped == pytest.approx(exact, abs=1e-14)
             assert dropped < 1e-9
 
+    def test_amplitudes_past_the_largest_factorial_are_zero(self):
+        # sqrt(n!) overflows past about 300 levels; the amplitudes there are
+        # zero, with no warning, and the levels below keep their values.
+        deep = orc.coherent_family(3, 1, mu=0.3, delta=0.2, fock_dim=1000)
+        shallow = orc.coherent_family(3, 1, mu=0.3, delta=0.2, fock_dim=100)
+        for d, s in zip(deep.tables, shallow.tables):
+            assert not np.any(d[..., 300:])
+            np.testing.assert_allclose(d[..., :100], s, rtol=0, atol=1e-15)
+
     @pytest.mark.parametrize(
         "name, value",
         [("mu", math.nan), ("mu", math.inf), ("delta", math.nan), ("delta", math.inf)],
@@ -158,6 +167,24 @@ class TestBuildMemory:
         stored = sum(t.nbytes for t in fam.tables)
         assert stored == 22 * 20000 * 16
         assert peak <= 2.5 * stored
+
+    def test_campaign_peak_is_bounded_by_its_largest_family(self):
+        # A window ends once its trials' tables reach _WINDOW_AMPLITUDES, so
+        # at a large max_fock it holds about one family's draws, and each
+        # group's build holds one copy of them.
+        orc.run_family_campaign(3, seed=1)
+        tracemalloc.start()
+        try:
+            camp = orc.run_family_campaign(24, seed=5, max_pulses=4, max_fock=20000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Four pulses at corr_len 2 hold 1 + 2 + 4 + 4 entries of 2 * max_fock
+        # amplitudes each; this campaign draws a family of nearly that size.
+        largest = 22 * 20000 * 16
+        drawn = max(c.fock_dim * orc._rows(c.n_pulses, c.corr_len) for c in camp.checks)
+        assert drawn * 16 >= 0.99 * largest
+        assert peak <= 2.5 * largest
 
 
 class TestCanonicalForm:
@@ -718,10 +745,12 @@ class TestCampaigns:
             assert got == ref
             assert got.line() == ref.line()
 
-    def test_windows_and_groups_leak_nothing(self):
-        # 1000 trials span four windows; the first 300 span two.
-        long = orc.run_family_campaign(1000, 4).lines()
-        short = orc.run_family_campaign(300, 4).lines()
+    @pytest.mark.parametrize("max_fock", [8, 64])
+    def test_windows_and_groups_leak_nothing(self, max_fock):
+        # At 8 Fock levels, 1000 trials span four windows of 256 trials and
+        # the first 300 span two; at 64, windows end by their amplitudes.
+        long = orc.run_family_campaign(1000, 4, max_fock=max_fock).lines()
+        short = orc.run_family_campaign(300, 4, max_fock=max_fock).lines()
         assert long[:300] == short[:300]
 
     def test_flag_implications(self):
