@@ -24,16 +24,18 @@ the window overlaps enter the tail overlap by their moduli, which is
 what the alignment makes them; so the stored family vectors may carry
 arbitrary phases, and the tail overlap is real and nonnegative.
 
-Families are built, checked and characterized in stacks: every array step
-takes the tables of families that share one layout (pulse count,
-correlation length and Fock dimension) with a leading trial axis.  The
-public functions run it on a stack of one.  A campaign runs in two steps
-over windows, each ended by ``_WINDOW`` trials or by ``_WINDOW_AMPLITUDES``
-table amplitudes: a draw step makes each trial's random draws, in trial
-order and from the trial's own streams, and an array step then evaluates
-each layout's trials in one pass.  Stacked norms and overlaps are bitwise
-equal to the one-vector forms, so a stack's results do not depend on what
-else it holds.
+Families are built and characterized in stacks: every array step takes
+the tables of families that share one layout (pulse count, correlation
+length and Fock dimension) with a leading trial axis.  The public functions
+run it on a stack of one.  A campaign first draws every trial, in trial
+order and from the trial's own stream; a random family's trial holds only
+its family's seed.  It then takes each layout's trials in chunks of at most
+``_CHUNK_AMPLITUDES`` table amplitudes, or one trial where one family holds
+more, and draws, builds, characterizes and checks each chunk in one array
+pass.  Stacked norms and overlaps are bitwise equal to the one-vector
+forms, so a stack's results do not depend on what else it holds.  The
+builders normalize what they build, so only ``EmissionFamily`` checks the
+layout and norms of its tables, which a caller may pass in.
 
 No state vector larger than one pulse is ever formed.  A randomized
 campaign caps the tables instead: the largest family its arguments allow
@@ -68,12 +70,11 @@ from .sources import PhaseRotationModel
 _TABLE_BUDGET = 2**21
 # A campaign draws corr_len up to this, and up to its last pulse's window.
 _DRAWN_CORR_LEN = 2
-# Most trials (or state pairs) drawn before the array step evaluates them.
+# Most state pairs drawn before the array step evaluates them.
 _WINDOW = 256
-# A campaign window ends once its trials' tables hold this many amplitudes,
-# so at a large max_fock it holds about one family's draws, while 256
-# trials at the default max_fock of 8 hold about 10**4 amplitudes.
-_WINDOW_AMPLITUDES = 2**16
+# Most table amplitudes one array step of a campaign holds, unless one family
+# holds more: at the default max_fock of 8 that is at least 372 families.
+_CHUNK_AMPLITUDES = 2**16
 # Tolerance of every proof-chain inequality, and of the vacuum-overlap
 # floor on random state pairs.
 CHECK_TOL = 1e-9
@@ -513,42 +514,31 @@ def check_proof_chain(
     return _proof_chain_checks(lags, [t], [history], [char], [trial], [family.seed])[0]
 
 
-def _draw_random(
-    seed: int, style: str, n_pulses: int, corr_len: int, fock_dim: int
-) -> tuple[list, list, list]:
-    # A random family's draws from its own stream, as a stack of one: the
-    # two vacuum-weighted base draws and the kick strength of a perturbed
-    # family, and the real and imaginary normals of every table entry, in
-    # table order, in a list that the build empties.
-    rng = np.random.default_rng(seed)
-    bases, strengths = [], []
-    if style == "perturbed":
-        for _ in (0, 1):
-            bases.append(_draw_vacuum_weighted(rng, fock_dim, rng.uniform(0.55, 0.95)))
-        strengths = [10.0 ** rng.uniform(-3.0, math.log10(0.6))]
-    return bases, strengths, [rng.normal(size=(1, _rows(n_pulses, corr_len), 2, fock_dim))]
-
-
 def _random_tables(
-    style: str, n_pulses: int, corr_len: int, draws: tuple[list, list, list]
+    style: str, n_pulses: int, corr_len: int, fock_dim: int, seeds: Sequence[int]
 ) -> list[np.ndarray]:
-    """Stacked tables of random families from their draws (see
-    ``_draw_random``): random unit vectors, which a perturbed family scales
-    by its strength, adds to its base state of the same bit and normalizes
-    again, all in place.
-
-    The list of normals is emptied as they are stacked, so when it holds
-    their only reference they are freed before the complex rows are made.
+    """Stacked tables of random families, one per seed, each drawn from its
+    seed's stream: a perturbed family's two vacuum-weighted base draws and
+    kick strength, then the real and imaginary normals of every table
+    entry, in table order.  The entries are random unit vectors, which a
+    perturbed family scales by its strength, adds to its base state of the
+    same bit and normalizes again, all in place.
     """
-    bases, strengths, normals = draws
+    normals = np.empty((len(seeds), _rows(n_pulses, corr_len), 2, fock_dim))
+    bases, strengths = [], []
+    for seed, out in zip(seeds, normals):
+        rng = np.random.default_rng(seed)
+        if style == "perturbed":
+            for _ in (0, 1):
+                bases.append(_draw_vacuum_weighted(rng, fock_dim, rng.uniform(0.55, 0.95)))
+            strengths.append(10.0 ** rng.uniform(-3.0, math.log10(0.6)))
+        # Bitwise equal to rng.normal(size=out.shape), from the same draws.
+        rng.standard_normal(out=out)
     if style == "perturbed":
         # Built first, so that its temporaries never meet the unit rows.
         base = _vacuum_weighted_units(*(np.array(x) for x in zip(*bases)))
-        base = base.reshape(len(strengths), 2, 1, -1)
-    # A stack of one is its family's normals, uncopied.
-    stack = normals.pop() if len(normals) == 1 else np.concatenate(normals)
-    normals.clear()
-    units = _units(stack)
+        base = base.reshape(len(seeds), 2, 1, -1)
+    units = _units(normals)
     sizes = [2 ** _window(corr_len, k) for k in range(1, n_pulses + 1)]
     rows = np.split(units, np.cumsum(sizes)[:-1] * 2, axis=1)
     tables = [r.reshape(len(units), 2, size, -1) for r, size in zip(rows, sizes)]
@@ -583,11 +573,7 @@ def random_family(
     _require_integer("seed", seed, 0)
     if style not in ("perturbed", "free"):
         raise ValueError(f"unknown family style {style!r}")
-    # Passed unnamed, the draws are freed before the constructor's checks
-    # copy the tables.
-    tables = _random_tables(
-        style, n_pulses, corr_len, _draw_random(seed, style, n_pulses, corr_len, fock_dim)
-    )
+    tables = _random_tables(style, n_pulses, corr_len, fock_dim, [seed])
     return EmissionFamily(corr_len=corr_len, tables=[t[0] for t in tables], seed=seed)
 
 
@@ -681,12 +667,13 @@ class OracleCampaign:
 
 
 def _draw_trial(seed: int, i: int, max_pulses: int, max_fock: int) -> tuple:
-    """Trial i's draws, from its counter-keyed stream and its family's.
+    """Trial i's draws, from its counter-keyed stream.
 
     Returns the trial's table layout (family kind, pulse count, correlation
-    length, Fock dimension) and the trial: its index, its family seed, its
-    family's parameters (mu and delta) or draws, the analyzed pulse and
-    its history.
+    length, Fock dimension) and the trial: its index, its family seed, a
+    coherent family's mu and delta (nothing for a random family, whose
+    draws come from its seed when its tables are built), the analyzed pulse
+    and its history.
     """
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
     rng = np.random.default_rng(ss)
@@ -701,7 +688,7 @@ def _draw_trial(seed: int, i: int, max_pulses: int, max_fock: int) -> tuple:
     else:
         kind = "free" if u > 0.85 else "perturbed"
         fock = int(rng.integers(2, max_fock + 1))
-        params = _draw_random(fam_seed, kind, n, lc, fock)
+        params = ()
     t = int(rng.integers(1, n - lc + 1))
     history = tuple(int(b) for b in rng.integers(0, 2, size=_window(lc, t)))
     return (kind, n, lc, fock), (i, fam_seed, params, t, history)
@@ -711,21 +698,14 @@ def _layout_checks(
     layout: tuple, trials: Sequence[tuple], eps_scale: Optional[float]
 ) -> list[ProofChainCheck]:
     """The checks of drawn trials that share one table layout, in one array
-    pass: build the tables, check them, characterize and check."""
+    pass: build the tables, characterize and check."""
     kind, n_pulses, corr_len, fock_dim = layout
     ids, seeds, params, ts, histories = zip(*trials)
     if kind == "coherent":
         mu, delta = zip(*params)
         tables = _coherent_tables(n_pulses, corr_len, fock_dim, mu, delta)
     else:
-        bases, strengths, normals = zip(*params)
-        # Moved out of the trials, so that the build frees them as it stacks
-        # them.
-        normals = [ns.pop() for ns in normals]
-        tables = _random_tables(
-            kind, n_pulses, corr_len, (sum(bases, []), sum(strengths, []), normals)
-        )
-    _check_tables(corr_len, tables)
+        tables = _random_tables(kind, n_pulses, corr_len, fock_dim, seeds)
     lags = _LagOverlaps(corr_len, tables)
     chars = _characterizations(lags, eps_scale)
     return _proof_chain_checks(lags, ts, histories, chars, ids, seeds)
@@ -749,14 +729,13 @@ def run_family_campaign(
     before the first trial, and so is the largest family the arguments
     allow: its tables must fit ``_TABLE_BUDGET`` (2**21) amplitudes.
 
-    Trials run in windows, each ended by its ``_WINDOW``-th trial or by the
-    trial that brings its tables to ``_WINDOW_AMPLITUDES`` amplitudes, so a
-    window holds at most about one large family's draws.  The draw step
-    makes each trial's draws in trial order; the array step then groups the
-    window's trials by table layout and builds, checks, characterizes and
-    checks each group in one array pass.  Each check equals the one
-    ``check_proof_chain`` gives on the family ``random_family`` or
-    ``coherent_family`` builds from the same draws.
+    Every trial is drawn first, in trial order; a random family's trial
+    holds only its family seed.  Each table layout's trials are then taken
+    in chunks of at most ``_CHUNK_AMPLITUDES`` table amplitudes, or of one
+    trial where one family holds more, and each chunk's families are drawn
+    from their seeds, built, characterized and checked in one array pass.
+    Each check equals the one ``check_proof_chain`` gives on the family
+    ``random_family`` or ``coherent_family`` builds from the same draws.
     """
     _require_integer("n_trials", n_trials, 1)
     _require_integer("seed", seed, 0)
@@ -773,20 +752,17 @@ def run_family_campaign(
     amplitudes = 2 * int(max_fock) * ((int(max_pulses) - top + 1) * 2**top - 1)
     name = f"table amplitudes at max_pulses {max_pulses}, max_fock {max_fock}"
     _require_integer(name, amplitudes, 1, _TABLE_BUDGET)
-    checks: list[ProofChainCheck] = []
     groups: dict[tuple, list] = {}
-    held = drawn = 0
     for i in range(n_trials):
         layout, trial = _draw_trial(seed, i, max_pulses, max_fock)
         groups.setdefault(layout, []).append(trial)
+    checks: list[ProofChainCheck] = []
+    for layout, trials in groups.items():
         _, n_pulses, corr_len, fock_dim = layout
-        held += _rows(n_pulses, corr_len) * fock_dim
-        drawn += 1
-        if drawn == _WINDOW or held >= _WINDOW_AMPLITUDES or i + 1 == n_trials:
-            window = [c for g in groups.items() for c in _layout_checks(*g, eps_scale)]
-            checks += sorted(window, key=lambda c: c.trial)
-            groups, held, drawn = {}, 0, 0
-    return OracleCampaign(tuple(checks))
+        size = max(1, _CHUNK_AMPLITUDES // (_rows(n_pulses, corr_len) * fock_dim))
+        for start in range(0, len(trials), size):
+            checks += _layout_checks(layout, trials[start : start + size], eps_scale)
+    return OracleCampaign(tuple(sorted(checks, key=lambda c: c.trial)))
 
 
 @dataclass(frozen=True)
@@ -818,8 +794,8 @@ def verify_fidelity_proposition(
     Half the pairs are biased toward large vacuum amplitude so the floor
     is nontrivial; the rest exercise the trivial branch.  A pair fails when
     its overlap falls below the floor by more than ``FIDELITY_TOL``.  The
-    pairs are drawn one by one, and the overlaps and vacuum weights of each
-    window of ``_WINDOW`` pairs are computed in one array pass.
+    pairs are drawn one by one, and the overlaps, vacuum weights and floors
+    of each window of ``_WINDOW`` pairs are computed in one array pass.
     """
     _require_integer("dim", dim, 2)
     _require_integer("n_trials", n_trials, 1)
@@ -843,13 +819,12 @@ def verify_fidelity_proposition(
             weight[weighted], normals[weighted, :, 1:], angle[weighted]
         )
         states[~weighted] = _units(normals[~weighted])
-        pairs = states.reshape(-1, 2, dim)
-        overlaps = _lag_overlaps(pairs, 1).tolist()
-        vac = np.hypot(pairs[..., 0].real, pairs[..., 0].imag).tolist()
-        margins += [
-            lhs - vacuum_fidelity_bound(a**2, b**2)
-            for lhs, (a, b) in zip(overlaps, vac)
-        ]
+        vac = np.hypot(states[:, 0].real, states[:, 0].imag).tolist()
+        # Squared as Python floats: an array square can differ in the last
+        # bit.
+        weights = np.array([v**2 for v in vac])
+        floors = vacuum_fidelity_bound(weights[0::2], weights[1::2])
+        margins += (_lag_overlaps(states.reshape(-1, 2, dim), 1) - floors).tolist()
     return FidelityPropositionResult(
         dim=dim,
         n_trials=n_trials,

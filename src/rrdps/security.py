@@ -215,10 +215,17 @@ def vacuum_fidelity_bound(p_vac_a: float, p_vac_b: float) -> float:
     Two normalized states whose vacuum probabilities are at least
     ``p_vac_a`` and ``p_vac_b`` overlap in magnitude by at least
     ``2*sqrt(p_vac_a*p_vac_b) - 1``; the bound degrades to the trivial 0
-    when the vacuum weights are too small to constrain anything.
+    when the vacuum weights are too small to constrain anything.  Two 1-D
+    arrays of one shape give an array, entry by entry.
     """
-    for p_vac in (p_vac_a, p_vac_b):
+    fields = {"p_vac_a": p_vac_a, "p_vac_b": p_vac_b}
+    for p_vac in fields.values():
         _require(p_vac, "vacuum probabilities must lie in [0, 1]")
+    _require_one_shape(fields)
+    return _each(_vacuum_overlap_floor, p_vac_a, p_vac_b)
+
+
+def _vacuum_overlap_floor(p_vac_a: float, p_vac_b: float) -> float:
     return max(0.0, 2.0 * math.sqrt(p_vac_a * p_vac_b) - 1.0)
 
 

@@ -169,9 +169,8 @@ class TestBuildMemory:
         assert peak <= 2.5 * stored
 
     def test_campaign_peak_is_bounded_by_its_largest_family(self):
-        # A window ends once its trials' tables reach _WINDOW_AMPLITUDES, so
-        # at a large max_fock it holds about one family's draws, and each
-        # group's build holds one copy of them.
+        # A chunk holds at most _CHUNK_AMPLITUDES table amplitudes or one
+        # family, so at a large max_fock each array step builds one family.
         orc.run_family_campaign(3, seed=1)
         tracemalloc.start()
         try:
@@ -540,6 +539,23 @@ class TestTableLayout:
             assert np.array_equal(np.hypot(z.real, z.imag), [abs(c) for c in z])
             assert np.array_equal(orc._norms(v[1]), [np.linalg.norm(a) for a in v[1]])
 
+    @pytest.mark.parametrize("style", ["perturbed", "free", "coherent"])
+    def test_built_stacks_pass_the_table_checks(self, style):
+        # A campaign does not check the stacks its builders make, so every
+        # layout it draws must pass the constructor's checks as built:
+        # corr_len up to min(2, n - 1), and at 400 Fock levels sqrt(n!)
+        # overflows in the coherent amplitudes.
+        for n in (2, 3, 4):
+            for lc in range(orc._window(orc._DRAWN_CORR_LEN, n) + 1):
+                if style == "coherent":
+                    for fock in (6, 7, 8, 400):
+                        mu, delta = [0.02, 0.17, 0.3], [0.05, 0.3, 0.6]
+                        orc._check_tables(lc, orc._coherent_tables(n, lc, fock, mu, delta))
+                else:
+                    for fock in range(2, 9):
+                        tables = orc._random_tables(style, n, lc, fock, [1, 20, 300])
+                        orc._check_tables(lc, tables)
+
 
 class TestReach:
     """Checks at the paper's correlation lengths, far past any campaign's draw."""
@@ -746,12 +762,48 @@ class TestCampaigns:
             assert got.line() == ref.line()
 
     @pytest.mark.parametrize("max_fock", [8, 64])
-    def test_windows_and_groups_leak_nothing(self, max_fock):
-        # At 8 Fock levels, 1000 trials span four windows of 256 trials and
-        # the first 300 span two; at 64, windows end by their amplitudes.
+    def test_chunks_and_groups_leak_nothing(self, max_fock):
+        # The first 300 of 1000 trials share their chunks with later trials
+        # that a 300-trial campaign never draws.
         long = orc.run_family_campaign(1000, 4, max_fock=max_fock).lines()
         short = orc.run_family_campaign(300, 4, max_fock=max_fock).lines()
         assert long[:300] == short[:300]
+
+    @pytest.mark.parametrize("eps_scale", [None, 0.5], ids=["clean", "scaled"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_chunks_of_one_trial_change_nothing(self, monkeypatch, seed, eps_scale):
+        want = orc.run_family_campaign(300, seed, eps_scale=eps_scale).lines()
+        chunks = record_chunks(monkeypatch)
+        monkeypatch.setattr(orc, "_CHUNK_AMPLITUDES", 1)
+        got = orc.run_family_campaign(300, seed, eps_scale=eps_scale).lines()
+        assert [count for _, count in chunks] == [1] * 300
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "max_fock, bound", [(8, None), (8, 500), (20000, None)], ids=str
+    )
+    def test_chunks_hold_one_family_or_at_most_the_bound(
+        self, monkeypatch, max_fock, bound
+    ):
+        # At 8 Fock levels layouts are shared, and a bound of 500 amplitudes
+        # splits them; at 20000 most families exceed the bound on their own.
+        if bound is not None:
+            monkeypatch.setattr(orc, "_CHUNK_AMPLITUDES", bound)
+        chunks = record_chunks(monkeypatch)
+        n_trials = 24 if max_fock > 8 else 300
+        orc.run_family_campaign(n_trials, 5, max_fock=max_fock)
+        counts = [count for _, count in chunks]
+        amplitudes = [c * orc._rows(n, lc) * fock for (_, n, lc, fock), c in chunks]
+        assert sum(counts) == n_trials
+        for count, held in zip(counts, amplitudes):
+            assert count == 1 or held <= orc._CHUNK_AMPLITUDES
+        if max_fock > 8:
+            assert max(amplitudes) > orc._CHUNK_AMPLITUDES
+        else:
+            assert max(counts) > 1
+        if bound is not None:
+            layouts = [layout for layout, _ in chunks]
+            assert len(set(layouts)) < len(layouts)
 
     def test_flag_implications(self):
         # The bounds make three flags follow from others; a campaign that
@@ -781,6 +833,18 @@ class TestCampaigns:
         # The proof-chain check has no size limit of its own.
         fam = orc.random_family(4, 0, 20, seed=1)
         assert orc.check_proof_chain(fam, 1, ()).passed
+
+
+def record_chunks(monkeypatch) -> list:
+    """The layout and trial count of every chunk a campaign then evaluates."""
+    chunks = []
+
+    def recorded(layout, trials, eps_scale, real=orc._layout_checks):
+        chunks.append((layout, len(trials)))
+        return real(layout, trials, eps_scale)
+
+    monkeypatch.setattr(orc, "_layout_checks", recorded)
+    return chunks
 
 
 def reference_fidelity_proposition(dim, n_trials, seed):
