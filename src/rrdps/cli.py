@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import re
 import sys
@@ -73,11 +74,17 @@ def _write_csv(path: Path, tag: str, header: list[str], rows: list[list]) -> Non
 
 
 def _load_config(path: str) -> dict:
-    def reject_constant(name: str):
-        raise ValueError(f"{path}: non-finite number {name} is not allowed")
+    def reject(text: str):
+        raise ValueError(f"{path}: non-finite number {text} is not allowed")
+
+    def finite(convert):
+        # A number past the float range, such as 1e400 or a 400-digit
+        # integer, is as non-finite as Infinity.
+        return lambda text: convert(text) if math.isfinite(float(text)) else reject(text)
 
     with open(path, "r", encoding="utf-8") as f:
-        cfg = json.load(f, parse_constant=reject_constant)
+        hooks = {"parse_float": finite(float), "parse_int": finite(int)}
+        cfg = json.load(f, parse_constant=reject, **hooks)
     if not isinstance(cfg, dict):
         raise ValueError("config root must be a JSON object")
     return cfg

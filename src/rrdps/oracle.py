@@ -32,10 +32,13 @@ order and from the trial's own stream; a random family's trial holds only
 its family's seed.  It then takes each layout's trials in chunks of at most
 ``_CHUNK_AMPLITUDES`` table amplitudes, or one trial where one family holds
 more, and draws, builds, characterizes and checks each chunk in one array
-pass.  Stacked norms and overlaps are bitwise equal to the one-vector
-forms, so a stack's results do not depend on what else it holds.  The
-builders normalize what they build, so only ``EmissionFamily`` checks the
-layout and norms of its tables, which a caller may pass in.
+pass.  A chunk's measured characterization is one batch of the security
+layer, from which its caps and floors are derived once, with one entry per
+trial.  Stacked norms and overlaps are bitwise equal to the one-vector
+forms, and batch caps to one-point ones, so a stack's results do not depend
+on what else it holds.  The builders normalize what they build, so only
+``EmissionFamily`` checks the layout and norms of its tables, which a caller
+may pass in.
 
 No state vector larger than one pulse is ever formed.  A randomized
 campaign caps the tables instead: the largest family its arguments allow
@@ -45,7 +48,7 @@ must fit ``_TABLE_BUDGET`` (2**21) amplitudes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -55,12 +58,11 @@ from .security import (
     SecurityBounds,
     SourceCharacterization,
     _LARGEST,
+    _each,
     _require,
     _require_integer,
     _transfer,
     a1_floor,
-    fidelity_bound,
-    minus_ref_bound,
     plus_vac_floor,
     vacuum_fidelity_bound,
 )
@@ -87,8 +89,11 @@ def _window(corr_len: int, k: int) -> int:
 
 
 def _rows(n_pulses: int, corr_len: int) -> int:
-    """How many states the tables of a family hold."""
-    return sum(2 * 2 ** _window(corr_len, k) for k in range(1, n_pulses + 1))
+    """How many states the tables of a family hold: pulse k's table holds
+    2 * 2**min(corr_len, k - 1), summed in Python ints, which cannot wrap."""
+    n = int(n_pulses)
+    w = _window(int(corr_len), n)
+    return 2 * ((n - w + 1) * 2**w - 1)
 
 
 def _bits(bits: Sequence[int]) -> tuple[int, ...]:
@@ -278,9 +283,10 @@ def _probability(p: float, what: str) -> float:
 
 def _characterizations(
     lags: _LagOverlaps, eps_scale: Optional[float] = None
-) -> list[SourceCharacterization]:
-    """The measured characterization of every family in a stack, with each
-    per-lag deficit scaled by ``eps_scale`` and clipped to [0, 1] if given."""
+) -> SourceCharacterization:
+    """The measured characterization of a stack of families, as one batch
+    whose deficits and floors hold one entry per family, with each per-lag
+    deficit scaled by ``eps_scale`` and clipped to [0, 1] if given."""
     tables, n_trials = lags.tables, len(lags.tables[0])
     worst = [
         np.min(
@@ -292,23 +298,19 @@ def _characterizations(
         )
         for d in range(1, lags.corr_len + 1)
     ]
-    worst = np.reshape(worst, (lags.corr_len, n_trials)).T.tolist()
     vac = np.concatenate([table[..., 0] for table in tables], axis=2)
-    vac = np.hypot(vac.real, vac.imag).min(axis=2).tolist()
-    chars = []
-    for overlaps, floors in zip(worst, vac):
-        # Squared as Python floats: an array square can differ in the last
-        # bit.
-        eps = [1.0 - min(1.0, w**2) for w in overlaps]
-        if eps_scale is not None:
-            eps = [min(1.0, max(0.0, e * eps_scale)) for e in eps]
-        p_vac0, p_vac1 = (min(1.0, v**2) for v in floors)
-        chars.append(
-            SourceCharacterization(
-                corr_len=lags.corr_len, eps=tuple(eps), p_vac0=p_vac0, p_vac1=p_vac1
-            )
-        )
-    return chars
+    # One row per lag, then the bit-0 and bit-1 vacuum floors.
+    moduli = np.concatenate(
+        [np.reshape(worst, (-1, n_trials)), np.hypot(vac.real, vac.imag).min(axis=2).T]
+    )
+    # Squared as Python floats: an array square can differ in the last bit.
+    squares = np.minimum(1.0, _each(pow, moduli.ravel(), 2)).reshape(moduli.shape)
+    eps = 1.0 - squares[:-2]
+    if eps_scale is not None:
+        eps = np.clip(eps * eps_scale, 0.0, 1.0)
+    return SourceCharacterization(
+        corr_len=lags.corr_len, eps=tuple(eps), p_vac0=squares[-2], p_vac1=squares[-1]
+    )
 
 
 def measured_characterization(family: EmissionFamily) -> SourceCharacterization:
@@ -320,24 +322,35 @@ def measured_characterization(family: EmissionFamily) -> SourceCharacterization:
     the returned characterization is valid for the family by construction
     rather than by assumption.
     """
-    return _characterizations(_LagOverlaps(family.corr_len, family._stack()))[0]
+    char = _characterizations(_LagOverlaps(family.corr_len, family._stack()))
+    return replace(
+        char,
+        eps=tuple(e.item() for e in char.eps),
+        p_vac0=char.p_vac0.item(),
+        p_vac1=char.p_vac1.item(),
+    )
 
 
 @dataclass(frozen=True)
 class ProofChainCheck:
     """All inequalities of the bound derivation, evaluated on one family.
 
-    The caps and floors derive from the (possibly overridden)
-    characterization, all at once on first use; the probability and overlap
+    The caps and floors are those the security layer derives from the
+    (possibly overridden) characterization; the probability and overlap
     fields are exact state-vector quantities.  Each ``ok_*`` flag compares
     one side of the chain at ``CHECK_TOL``.
     """
 
     n_pulses: int
     fock_dim: int
+    corr_len: int
     t: int
     history: tuple[int, ...]
-    characterization: SourceCharacterization
+    minus_ref_cap: float
+    fidelity_floor: float
+    minus_act_cap: float
+    a1_floor: float
+    plus_vac_floor: float
     p_minus_ref: float
     p_minus_act: float
     fidelity: float
@@ -346,39 +359,6 @@ class ProofChainCheck:
     plus_vac_prob: float
     trial: Optional[int] = None
     seed: Optional[int] = None
-
-    @property
-    def corr_len(self) -> int:
-        return self.characterization.corr_len
-
-    @cached_property
-    def _caps(self) -> tuple[float, float, float, float, float]:
-        # The five caps and floors, derived once, together: a second cached
-        # attribute would grow every check's instance dict tenfold.
-        char = self.characterization
-        minus_ref, fidelity = minus_ref_bound(char), fidelity_bound(char)
-        minus_act = SecurityBounds(minus_ref, fidelity).minus_act
-        return minus_ref, fidelity, minus_act, a1_floor(char), plus_vac_floor(char)
-
-    @property
-    def minus_ref_cap(self) -> float:
-        return self._caps[0]
-
-    @property
-    def fidelity_floor(self) -> float:
-        return self._caps[1]
-
-    @property
-    def minus_act_cap(self) -> float:
-        return self._caps[2]
-
-    @property
-    def a1_floor(self) -> float:
-        return self._caps[3]
-
-    @property
-    def plus_vac_floor(self) -> float:
-        return self._caps[4]
 
     @property
     def ok_ref_cap(self) -> bool:
@@ -435,15 +415,17 @@ def _proof_chain_checks(
     lags: _LagOverlaps,
     ts: Sequence[int],
     histories: Sequence[tuple[int, ...]],
-    chars: Sequence[SourceCharacterization],
+    char: SourceCharacterization,
     trials: Sequence[Optional[int]],
     seeds: Sequence[Optional[int]],
 ) -> list[ProofChainCheck]:
     """One check per family of a stack, of pulse ``ts[j]`` of family j
-    under ``histories[j]`` against ``chars[j]``.
+    under ``histories[j]`` against entry j of ``char``, a batch with one
+    entry per family or one source for them all.
 
     Closed forms on the actual block (|0> b0 T0 + |1> b1 T1) / sqrt(2) and
-    the reference block, which carries T0 in both branches.
+    the reference block, which carries T0 in both branches.  The caps and
+    floors are derived once, from the whole of ``char``.
     """
     corr_len, tables = lags.corr_len, lags.tables
     states = np.array(
@@ -461,8 +443,12 @@ def _proof_chain_checks(
     base = _overlaps(states, 1).real.tolist()
     plus = states[:, 0, 0] + states[:, 1, 0]
     plus = np.hypot(plus.real, plus.imag).tolist()
+    bounds = SecurityBounds.from_source(char)
+    caps = (bounds.minus_ref, bounds.fidelity, bounds.minus_act)
+    caps += (a1_floor(char), plus_vac_floor(char))
+    caps = zip(*(np.full(len(ts), cap).tolist() for cap in caps))
     checks = []
-    for j, (t, history, char) in enumerate(zip(ts, histories, chars)):
+    for j, (t, history, cap) in enumerate(zip(ts, histories, caps)):
         g = _tail_overlap(lags, j, t, history)
         p_act = _probability((1.0 - base[j] * g) / 2.0, "minus probability")
         p_ref = _probability((1.0 - base[j]) / 2.0, "minus probability")
@@ -472,9 +458,14 @@ def _proof_chain_checks(
             ProofChainCheck(
                 n_pulses=len(tables),
                 fock_dim=tables[0].shape[-1],
+                corr_len=corr_len,
                 t=t,
                 history=history,
-                characterization=char,
+                minus_ref_cap=cap[0],
+                fidelity_floor=cap[1],
+                minus_act_cap=cap[2],
+                a1_floor=cap[3],
+                plus_vac_floor=cap[4],
                 p_minus_ref=p_ref,
                 p_minus_act=p_act,
                 fidelity=fid,
@@ -497,9 +488,9 @@ def check_proof_chain(
 ) -> ProofChainCheck:
     """Evaluate the full inequality chain for one analyzed pulse.
 
-    ``characterization`` overrides the measured one; feeding deliberately
-    corrupted bounds through it is how fault injection exercises the
-    violation detection.
+    ``characterization`` overrides the measured one and must describe one
+    source, not a batch; feeding deliberately corrupted bounds through it is
+    how fault injection exercises the violation detection.
     """
     # Pulse t is analyzed with the corr_len pulses after it.
     _require_integer("t", t, 1, family.n_pulses - family.corr_len)
@@ -507,11 +498,13 @@ def check_proof_chain(
     if len(history) != w:
         raise ValueError(f"pulse {t} takes {w} history bits, got {len(history)}")
     history = _bits(history)
-    lags = _LagOverlaps(family.corr_len, family._stack())
-    char = characterization or _characterizations(lags)[0]
+    char = characterization or measured_characterization(family)
     if char.corr_len != family.corr_len:
         raise ValueError("characterization correlation length mismatch")
-    return _proof_chain_checks(lags, [t], [history], [char], [trial], [family.seed])[0]
+    if any(isinstance(v, np.ndarray) for v in (*char.eps, char.p_vac0, char.p_vac1)):
+        raise ValueError("characterization must describe one source, not a batch")
+    lags = _LagOverlaps(family.corr_len, family._stack())
+    return _proof_chain_checks(lags, [t], [history], char, [trial], [family.seed])[0]
 
 
 def _random_tables(
@@ -707,8 +700,8 @@ def _layout_checks(
     else:
         tables = _random_tables(kind, n_pulses, corr_len, fock_dim, seeds)
     lags = _LagOverlaps(corr_len, tables)
-    chars = _characterizations(lags, eps_scale)
-    return _proof_chain_checks(lags, ts, histories, chars, ids, seeds)
+    char = _characterizations(lags, eps_scale)
+    return _proof_chain_checks(lags, ts, histories, char, ids, seeds)
 
 
 def run_family_campaign(
@@ -745,11 +738,7 @@ def run_family_campaign(
     if eps_scale is not None:
         message = "eps_scale must be a finite number >= 0, got {}"
         _require(eps_scale, message, high=_LARGEST)
-    # Pulse k's table holds 2 * 2**min(top, k - 1) * max_fock amplitudes, so
-    # the largest family holds this many, counted in Python ints so that a
-    # numpy integer argument cannot wrap:
-    top = _window(_DRAWN_CORR_LEN, max_pulses)
-    amplitudes = 2 * int(max_fock) * ((int(max_pulses) - top + 1) * 2**top - 1)
+    amplitudes = _rows(max_pulses, _DRAWN_CORR_LEN) * int(max_fock)
     name = f"table amplitudes at max_pulses {max_pulses}, max_fock {max_fock}"
     _require_integer(name, amplitudes, 1, _TABLE_BUDGET)
     groups: dict[tuple, list] = {}

@@ -79,13 +79,36 @@ class TestKeyrateCommand:
         cfg = write_config(tmp_path / "c.json", payload)
         assert cli.main(["keyrate", "--config", cfg, "--out", "x.csv"]) == 1
 
-    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
-    def test_non_finite_number_is_usage_error(self, tmp_path, capsys, constant):
-        payload = dict(KEYRATE_CFG, mu_mode={"fixed": json.loads(constant)})
-        cfg = write_config(tmp_path / "c.json", payload)
+    @pytest.mark.parametrize(
+        "command, key, value, number",
+        [
+            pytest.param("keyrate", "mu_mode", {"fixed": "@"}, c, id=c)
+            for c in ("NaN", "Infinity", "-Infinity")
+        ]
+        + [
+            # Past the float range: 1e400 would load as inf, and a 400-digit
+            # integer would overflow at its first float conversion.
+            pytest.param("keyrate", "mu_mode", {"fixed": "@"}, "1e400", id="mu-1e400"),
+            pytest.param("keyrate", "mu_mode", {"fixed": "@"}, "9" * 400, id="mu-int"),
+            pytest.param("keyrate", "delta", "@", "1e400", id="delta-1e400"),
+            pytest.param("keyrate", "delta", "@", "9" * 400, id="delta-int"),
+            pytest.param("keyrate", "group_size", "@", "9" * 400, id="group-size-int"),
+            pytest.param("simulate", "delta", "@", "1e400", id="simulate-delta-1e400"),
+            pytest.param(
+                "sweep", "delta_list", [0.1, "@"], "-1e400", id="sweep-delta-list-1e400"
+            ),
+        ],
+    )
+    def test_non_finite_number_is_usage_error(
+        self, tmp_path, capsys, command, key, value, number
+    ):
+        payload = dict(CONFIGS[command], **{key: value})
+        # Raw JSON text: json.dumps writes no number past the float range.
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(payload).replace('"@"', number), encoding="utf-8")
         out = tmp_path / "r.csv"
-        assert cli.main(["keyrate", "--config", cfg, "--out", str(out)]) == 1
-        assert f"non-finite number {constant} is not allowed" in capsys.readouterr().err
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"non-finite number {number} is not allowed" in capsys.readouterr().err
         assert not out.exists()
 
     def test_no_rotation_reduces_to_memoryless(self, tmp_path):

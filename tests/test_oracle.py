@@ -524,6 +524,17 @@ class TestTableLayout:
                     assert chk == ref
                     assert chk.line() == ref.line()
 
+    def test_rows_closed_form_equals_the_pulse_sum(self):
+        for n in range(1, 40):
+            for lc in range(40):
+                pulses = sum(2 * 2 ** orc._window(lc, k) for k in range(1, n + 1))
+                assert orc._rows(n, lc) == pulses, (n, lc)
+
+    def test_rows_of_numpy_integers_do_not_wrap(self):
+        n = np.int64(10**5)
+        assert orc._rows(n, 2) == 2 * (4 * (10**5 - 1) - 1)
+        assert orc._rows(n, n) == 2 * (2**10**5 - 1)
+
     def test_stacked_forms_are_bitwise_equal_to_scalar_ones(self):
         # The array code relies on these equalities to keep every report
         # byte: a stacked overlap and np.vdot, its modulus and abs() of
@@ -618,6 +629,24 @@ class TestProofChain:
         with pytest.raises(ValueError):
             orc.check_proof_chain(fam, t=2, history=())  # missing history bit
 
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_batch_characterization_rejected(self, monkeypatch, size):
+        fam = orc.random_family(3, 1, 3, seed=0)
+        honest = orc.measured_characterization(fam)
+        batch = sec.SourceCharacterization(
+            corr_len=1,
+            eps=(np.full(size, honest.eps[0]),),
+            p_vac0=np.full(size, honest.p_vac0),
+            p_vac1=np.full(size, honest.p_vac1),
+        )
+
+        def computed(*args):
+            raise AssertionError("an overlap was computed before the check")
+
+        monkeypatch.setattr(orc, "_overlaps", computed)
+        with pytest.raises(ValueError, match="characterization"):
+            orc.check_proof_chain(fam, t=1, history=(), characterization=batch)
+
     def test_corrupted_characterization_detected(self):
         fam = orc.coherent_family(3, 1, mu=0.2, delta=0.5, fock_dim=12)
         honest = orc.measured_characterization(fam)
@@ -689,37 +718,43 @@ class TestCampaigns:
     )
     def test_report_evaluates_each_verdict_once(self, monkeypatch, tmp_path, flags):
         # The report lines, the summary and the command's exit status all
-        # read each check's verdict, which reads its caps; each check
-        # derives each cap once.
+        # read each check's verdict; each chunk derives each cap once, in
+        # one batch over its trials.
         from rrdps import cli
 
         derived = collections.defaultdict(list)
-        for name in ("minus_ref_bound", "fidelity_bound", "a1_floor", "plus_vac_floor"):
 
-            def counted(char, name=name, real=getattr(orc, name)):
-                derived[name].append(id(char))
+        def counted(name, real):
+            def count(char):
+                derived[name].append(len(char.p_vac0))
                 return real(char)
 
-            monkeypatch.setattr(orc, name, counted)
+            return count
 
-        class CountedBounds(orc.SecurityBounds):
-            @property
-            def minus_act(self):
-                derived["minus_act"].append(id(self))
-                return super().minus_act
+        # SecurityBounds.from_source reaches these two in the security layer;
+        # the oracle calls the other two floors by its own names.
+        for name in ("minus_ref_bound", "fidelity_bound"):
+            monkeypatch.setattr(sec, name, counted(name, getattr(sec, name)))
+        for name in ("a1_floor", "plus_vac_floor"):
+            monkeypatch.setattr(orc, name, counted(name, getattr(orc, name)))
 
-        monkeypatch.setattr(orc, "SecurityBounds", CountedBounds)
+        def minus_act(bounds, real=sec.SecurityBounds.minus_act.fget):
+            derived["minus_act"].append(len(bounds.minus_ref))
+            return real(bounds)
+
+        monkeypatch.setattr(sec.SecurityBounds, "minus_act", property(minus_act))
+        chunks = record_chunks(monkeypatch)
         out = tmp_path / "report.txt"
         args = ["oracle", "--trials", "30", "--seed", "3", *flags, "--out", str(out)]
         assert cli.main(args) == 0
         assert "summary trials=30" in out.read_text()
+        sizes = [count for _, count in chunks]
+        assert sum(sizes) == 30
         assert sorted(derived) == sorted(
             ["minus_ref_bound", "fidelity_bound", "a1_floor", "plus_vac_floor", "minus_act"]
         )
-        for name, chars in derived.items():
-            assert len(chars) == 30, name
-            if name != "minus_act":  # the bounds objects are transient
-                assert len(set(chars)) == 30, name
+        for name, lengths in derived.items():
+            assert lengths == sizes, name
 
     @pytest.mark.parametrize(
         "bad",
