@@ -34,9 +34,12 @@ its family's seed.  It then takes each layout's trials in chunks of at most
 more, and draws, builds, characterizes and checks each chunk in one array
 pass.  A chunk's measured characterization is one batch of the security
 layer, from which its caps and floors are derived once, with one entry per
-trial.  Stacked norms and overlaps are bitwise equal to the one-vector
-forms, and batch caps to one-point ones, so a stack's results do not depend
-on what else it holds.  The builders normalize what they build, so only
+trial, and each closed form of its checks is one array expression over its
+trials.  Gathering each trial's tail overlap is the one step per trial,
+since the analyzed pulse and its history differ between trials.  Stacked
+norms and overlaps are bitwise equal to the one-vector forms, and batch
+caps to one-point ones, so a stack's results do not depend on what else it
+holds.  The builders normalize what they build, so only
 ``EmissionFamily`` checks the layout and norms of its tables, which a caller
 may pass in.
 
@@ -275,10 +278,14 @@ def _tail_overlap(
     return float(prod.mean())
 
 
-def _probability(p: float, what: str) -> float:
-    if not -1e-12 <= p <= 1.0 + 1e-12:
-        raise ArithmeticError(f"{what} {p} outside [0, 1] tolerance")
-    return min(1.0, max(0.0, p))
+def _probability(p: np.ndarray, what: str) -> list[float]:
+    """The entries of ``p`` clipped to [0, 1], as floats; the first entry
+    outside by more than 1e-12 raises."""
+    inside = (-1e-12 <= p) & (p <= 1.0 + 1e-12)
+    if not inside.all():
+        bad = p[np.argmin(inside)].item()
+        raise ArithmeticError(f"{what} {bad} outside [0, 1] tolerance")
+    return np.clip(p, 0.0, 1.0).tolist()
 
 
 def _characterizations(
@@ -322,13 +329,14 @@ def measured_characterization(family: EmissionFamily) -> SourceCharacterization:
     the returned characterization is valid for the family by construction
     rather than by assumption.
     """
-    char = _characterizations(_LagOverlaps(family.corr_len, family._stack()))
-    return replace(
-        char,
-        eps=tuple(e.item() for e in char.eps),
-        p_vac0=char.p_vac0.item(),
-        p_vac1=char.p_vac1.item(),
-    )
+    return _one_source(_LagOverlaps(family.corr_len, family._stack()))
+
+
+def _one_source(lags: _LagOverlaps) -> SourceCharacterization:
+    # The measured characterization of a stack of one family, as floats.
+    char = _characterizations(lags)
+    eps = tuple(e.item() for e in char.eps)
+    return replace(char, eps=eps, p_vac0=char.p_vac0.item(), p_vac1=char.p_vac1.item())
 
 
 @dataclass(frozen=True)
@@ -424,59 +432,45 @@ def _proof_chain_checks(
     entry per family or one source for them all.
 
     Closed forms on the actual block (|0> b0 T0 + |1> b1 T1) / sqrt(2) and
-    the reference block, which carries T0 in both branches.  The caps and
-    floors are derived once, from the whole of ``char``.
+    the reference block, which carries T0 in both branches, each one array
+    expression over the stack.  Gathering each family's two states and
+    tail overlap is the one step per family, since t and the history
+    differ between families.  The caps and floors are derived once, from
+    the whole of ``char``.
     """
     corr_len, tables = lags.corr_len, lags.tables
+    picks = list(enumerate(zip(ts, histories)))
     states = np.array(
         [
             _bit_axes(tables[t - 1], corr_len, t)[(j, slice(None), *history)]
-            for j, (t, history) in enumerate(zip(ts, histories))
+            for j, (t, history) in picks
         ]
     )
+    g = np.array([_tail_overlap(lags, j, t, history) for j, (t, history) in picks])
     # Rotate b0 and b1 so that each vacuum amplitude is real nonnegative;
     # a state without vacuum stays as it is.
     vacuum = states[..., 0]
     modulus = np.hypot(vacuum.real, vacuum.imag)
     align = np.divide(modulus, vacuum, out=np.ones_like(vacuum), where=modulus >= 1e-12)
     states *= align[..., None]
-    base = _overlaps(states, 1).real.tolist()
+    base = _overlaps(states, 1).real
     plus = states[:, 0, 0] + states[:, 1, 0]
-    plus = np.hypot(plus.real, plus.imag).tolist()
+    plus = np.hypot(plus.real, plus.imag)
+    p_ref = _probability((1.0 - base) / 2.0, "minus probability")
+    p_act = _probability((1.0 - base * g) / 2.0, "minus probability")
+    fid = _probability((1.0 + g) / 2.0, "fidelity")
+    # Squared as Python floats: an array square can differ in the last bit.
+    plus_vac = _probability(_each(pow, plus, 2) / 4.0, "joint probability")
+    a1 = np.minimum(1.0, g).tolist()
+    exact = (p_ref, p_act, fid, map(_transfer, p_ref, fid), a1, plus_vac)
     bounds = SecurityBounds.from_source(char)
     caps = (bounds.minus_ref, bounds.fidelity, bounds.minus_act)
     caps += (a1_floor(char), plus_vac_floor(char))
-    caps = zip(*(np.full(len(ts), cap).tolist() for cap in caps))
-    checks = []
-    for j, (t, history, cap) in enumerate(zip(ts, histories, caps)):
-        g = _tail_overlap(lags, j, t, history)
-        p_act = _probability((1.0 - base[j] * g) / 2.0, "minus probability")
-        p_ref = _probability((1.0 - base[j]) / 2.0, "minus probability")
-        plus_vac = _probability(plus[j] ** 2 / 4.0, "joint probability")
-        fid = _probability((1.0 + g) / 2.0, "fidelity")
-        checks.append(
-            ProofChainCheck(
-                n_pulses=len(tables),
-                fock_dim=tables[0].shape[-1],
-                corr_len=corr_len,
-                t=t,
-                history=history,
-                minus_ref_cap=cap[0],
-                fidelity_floor=cap[1],
-                minus_act_cap=cap[2],
-                a1_floor=cap[3],
-                plus_vac_floor=cap[4],
-                p_minus_ref=p_ref,
-                p_minus_act=p_act,
-                fidelity=fid,
-                transfer_value=_transfer(p_ref, fid),
-                a1=min(1.0, g),
-                plus_vac_prob=plus_vac,
-                trial=trials[j],
-                seed=seeds[j],
-            )
-        )
-    return checks
+    caps = [np.full(len(ts), cap).tolist() for cap in caps]
+    layout = (len(tables), tables[0].shape[-1], corr_len)
+    # One column per field after the layout, in field order.
+    columns = zip(ts, histories, *caps, *exact, trials, seeds)
+    return [ProofChainCheck(*layout, *row) for row in columns]
 
 
 def check_proof_chain(
@@ -498,12 +492,12 @@ def check_proof_chain(
     if len(history) != w:
         raise ValueError(f"pulse {t} takes {w} history bits, got {len(history)}")
     history = _bits(history)
-    char = characterization or measured_characterization(family)
+    lags = _LagOverlaps(family.corr_len, family._stack())
+    char = characterization or _one_source(lags)
     if char.corr_len != family.corr_len:
         raise ValueError("characterization correlation length mismatch")
     if any(isinstance(v, np.ndarray) for v in (*char.eps, char.p_vac0, char.p_vac1)):
         raise ValueError("characterization must describe one source, not a batch")
-    lags = _LagOverlaps(family.corr_len, family._stack())
     return _proof_chain_checks(lags, [t], [history], char, [trial], [family.seed])[0]
 
 
@@ -560,7 +554,7 @@ def random_family(
     table entry's real and imaginary normals come from one draw, in table
     order.
     """
-    _require_integer("n_pulses", n_pulses)
+    _require_integer("n_pulses", n_pulses, 1)
     _require_integer("corr_len", corr_len, 0)
     _require_integer("fock_dim", fock_dim, 2)
     _require_integer("seed", seed, 0)
@@ -624,7 +618,7 @@ def coherent_family(
     default keeps the truncation error, the dropped photon-number
     probability, below 1e-9 for mu <= 0.29.
     """
-    _require_integer("n_pulses", n_pulses)
+    _require_integer("n_pulses", n_pulses, 1)
     _require_integer("fock_dim", fock_dim, 2)
     if np.ndim(mu) != 0:
         raise ValueError(f"mu must be a single number, got {mu!r}")

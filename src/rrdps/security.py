@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,7 +36,8 @@ import numpy as np
 
 def _each(f, x, *more):
     """``f`` of floats, or, when ``x`` is a 1-D array, of each entry of it
-    and of the other arguments broadcast against it, in order.
+    and the matching entries of the other arguments, in order; every other
+    argument is then a float or an array of x's shape.
 
     numpy's SIMD ``exp``, ``expm1`` and ``log`` may round the last bit
     differently from libm, and a branch cannot run on an array, so a batch
@@ -43,8 +45,8 @@ def _each(f, x, *more):
     """
     if not isinstance(x, np.ndarray):
         return f(x, *more)
-    columns = (np.broadcast_to(a, x.shape).tolist() for a in (x, *more))
-    return np.array(list(map(f, *columns)), dtype=float)
+    columns = (a.tolist() if isinstance(a, np.ndarray) else repeat(a) for a in more)
+    return np.array(list(map(f, x.tolist(), *columns)), dtype=float)
 
 
 _BOOLS = (bool, np.bool_)

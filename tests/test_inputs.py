@@ -92,6 +92,15 @@ BAD_INPUTS = {
     "coherent-pulses-float": (
         lambda: orc.coherent_family(2.5, 0, 0.1, 0.2), "n_pulses must be an integer"
     ),
+    "family-pulses-zero": (
+        lambda: orc.random_family(0, 0, 3, seed=1), "n_pulses must be >= 1, got 0"
+    ),
+    "family-pulses-negative": (
+        lambda: orc.random_family(-1, 0, 3, seed=1), "n_pulses must be >= 1, got -1"
+    ),
+    "coherent-pulses-negative": (
+        lambda: orc.coherent_family(-2, 0, 0.1, 0.2), "n_pulses must be >= 1, got -2"
+    ),
     "rotation-lag-float": (
         lambda: src.PhaseRotationModel(mu=0.1, delta=0.2, corr_len=2).rotation(1.5),
         "lag must be an integer, got 1.5",

@@ -647,6 +647,27 @@ class TestProofChain:
         with pytest.raises(ValueError, match="characterization"):
             orc.check_proof_chain(fam, t=1, history=(), characterization=batch)
 
+    def test_each_overlap_computed_once(self, monkeypatch):
+        # The measured characterization and the tail overlap share one
+        # _LagOverlaps: at corr_len 2 on 4 pulses that is 5 (k, d) entries.
+        calls = []
+
+        def counted(states, d, real=orc._lag_overlaps):
+            calls.append(d)
+            return real(states, d)
+
+        fam = orc.random_family(4, 2, 5, seed=3)
+        monkeypatch.setattr(orc, "_lag_overlaps", counted)
+        orc.check_proof_chain(fam, 1, ())
+        assert len(calls) == 5
+
+    def test_probability_range(self):
+        # Entries within 1e-12 of [0, 1] are clipped; the first beyond raises.
+        p = np.array([-1e-12, 0.25, 1.0 + 1e-12])
+        assert orc._probability(p, "fidelity") == [0.0, 0.25, 1.0]
+        with pytest.raises(ArithmeticError, match=r"^fidelity 1\.5 outside"):
+            orc._probability(np.array([0.5, 1.5, -0.5]), "fidelity")
+
     def test_corrupted_characterization_detected(self):
         fam = orc.coherent_family(3, 1, mu=0.2, delta=0.5, fock_dim=12)
         honest = orc.measured_characterization(fam)
