@@ -45,7 +45,7 @@ from . import __version__
 from .oracle import run_family_campaign, verify_fidelity_proposition
 from .security import KeyRateResult, ProtocolConfig, key_rate
 from .simulate import run_simulation
-from .sources import _coherent_point, _optimize, rate_at_mu
+from .sources import _coherent_point, optimize_mu, rate_at_mu
 
 
 def _fmt(value) -> str:
@@ -222,7 +222,7 @@ def _mu_step(
 ) -> tuple[float, KeyRateResult]:
     """The mu of one rate point, optimised unless fixed, and its rate."""
     if fixed_mu is None:
-        return _optimize(protocol, delta, eta)
+        return optimize_mu(protocol, delta, eta)
     return fixed_mu, rate_at_mu(protocol, delta, eta, fixed_mu)
 
 
@@ -309,7 +309,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     mu = common.fixed_mu
     if mu is None:
-        mu, _ = _optimize(protocol, delta, eta)
+        mu, _ = optimize_mu(protocol, delta, eta)
     # The session and its analytic rate share one characterisation of the
     # source; at the optimised mu the rate is the optimiser's own result.
     bounds, q = _coherent_point(protocol, delta, eta, mu)

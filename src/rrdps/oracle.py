@@ -39,7 +39,8 @@ trials.  Gathering each trial's tail overlap is the one step per trial,
 since the analyzed pulse and its history differ between trials.  Stacked
 norms and overlaps are bitwise equal to the one-vector forms, and batch
 caps to one-point ones, so a stack's results do not depend on what else it
-holds.  The builders normalize what they build, so only
+holds.  A modulus is squared as ``x * x``, which is correctly rounded, as
+libm's ``pow`` need not be.  The builders normalize what they build, so only
 ``EmissionFamily`` checks the layout and norms of its tables, which a caller
 may pass in.
 
@@ -61,7 +62,6 @@ from .security import (
     SecurityBounds,
     SourceCharacterization,
     _LARGEST,
-    _each,
     _require,
     _require_integer,
     _transfer,
@@ -97,13 +97,6 @@ def _rows(n_pulses: int, corr_len: int) -> int:
     n = int(n_pulses)
     w = _window(int(corr_len), n)
     return 2 * ((n - w + 1) * 2**w - 1)
-
-
-def _bits(bits: Sequence[int]) -> tuple[int, ...]:
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError(f"bit and history bits must be 0 or 1, got {tuple(bits)}")
-    # int(): a bool in an index tuple would act as a mask.
-    return tuple(int(b) for b in bits)
 
 
 def _bit_axes(table: np.ndarray, corr_len: int, k: int) -> np.ndarray:
@@ -170,16 +163,6 @@ class EmissionFamily:
         # The tables as a stack of one family.
         return [table[None] for table in self.tables]
 
-    def pulse_state(self, k: int, bit: int, history: Sequence[int]) -> np.ndarray:
-        """Stored vector for pulse k; ``history`` may be longer than the
-        window and is trimmed to the bits that actually matter."""
-        _require_integer("k", k, 1, self.n_pulses)
-        w = _window(self.corr_len, k)
-        if len(history) < w:
-            raise ValueError(f"pulse {k} needs {w} history bits, got {len(history)}")
-        bits = _bits((bit, *history[:w]))
-        return _bit_axes(self.tables[k - 1], self.corr_len, k)[bits]
-
 
 def _norms(v: np.ndarray) -> np.ndarray:
     # Norms of the vectors along the last axis, each bitwise equal to
@@ -220,10 +203,10 @@ def _units(normals: np.ndarray) -> np.ndarray:
     return units
 
 
-def _draw_vacuum_weighted(rng: np.random.Generator, dim: int, weight: float) -> tuple:
-    # The draws of one unit vector with vacuum weight ``weight``: the normals
-    # of its other amplitudes and the phase of its vacuum amplitude.
-    return weight, rng.normal(size=(2, dim - 1)), rng.uniform(0.0, 2.0 * math.pi)
+def _draw_vacuum_weighted(rng: np.random.Generator, dim: int) -> tuple:
+    # The draws of one unit vector after its vacuum weight: the normals of
+    # its other amplitudes and the phase of its vacuum amplitude.
+    return rng.normal(size=(2, dim - 1)), rng.uniform(0.0, 2.0 * math.pi)
 
 
 def _vacuum_weighted_units(
@@ -310,8 +293,7 @@ def _characterizations(
     moduli = np.concatenate(
         [np.reshape(worst, (-1, n_trials)), np.hypot(vac.real, vac.imag).min(axis=2).T]
     )
-    # Squared as Python floats: an array square can differ in the last bit.
-    squares = np.minimum(1.0, _each(pow, moduli.ravel(), 2)).reshape(moduli.shape)
+    squares = np.minimum(1.0, moduli * moduli)
     eps = 1.0 - squares[:-2]
     if eps_scale is not None:
         eps = np.clip(eps * eps_scale, 0.0, 1.0)
@@ -459,8 +441,7 @@ def _proof_chain_checks(
     p_ref = _probability((1.0 - base) / 2.0, "minus probability")
     p_act = _probability((1.0 - base * g) / 2.0, "minus probability")
     fid = _probability((1.0 + g) / 2.0, "fidelity")
-    # Squared as Python floats: an array square can differ in the last bit.
-    plus_vac = _probability(_each(pow, plus, 2) / 4.0, "joint probability")
+    plus_vac = _probability(plus * plus / 4.0, "joint probability")
     a1 = np.minimum(1.0, g).tolist()
     exact = (p_ref, p_act, fid, map(_transfer, p_ref, fid), a1, plus_vac)
     bounds = SecurityBounds.from_source(char)
@@ -491,7 +472,10 @@ def check_proof_chain(
     w = _window(family.corr_len, t)
     if len(history) != w:
         raise ValueError(f"pulse {t} takes {w} history bits, got {len(history)}")
-    history = _bits(history)
+    if any(b not in (0, 1) for b in history):
+        raise ValueError(f"history bits must be 0 or 1, got {tuple(history)}")
+    # int(): a bool in an index tuple would act as a mask.
+    history = tuple(int(b) for b in history)
     lags = _LagOverlaps(family.corr_len, family._stack())
     char = characterization or _one_source(lags)
     if char.corr_len != family.corr_len:
@@ -517,7 +501,8 @@ def _random_tables(
         rng = np.random.default_rng(seed)
         if style == "perturbed":
             for _ in (0, 1):
-                bases.append(_draw_vacuum_weighted(rng, fock_dim, rng.uniform(0.55, 0.95)))
+                weight = rng.uniform(0.55, 0.95)
+                bases.append((weight, *_draw_vacuum_weighted(rng, fock_dim)))
             strengths.append(10.0 ** rng.uniform(-3.0, math.log10(0.6)))
         # Bitwise equal to rng.normal(size=out.shape), from the same draws.
         rng.standard_normal(out=out)
@@ -793,8 +778,8 @@ def verify_fidelity_proposition(
         for v in range(count):
             weighted[v] = rng.random() < 0.5
             if weighted[v]:
-                draws = _draw_vacuum_weighted(rng, dim, rng.uniform(0.4, 1.0))
-                weight[v], normals[v, :, 1:], angle[v] = draws
+                weight[v] = rng.uniform(0.4, 1.0)
+                normals[v, :, 1:], angle[v] = _draw_vacuum_weighted(rng, dim)
             else:
                 normals[v] = rng.normal(size=(2, dim))
         states = np.empty((count, dim), dtype=complex)
@@ -802,10 +787,8 @@ def verify_fidelity_proposition(
             weight[weighted], normals[weighted, :, 1:], angle[weighted]
         )
         states[~weighted] = _units(normals[~weighted])
-        vac = np.hypot(states[:, 0].real, states[:, 0].imag).tolist()
-        # Squared as Python floats: an array square can differ in the last
-        # bit.
-        weights = np.array([v**2 for v in vac])
+        vac = np.hypot(states[:, 0].real, states[:, 0].imag)
+        weights = vac * vac
         floors = vacuum_fidelity_bound(weights[0::2], weights[1::2])
         margins += (_lag_overlaps(states.reshape(-1, 2, dim), 1) - floors).tolist()
     return FidelityPropositionResult(

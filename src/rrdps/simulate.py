@@ -254,24 +254,9 @@ def run_simulation(
 
 
 def simulate_coherent(
-    group_size: int,
-    corr_len: int,
-    delta: float,
-    e_bit: float,
-    eta: float,
-    mu: float,
-    n_blocks: int,
-    seed: int,
-    f_ec_mode: str = "shannon",
-    f_ec_fixed: Optional[float] = None,
+    cfg: ProtocolConfig, delta: float, eta: float, mu: float, n_blocks: int, seed: int
 ) -> SimResult:
-    """Convenience wrapper wiring the phase-rotation source into a run."""
-    cfg = ProtocolConfig(
-        group_size=group_size,
-        corr_len=corr_len,
-        e_bit=e_bit,
-        f_ec_mode=f_ec_mode,
-        f_ec_fixed=f_ec_fixed,
-    )
+    """A session of protocol ``cfg`` on the phase-rotation source at ``delta``,
+    ``eta`` and ``mu``, with the bounds and click rate ``rate_at_mu`` uses."""
     bounds, q = _coherent_point(cfg, delta, eta, mu)
     return run_simulation(cfg, bounds, q, n_blocks, seed)

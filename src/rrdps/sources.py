@@ -73,8 +73,9 @@ def characterize(model: PhaseRotationModel) -> SourceCharacterization:
     eps = []
     for lag in range(1, model.corr_len + 1):
         theta = model.rotation(lag)
-        # 1 - overlap^2, written with expm1 so tiny deficits keep precision
-        eps.append(-_each(math.expm1, 2.0 * model.mu * (math.cos(theta) - 1.0)))
+        # 1 - overlap^2, written with expm1 so tiny deficits keep precision;
+        # mu goes last, so that a zero kick gives 0 even where 2 * mu is inf.
+        eps.append(-_each(math.expm1, 2.0 * (math.cos(theta) - 1.0) * model.mu))
     p_vac = _each(math.exp, -model.mu)
     return SourceCharacterization(
         corr_len=model.corr_len, eps=tuple(eps), p_vac0=p_vac, p_vac1=p_vac
@@ -92,8 +93,13 @@ def detection_rate(group_size: int, eta: float, mu: float) -> float:
     _require(
         mu, "mean photon number must be a finite number >= 0, got {}", high=_LARGEST
     )
-    x = group_size * eta * mu
-    return x * _each(math.exp, -x) / 2.0
+    return _each(_clicks, mu, group_size * eta)
+
+
+def _clicks(mu: float, scale: float) -> float:
+    # x * exp(-x) / 2 at x = scale * mu, or its limit 0 where x is inf.
+    x = scale * mu
+    return x * math.exp(-x) / 2.0 if x < math.inf else 0.0
 
 
 def _coherent_point(
@@ -162,15 +168,9 @@ def _golden(func, xa: float, xb: float, xc: float, maxiter: int = 5000) -> float
 
 
 def optimize_mu(
-    group_size: int,
-    corr_len: int,
-    delta: float,
-    eta: float,
-    e_bit: float,
-    f_ec_mode: str = "shannon",
-    f_ec_fixed: float | None = None,
+    cfg: ProtocolConfig, delta: float, eta: float
 ) -> tuple[float, KeyRateResult]:
-    """Maximize the key rate over the mean photon number.
+    """Maximize the key rate of protocol ``cfg`` over the mean photon number.
 
     Evaluates a fixed grid of ``MU_GRID_POINTS`` (200) log-spaced mu from
     ``MU_MIN`` (1e-6) to ``MU_MAX`` (10) in one ``rate_at_mu`` call on the
@@ -195,20 +195,6 @@ def optimize_mu(
     (mu_opt, result) : tuple of float and KeyRateResult
         The refined rate is never below the best grid rate.
     """
-    cfg = ProtocolConfig(
-        group_size=group_size,
-        corr_len=corr_len,
-        e_bit=e_bit,
-        f_ec_mode=f_ec_mode,
-        f_ec_fixed=f_ec_fixed,
-    )
-    return _optimize(cfg, delta, eta)
-
-
-def _optimize(
-    cfg: ProtocolConfig, delta: float, eta: float
-) -> tuple[float, KeyRateResult]:
-    # optimize_mu on a checked protocol; the CLI's entry point.
     mus = np.geomspace(MU_MIN, MU_MAX, MU_GRID_POINTS)
     batch = rate_at_mu(cfg, delta, eta, mus)
     rates = batch.rate_per_pulse

@@ -100,9 +100,10 @@ def test_criterion_3_rate_curves_vs_memory_length(capsys):
     etas = [float(x) for x in np.geomspace(1e-3, 1.0, 25)]
     curves = {}
     for corr_len in (0, 1, 2, 10):
+        cfg = sec.ProtocolConfig(group_size=group_size, corr_len=corr_len, e_bit=e_bit)
         rates = []
         for eta in etas:
-            _, res = src.optimize_mu(group_size, corr_len, delta, eta, e_bit)
+            _, res = src.optimize_mu(cfg, delta, eta)
             rates.append(res.rate_per_pulse)
         curves[corr_len] = rates
 
@@ -184,10 +185,10 @@ def test_criterion_6_simulation_matches_analytics(tmp_path, capsys):
     for corr_len in (0, 1):
         for eta in (0.05, 0.2):
             t0 = time.monotonic()
-            mu, _ = src.optimize_mu(group_size, corr_len, delta, eta, e_bit)
             cfg = sec.ProtocolConfig(
                 group_size=group_size, corr_len=corr_len, e_bit=e_bit
             )
+            mu, _ = src.optimize_mu(cfg, delta, eta)
             bounds = sec.SecurityBounds.from_source(
                 src.characterize(
                     src.PhaseRotationModel(mu=mu, delta=delta, corr_len=corr_len)
@@ -313,8 +314,12 @@ def test_criterion_7_degenerate_limits(capsys):
                 mu,
             ).rate_per_pulse
             exact_ok = exact_ok and (r1 == r0)
-    mu1, res1 = src.optimize_mu(32, 1, 0.0, 0.3, 0.03)
-    mu0, res0 = src.optimize_mu(32, 0, 0.0, 0.3, 0.03)
+    mu1, res1 = src.optimize_mu(
+        sec.ProtocolConfig(group_size=32, corr_len=1, e_bit=0.03), 0.0, 0.3
+    )
+    mu0, res0 = src.optimize_mu(
+        sec.ProtocolConfig(group_size=32, corr_len=0, e_bit=0.03), 0.0, 0.3
+    )
     exact_ok = exact_ok and mu1 == mu0 and res1.rate_per_pulse == res0.rate_per_pulse
 
     # Dark detector: zero rate, no exceptions anywhere in the stack.
@@ -343,9 +348,10 @@ def test_criterion_8_proof_chain_at_paper_memory_lengths(capsys):
     n_checks = n_failed = 0
     worst_gap = 0.0
     for corr_len in (4, 10):
+        cfg = sec.ProtocolConfig(group_size=group_size, corr_len=corr_len, e_bit=e_bit)
         cases = []
         for eta in (1e-3, 0.03, 1.0):
-            mu, _ = src.optimize_mu(group_size, corr_len, delta, eta, e_bit)
+            mu, _ = src.optimize_mu(cfg, delta, eta)
             fam = orc.coherent_family(
                 corr_len + 2, corr_len, mu, delta=delta, fock_dim=8
             )

@@ -65,6 +65,44 @@ class TestKeyrateCommand:
         assert cli.main(["keyrate", "--config", cfg, "--out", "rel.csv"]) == 0
         assert (tmp_path / "sink" / "rel.csv").exists()
 
+    @pytest.mark.parametrize("delta", [0.0, 0.2])
+    def test_overflowing_exposure_rates_zero(self, tmp_path, delta):
+        # group_size * eta * mu overflows to inf; its click rate is the limit 0.
+        # At delta 0, the deficit's 2 * mu would overflow too.
+        payload = dict(
+            KEYRATE_CFG,
+            delta=delta,
+            eta_grid={"min": 1.0, "max": 1.0, "points": 1},
+            mu_mode={"fixed": 1e308},
+        )
+        cfg = write_config(tmp_path / "c.json", payload)
+        out = tmp_path / "r.csv"
+        assert cli.main(["keyrate", "--config", cfg, "--out", str(out)]) == 0
+        _, header, rows = read_csv(out)
+        assert len(rows) == 2
+        for row in rows:
+            values = dict(zip(header, row))
+            assert float(values["q"]) == float(values["rate_per_pulse"]) == 0.0
+
+    def test_optimizes_through_the_public_optimizer(self, tmp_path, monkeypatch):
+        # The one optimiser the package exports is the one the CLI runs.
+        payload = dict(
+            KEYRATE_CFG, eta_grid={"min": 0.2, "max": 0.2, "points": 1}, mu_mode="optimize"
+        )
+        cfg = write_config(tmp_path / "c.json", payload)
+        plain, counted_out = tmp_path / "plain.csv", tmp_path / "counted.csv"
+        assert cli.main(["keyrate", "--config", cfg, "--out", str(plain)]) == 0
+        calls = []
+
+        def counted(*args, real=cli.optimize_mu):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "optimize_mu", counted)
+        assert cli.main(["keyrate", "--config", cfg, "--out", str(counted_out)]) == 0
+        assert len(calls) == 2
+        assert counted_out.read_bytes() == plain.read_bytes()
+
     def test_missing_config_is_usage_error(self, tmp_path):
         missing = str(tmp_path / "nope.json")
         assert cli.main(["keyrate", "--config", missing, "--out", "x.csv"]) == 1
@@ -462,7 +500,7 @@ def test_config_errors_precede_rate_evaluation(tmp_path, monkeypatch, capsys):
     def evaluated(*args, **kwargs):
         raise AssertionError("a rate was evaluated before the config was checked")
 
-    entries = ("_optimize", "rate_at_mu", "_coherent_point", "key_rate", "run_simulation")
+    entries = ("optimize_mu", "rate_at_mu", "_coherent_point", "key_rate", "run_simulation")
     for entry in entries:
         monkeypatch.setattr(cli, entry, evaluated)
     for i, (command, payload) in enumerate(LATE_ERRORS):

@@ -35,7 +35,7 @@ BAD_INPUTS = {
         lambda: sim.run_simulation(CFG, BOUNDS, True, 10, 1), "q_success"
     ),
     "optimize-eta-bool": (
-        lambda: src.optimize_mu(16, 1, 0.2, True, 0.03), "transmittance"
+        lambda: src.optimize_mu(CFG, 0.2, True), "transmittance"
     ),
     "detection-eta-bool": (lambda: src.detection_rate(32, True, 0.1), "transmittance"),
     "config-e-bit-bool": (
@@ -75,9 +75,6 @@ BAD_INPUTS = {
     ),
     "fidelity-seed-negative": (
         lambda: orc.verify_fidelity_proposition(2, 1, -1), "seed must be >= 0, got -1"
-    ),
-    "pulse-state-k-bool": (
-        lambda: FAMILY.pulse_state(True, 0, ()), "k must be an integer, got True"
     ),
     "proof-chain-t-bool": (
         lambda: orc.check_proof_chain(FAMILY, True, ()), "t must be an integer"

@@ -285,17 +285,10 @@ class TestCountDraw:
 
 class TestSimulateCoherent:
     def test_matches_manual_wiring(self):
-        res = sim.simulate_coherent(
-            group_size=8,
-            corr_len=1,
-            delta=0.2,
-            e_bit=0.05,
-            eta=0.3,
-            mu=0.1,
-            n_blocks=300,
-            seed=21,
-        )
         cfg = sec.ProtocolConfig(group_size=8, corr_len=1, e_bit=0.05)
+        res = sim.simulate_coherent(
+            cfg, delta=0.2, eta=0.3, mu=0.1, n_blocks=300, seed=21
+        )
         q = src.detection_rate(8, 0.3, 0.1)
         want = sim.run_simulation(cfg, _bounds(0.1, 0.2, 1), q, 300, seed=21)
         assert res == want

@@ -104,9 +104,12 @@ class TestCharacterize:
         assert char.eps == ()
 
     def test_zero_rotation_is_exactly_clean(self):
-        char = src.characterize(src.PhaseRotationModel(mu=0.3, delta=0.0, corr_len=4))
-        assert char.eps == (0.0, 0.0, 0.0, 0.0)
-        assert sec.fidelity_bound(char) == 1.0
+        # At mu 1e308, 2 * mu overflows to inf, and inf * 0 would be NaN.
+        for mu in (0.3, 1e308):
+            model = src.PhaseRotationModel(mu=mu, delta=0.0, corr_len=4)
+            char = src.characterize(model)
+            assert char.eps == (0.0, 0.0, 0.0, 0.0)
+            assert sec.fidelity_bound(char) == 1.0
 
     def test_tiny_deficit_keeps_precision(self):
         m = src.PhaseRotationModel(mu=1e-6, delta=1e-4, corr_len=1)
@@ -136,6 +139,13 @@ class TestDetectionRate:
     def test_dark_cases(self):
         assert src.detection_rate(16, 0.0, 0.1) == 0.0
         assert src.detection_rate(16, 0.1, 0.0) == 0.0
+
+    def test_overflowing_exposure_gives_the_limit(self):
+        # 32 * 1e308 overflows to inf, where x * exp(-x) would be inf * 0.
+        assert src.detection_rate(32, 1.0, 1e308) == 0.0
+        mu = np.array([0.01, 1e308, sec._LARGEST, 1e300])
+        want = [src.detection_rate(32, 1.0, 0.01), 0.0, 0.0, 0.0]
+        assert src.detection_rate(32, 1.0, mu).tolist() == want
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -170,35 +180,39 @@ class TestRateAtMu:
         assert res == want
 
 
+def protocol(group_size, corr_len):
+    return sec.ProtocolConfig(group_size=group_size, corr_len=corr_len, e_bit=0.03)
+
+
 class TestOptimizeMu:
     def test_result_beats_coarse_grid(self):
-        cfg = sec.ProtocolConfig(group_size=16, corr_len=1, e_bit=0.03)
-        mu_opt, res = src.optimize_mu(16, 1, 0.2, 0.3, 0.03)
+        cfg = protocol(16, 1)
+        mu_opt, res = src.optimize_mu(cfg, 0.2, 0.3)
         for i in range(30):
             mu = 10 ** (-4 + 4 * i / 29.0)
             other = src.rate_at_mu(cfg, 0.2, 0.3, mu)
             assert res.rate_per_pulse >= other.rate_per_pulse - 1e-12
 
     def test_dark_detector_yields_zero(self):
-        mu_opt, res = src.optimize_mu(16, 0, 0.2, 0.0, 0.03)
+        mu_opt, res = src.optimize_mu(protocol(16, 0), 0.2, 0.0)
         assert res.rate_per_pulse == 0.0
         assert mu_opt > 0.0
 
     def test_bounds_respected(self):
         assert (src.MU_MIN, src.MU_MAX, src.MU_GRID_POINTS) == (1e-6, 10.0, 200)
         for eta in (1e-3, 0.3, 1.0):
-            mu_opt, _ = src.optimize_mu(16, 0, 0.2, eta, 0.03)
+            mu_opt, _ = src.optimize_mu(protocol(16, 0), 0.2, eta)
             assert src.MU_MIN <= mu_opt <= src.MU_MAX
 
     def test_domain(self):
         with pytest.raises(ValueError, match="group_size"):
-            src.optimize_mu(2, 0, 0.2, 0.3, 0.03)
+            src.optimize_mu(protocol(2, 0), 0.2, 0.3)
         with pytest.raises(ValueError, match="transmittance"):
-            src.optimize_mu(16, 0, 0.2, 1.5, 0.03)
+            src.optimize_mu(protocol(16, 0), 0.2, 1.5)
 
     def test_result_is_the_rate_at_the_returned_mu(self):
-        cfg = sec.ProtocolConfig(group_size=16, corr_len=1, e_bit=0.03)
-        mu_opt, res = src.optimize_mu(16, 1, 0.2, 0.3, 0.03)
+        cfg = protocol(16, 1)
+        mu_opt, res = src.optimize_mu(cfg, 0.2, 0.3)
         assert res == src.rate_at_mu(cfg, 0.2, 0.3, mu_opt)
 
     @pytest.mark.parametrize(
@@ -216,14 +230,16 @@ class TestOptimizeMu:
              "eta-above-one", "group-size-2"],
     )
     def test_bad_input_is_rejected_before_any_rate(self, monkeypatch, args, message):
-        # The messages are the ones the per-mu grid raised at its first point.
+        # The messages are the ones the per-mu grid raised at its first point;
+        # the group size is ProtocolConfig's to check.
         def evaluated(*_):
             raise AssertionError("a rate was evaluated before the input was checked")
 
         monkeypatch.setattr(sec, "_tail_row", evaluated)
         monkeypatch.setattr(sec, "_phase_errors", evaluated)
+        group_size, corr_len, delta, eta = args
         with pytest.raises(ValueError) as err:
-            src.optimize_mu(*args, 0.03)
+            src.optimize_mu(protocol(group_size, corr_len), delta, eta)
         assert str(err.value) == message
 
 
@@ -323,7 +339,7 @@ class TestGoldenSection:
         monkeypatch.setattr(src, "_golden", record_golden)
         for corr_len, eta in README_ROWS:
             start = n_rate
-            src.optimize_mu(32, corr_len, 0.2, eta, 0.03)
+            src.optimize_mu(protocol(32, corr_len), 0.2, eta)
             # The grid and the search; nothing is re-evaluated afterwards.
             assert n_rate - start == 200 + searches[-1][2]
         assert len(searches) == len(README_ROWS)
