@@ -16,9 +16,10 @@ Subcommands:
 Configs are JSON files; numeric output uses 12 significant digits and no
 timestamps, so reruns with the same config and seed are byte identical
 at a fixed BLAS thread count.  The CLI checks the type of each config
-value; ``ProtocolConfig`` checks the ranges of the protocol parameters,
-and its message is printed with the config path in front.  Every config
-error is raised before the first rate is evaluated.
+value and the ``f_ec_mode`` key, which only it reads; ``ProtocolConfig``
+checks the ranges of the protocol parameters, and its message is printed
+with the config path in front.  Every config error is raised before the
+first rate is evaluated.
 Relative output paths are resolved against ``RRDPS_OUT_DIR`` when that is
 set.  Exit codes: 0 on success, 1 on usage or config errors (unknown
 keys and non-finite numbers included), 2 when a verification campaign
@@ -172,7 +173,6 @@ class _Common:
 
     where: str
     e_bit: float
-    f_ec_mode: str
     f_ec_fixed: Optional[float]
     fixed_mu: Optional[float]
     out: str
@@ -180,13 +180,7 @@ class _Common:
     def protocol(self, group_size: int, corr_len: int) -> ProtocolConfig:
         """The protocol at one grid point; ``ProtocolConfig`` range-checks it."""
         try:
-            return ProtocolConfig(
-                group_size=group_size,
-                corr_len=corr_len,
-                e_bit=self.e_bit,
-                f_ec_mode=self.f_ec_mode,
-                f_ec_fixed=self.f_ec_fixed,
-            )
+            return ProtocolConfig(group_size, corr_len, self.e_bit, self.f_ec_fixed)
         except ValueError as exc:
             raise ValueError(f"{self.where}: {exc}") from None
 
@@ -196,11 +190,14 @@ def _read_config(args: argparse.Namespace, known: set) -> tuple[dict, _Common]:
     cfg = _load_config(where)
     _reject_unknown(cfg, known, where)
     f_ec_mode = cfg.get("f_ec_mode", "shannon")
-    if not isinstance(f_ec_mode, str):
-        raise ValueError(f"{where}: key 'f_ec_mode' has wrong type")
+    if f_ec_mode not in ("shannon", "fixed"):
+        raise ValueError(f"{where}: f_ec_mode must be 'shannon' or 'fixed'")
     f_ec_fixed = None
     if "f_ec_fixed" in cfg:
         f_ec_fixed = float(_get(cfg, "f_ec_fixed", _NUMBER, where))
+    if (f_ec_fixed is None) == (f_ec_mode == "fixed"):
+        message = "f_ec_fixed must be given exactly when f_ec_mode is 'fixed'"
+        raise ValueError(f"{where}: {message}")
     out = args.out or cfg.get("output_path")
     if not out:
         raise ValueError(f"{where}: no output path (use --out or output_path)")
@@ -209,7 +206,6 @@ def _read_config(args: argparse.Namespace, known: set) -> tuple[dict, _Common]:
     common = _Common(
         where=where,
         e_bit=float(_get(cfg, "e_bit", _NUMBER, where)),
-        f_ec_mode=f_ec_mode,
         f_ec_fixed=f_ec_fixed,
         fixed_mu=_mu_mode(cfg, where),
         out=out,

@@ -297,9 +297,7 @@ def _characterizations(
     eps = 1.0 - squares[:-2]
     if eps_scale is not None:
         eps = np.clip(eps * eps_scale, 0.0, 1.0)
-    return SourceCharacterization(
-        corr_len=lags.corr_len, eps=tuple(eps), p_vac0=squares[-2], p_vac1=squares[-1]
-    )
+    return SourceCharacterization(eps=tuple(eps), p_vac0=squares[-2], p_vac1=squares[-1])
 
 
 def measured_characterization(family: EmissionFamily) -> SourceCharacterization:

@@ -54,10 +54,12 @@ _BOOLS = (bool, np.bool_)
 
 def _require(value, message: str, low: float = 0.0, high: float = 1.0) -> None:
     """Raise ``ValueError(message.format(v))`` for the first entry ``v`` of
-    ``value``, a float or an array, outside ``[low, high]``; NaN is outside,
-    and so is every bool (Python's, numpy's or a bool array's entry), which
-    compares as 0 or 1 but is no number of this package."""
+    ``value``, a float or a 1-D array (v names any other array's shape),
+    outside ``[low, high]``; NaN is outside, and so is every bool (Python's,
+    numpy's or a bool array's entry), which is no number of this package."""
     if isinstance(value, np.ndarray):
+        if value.ndim != 1:
+            raise ValueError(message.format(f"an array of shape {value.shape}"))
         inside = (low <= value) & (value <= high) & (value.dtype != bool)
         if not inside.all():
             raise ValueError(message.format(value[np.argmin(inside)].item()))
@@ -237,8 +239,6 @@ class SourceCharacterization:
 
     Attributes
     ----------
-    corr_len : int
-        Number of subsequent pulses a bit can influence (0 = uncorrelated).
     eps : tuple of float
         Fidelity deficits per lag; ``eps[d-1]`` bounds how far from 1 the
         overlap squared may fall between emitted states that differ only in
@@ -246,30 +246,29 @@ class SourceCharacterization:
     p_vac0, p_vac1 : float
         Lower bounds on the vacuum probability of pulses encoding bit 0 and
         bit 1, uniform over histories.
+    corr_len : int
+        ``len(eps)``, the number of later pulses a bit can influence (0 = none).
 
     Each deficit and floor may instead be a 1-D array of one shape, one
     entry per source of a batch, each checked as a float would be.
     """
 
-    corr_len: int
     eps: tuple[float, ...]
     p_vac0: float
     p_vac1: float
 
     def __post_init__(self) -> None:
-        _require_integer("corr_len", self.corr_len, 0)
         eps = tuple(self.eps)
-        if len(eps) != self.corr_len:
-            raise ValueError(
-                f"need one fidelity deficit per lag: expected {self.corr_len}, "
-                f"got {len(eps)}"
-            )
         fields = {f"eps at lag {d}": e for d, e in enumerate(eps, start=1)}
         fields.update(p_vac0=self.p_vac0, p_vac1=self.p_vac1)
         for name, value in fields.items():
             _require(value, f"{name} must lie in [0, 1], got {{}}")
         _require_one_shape(fields)
         object.__setattr__(self, "eps", tuple(_each(float, e) for e in eps))
+
+    @property
+    def corr_len(self) -> int:
+        return len(self.eps)
 
 
 def plus_vac_floor(source: SourceCharacterization) -> float:
@@ -341,30 +340,23 @@ class ProtocolConfig:
 
     A block consists of ``(corr_len + 1) * group_size`` pulses, split into
     ``corr_len + 1`` interleaved groups so that the pulses within one group
-    are spaced far enough apart to be free of mutual correlations.
+    are spaced far enough apart to be free of mutual correlations.  Error
+    correction costs ``f_ec_fixed`` per sifted bit, or, when that is None,
+    the Shannon limit: the binary entropy of the bit error rate.
     """
 
     group_size: int
     corr_len: int
     e_bit: float
-    f_ec_mode: str = "shannon"
     f_ec_fixed: Optional[float] = None
 
     def __post_init__(self) -> None:
         _require_integer("group_size", self.group_size, 3)
         _require_integer("corr_len", self.corr_len, 0)
         _require(self.e_bit, "bit error rate must lie in [0, 0.5], got {}", high=0.5)
-        if self.f_ec_mode not in ("shannon", "fixed"):
-            raise ValueError(
-                f"f_ec_mode must be 'shannon' or 'fixed', got {self.f_ec_mode!r}"
-            )
-        if self.f_ec_mode == "fixed":
-            # A missing value fails as NaN does.
-            fixed = math.nan if self.f_ec_fixed is None else self.f_ec_fixed
-            message = "fixed error-correction mode needs a finite f_ec_fixed >= 0"
-            _require(fixed, message, high=_LARGEST)
-        elif self.f_ec_fixed is not None:
-            raise ValueError("f_ec_fixed only applies when f_ec_mode='fixed'")
+        if self.f_ec_fixed is not None:
+            message = "f_ec_fixed must be a finite number >= 0, got {}"
+            _require(self.f_ec_fixed, message, high=_LARGEST)
 
     @property
     def block_size(self) -> int:
@@ -376,8 +368,8 @@ class ProtocolConfig:
 
     def f_ec(self, e_bit: Optional[float] = None) -> float:
         """Error-correction cost per sifted bit; ``e_bit`` defaults to the config's."""
-        if self.f_ec_mode == "fixed":
-            return float(self.f_ec_fixed)  # type: ignore[arg-type]
+        if self.f_ec_fixed is not None:
+            return float(self.f_ec_fixed)
         # The configured rate needs no check: __post_init__ has made it.
         return _entropy(self.e_bit) if e_bit is None else binary_entropy(e_bit)
 

@@ -170,12 +170,11 @@ def iter_block_records(
 
 @dataclass(frozen=True)
 class SimResult:
-    """Aggregate outcome of a simulated session with its extracted key size."""
+    """Aggregate outcome of a session of protocol ``cfg`` and its extracted key size."""
 
+    cfg: ProtocolConfig
     n_blocks: int
     seed: int
-    group_size: int
-    corr_len: int
     q_success: float
     n_success: tuple[int, ...]
     n_errors: tuple[int, ...]
@@ -187,16 +186,8 @@ class SimResult:
     key_length: int
 
     @property
-    def n_groups(self) -> int:
-        return self.corr_len + 1
-
-    @property
-    def block_size(self) -> int:
-        return self.n_groups * self.group_size
-
-    @property
     def rate_per_pulse(self) -> float:
-        return self.key_length / (self.n_blocks * self.block_size)
+        return self.key_length / (self.n_blocks * self.cfg.block_size)
 
 
 def run_simulation(
@@ -208,11 +199,11 @@ def run_simulation(
 ) -> SimResult:
     """Simulate a session and size the extractable key from its counts.
 
-    Error correction is priced at the observed error rate (or the fixed
-    override), privacy amplification at the per-group bounds that
-    ``key_rate`` gives for the observed success rates ``q_hat``.  Groups
-    without successes contribute nothing.  The final length is clamped at
-    zero and floored to an integer.
+    Error correction is priced at the observed error rate (or at
+    ``cfg.f_ec_fixed``), privacy amplification at the per-group bounds
+    that ``key_rate`` gives for the observed success rates ``q_hat``.
+    Groups without successes contribute nothing.  The final length is
+    clamped at zero and floored to an integer; the result keeps ``cfg``.
     """
     _check_run_args(q_success, n_blocks, seed)
     n_success = np.zeros(cfg.n_groups, dtype=np.int64)
@@ -237,10 +228,9 @@ def run_simulation(
         # A dark group adds an exact zero, as f_ec is finite.
         secret = secret + n * (1.0 - f_ec - g.f_pa)
     return SimResult(
+        cfg=cfg,
         n_blocks=n_blocks,
         seed=seed,
-        group_size=cfg.group_size,
-        corr_len=cfg.corr_len,
         q_success=q_success,
         n_success=tuple(int(n) for n in n_success),
         n_errors=tuple(int(n) for n in n_errors),

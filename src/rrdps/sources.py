@@ -72,14 +72,17 @@ def characterize(model: PhaseRotationModel) -> SourceCharacterization:
     """
     eps = []
     for lag in range(1, model.corr_len + 1):
-        theta = model.rotation(lag)
-        # 1 - overlap^2, written with expm1 so tiny deficits keep precision;
         # mu goes last, so that a zero kick gives 0 even where 2 * mu is inf.
-        eps.append(-_each(math.expm1, 2.0 * (math.cos(theta) - 1.0) * model.mu))
+        scale = 2.0 * (math.cos(model.rotation(lag)) - 1.0)
+        eps.append(_each(_deficit, model.mu, scale))
     p_vac = _each(math.exp, -model.mu)
-    return SourceCharacterization(
-        corr_len=model.corr_len, eps=tuple(eps), p_vac0=p_vac, p_vac1=p_vac
-    )
+    return SourceCharacterization(eps=tuple(eps), p_vac0=p_vac, p_vac1=p_vac)
+
+
+def _deficit(mu: float, scale: float) -> float:
+    # 1 - overlap^2, written with expm1 so tiny deficits keep precision.  A
+    # product past the float range is -inf, for eps 1, as a float, unwarned.
+    return -math.expm1(scale * mu)
 
 
 def detection_rate(group_size: int, eta: float, mu: float) -> float:

@@ -290,7 +290,7 @@ def test_criterion_7_degenerate_limits(capsys):
         sec.phase_error_upper(n, 1.0, q) == 1.0 for n in (3, 8, 32) for q in (0.5, 1.0)
     )
     dead = sec.SecurityBounds.from_source(
-        sec.SourceCharacterization(corr_len=0, eps=(), p_vac0=0.0, p_vac1=0.0)
+        sec.SourceCharacterization(eps=(), p_vac0=0.0, p_vac1=0.0)
     )
     cfg0 = sec.ProtocolConfig(group_size=8, corr_len=0, e_bit=0.0)
     one_ok = one_ok and dead.minus_act == 1.0

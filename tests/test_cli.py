@@ -455,13 +455,14 @@ class TestStrictConfigs:
 
 CONFIGS = {"keyrate": KEYRATE_CFG, "sweep": SWEEP_CFG, "simulate": SIM_CFG}
 
-# Error-correction settings that ProtocolConfig or the type check refuse.
+# Error-correction settings that the config reader or ProtocolConfig refuse.
 BAD_F_EC = {
     "fixed-without-value": {"f_ec_mode": "fixed"},
     "value-under-shannon": {"f_ec_mode": "shannon", "f_ec_fixed": 0.2},
     "negative-value": {"f_ec_mode": "fixed", "f_ec_fixed": -0.1},
     "boolean-value": {"f_ec_mode": "fixed", "f_ec_fixed": True},
     "unknown-mode": {"f_ec_mode": "ldpc"},
+    "mode-not-a-string": {"f_ec_mode": 1},
 }
 
 

@@ -104,11 +104,11 @@ def _records() -> bytes:
 
 def _fresh_cli(args: list[str], threads: dict = ONE_BLAS_THREAD) -> bytes:
     """Stdout of the CLI run in a fresh interpreter, one BLAS thread unless
-    ``threads`` says otherwise."""
+    ``threads`` says otherwise; a warning there is an error, as in the suite."""
     code = "import sys; from rrdps.cli import main; sys.exit(main(sys.argv[1:]))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), **threads)
     done = subprocess.run(
-        [sys.executable, "-c", code, *args],
+        [sys.executable, "-W", "error", "-c", code, *args],
         env=env,
         capture_output=True,
         check=True,

@@ -44,7 +44,7 @@ BAD_INPUTS = {
     ),
     "config-f-ec-fixed-bool": (
         lambda: sec.ProtocolConfig(
-            group_size=8, corr_len=0, e_bit=0.05, f_ec_mode="fixed", f_ec_fixed=True
+            group_size=8, corr_len=0, e_bit=0.05, f_ec_fixed=True
         ),
         "f_ec_fixed",
     ),
@@ -120,9 +120,7 @@ BAD_INPUTS = {
         lambda: sec.phase_error_upper(8, 0.1, np.True_), "detection rate"
     ),
     "characterization-eps-bool": (
-        lambda: sec.SourceCharacterization(
-            corr_len=1, eps=(True,), p_vac0=0.9, p_vac1=0.9
-        ),
+        lambda: sec.SourceCharacterization(eps=(True,), p_vac0=0.9, p_vac1=0.9),
         "eps at lag 1 must lie in",
     ),
     # The batch form of key_rate needs every rate shaped like the bounds.
@@ -141,13 +139,13 @@ BAD_INPUTS = {
     # A batch's fields hold one entry per source, so they share one shape.
     "characterization-batch-lengths": (
         lambda: sec.SourceCharacterization(
-            corr_len=1, eps=(np.full(3, 0.1),), p_vac0=np.full(2, 0.9), p_vac1=0.9
+            eps=(np.full(3, 0.1),), p_vac0=np.full(2, 0.9), p_vac1=0.9
         ),
         r"p_vac0 of shape \(2,\) does not match eps at lag 1 of shape \(3,\)",
     ),
     "characterization-batch-float-floor": (
         lambda: sec.SourceCharacterization(
-            corr_len=1, eps=(np.full(2, 0.1),), p_vac0=np.full(2, 0.9), p_vac1=0.9
+            eps=(np.full(2, 0.1),), p_vac0=np.full(2, 0.9), p_vac1=0.9
         ),
         r"p_vac1 of shape \(\) does not match eps at lag 1 of shape \(2,\)",
     ),
@@ -162,6 +160,27 @@ BAD_INPUTS = {
     "coherent-array-mu": (
         lambda: orc.coherent_family(3, 1, np.array([0.1, 0.2]), 0.2),
         "mu must be a single number",
+    ),
+    # Only floats and 1-D arrays are numbers of this package.
+    "rate-0d-mu": (
+        lambda: src.rate_at_mu(CFG, 0.2, 0.2, np.array(0.1)),
+        r"mu must be a finite number >= 0, got an array of shape \(\)",
+    ),
+    "model-2d-mu": (
+        lambda: src.characterize(
+            src.PhaseRotationModel(mu=np.full((2, 2), 0.1), delta=0.2, corr_len=1)
+        ),
+        r"mu must be a finite number >= 0, got an array of shape \(2, 2\)",
+    ),
+    "entropy-0d": (
+        lambda: sec.binary_entropy(np.array(0.1)),
+        r"entropy argument must lie in \[0, 1\], got an array of shape \(\)",
+    ),
+    "characterization-2d-floors": (
+        lambda: sec.SourceCharacterization(
+            eps=(), p_vac0=np.full((2, 2), 0.9), p_vac1=np.full((2, 2), 0.9)
+        ),
+        r"p_vac0 must lie in \[0, 1\], got an array of shape \(2, 2\)",
     ),
 }
 

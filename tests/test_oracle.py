@@ -365,9 +365,7 @@ def reference_characterization(states, corr_len):
     p_vac = [1.0, 1.0]
     for (k, bit, hist), vec in states.items():
         p_vac[bit] = min(p_vac[bit], square(float(abs(vec[0]))))
-    return sec.SourceCharacterization(
-        corr_len=corr_len, eps=tuple(eps), p_vac0=p_vac[0], p_vac1=p_vac[1]
-    )
+    return sec.SourceCharacterization(eps=tuple(eps), p_vac0=p_vac[0], p_vac1=p_vac[1])
 
 
 def reference_tail_overlap(states, fam, t, history):
@@ -665,7 +663,6 @@ class TestProofChain:
         fam = orc.random_family(3, 1, 3, seed=0)
         honest = orc.measured_characterization(fam)
         batch = sec.SourceCharacterization(
-            corr_len=1,
             eps=(np.full(size, honest.eps[0]),),
             p_vac0=np.full(size, honest.p_vac0),
             p_vac1=np.full(size, honest.p_vac1),
@@ -703,7 +700,7 @@ class TestProofChain:
         fam = orc.coherent_family(3, 1, mu=0.2, delta=0.5, fock_dim=12)
         honest = orc.measured_characterization(fam)
         lying = sec.SourceCharacterization(
-            corr_len=1, eps=(0.0,), p_vac0=honest.p_vac0, p_vac1=honest.p_vac1
+            eps=(0.0,), p_vac0=honest.p_vac0, p_vac1=honest.p_vac1
         )
         chk = orc.check_proof_chain(fam, t=1, history=(), characterization=lying)
         assert not chk.passed

@@ -208,55 +208,44 @@ class TestVacuumBounds:
 
 
 class TestSourceCharacterization:
-    def test_eps_length_must_match(self):
-        with pytest.raises(ValueError):
-            sec.SourceCharacterization(corr_len=2, eps=(0.1,), p_vac0=0.9, p_vac1=0.9)
+    def test_corr_len_is_the_number_of_deficits(self):
+        assert sec.SourceCharacterization(eps=(), p_vac0=0.9, p_vac1=0.9).corr_len == 0
+        point = sec.SourceCharacterization(eps=(0.1, 0.2), p_vac0=0.9, p_vac1=0.9)
+        assert point.corr_len == len(point.eps) == 2
+        floors = np.full(4, 0.9)
+        batch = sec.SourceCharacterization(
+            eps=(np.full(4, 0.1),) * 3, p_vac0=floors, p_vac1=floors
+        )
+        assert batch.corr_len == len(batch.eps) == 3
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
-            sec.SourceCharacterization(corr_len=1, eps=(1.5,), p_vac0=0.9, p_vac1=0.9)
+            sec.SourceCharacterization(eps=(1.5,), p_vac0=0.9, p_vac1=0.9)
         with pytest.raises(ValueError):
-            sec.SourceCharacterization(corr_len=0, eps=(), p_vac0=-0.1, p_vac1=0.9)
-
-    @pytest.mark.parametrize("corr_len", [True, 1.0])
-    def test_corr_len_must_be_integer(self, corr_len):
-        with pytest.raises(ValueError, match="corr_len"):
-            sec.SourceCharacterization(
-                corr_len=corr_len, eps=(0.1,), p_vac0=0.9, p_vac1=0.9
-            )
+            sec.SourceCharacterization(eps=(), p_vac0=-0.1, p_vac1=0.9)
 
     def test_eps_coerced_to_tuple(self):
-        src = sec.SourceCharacterization(
-            corr_len=2, eps=[0.1, 0.2], p_vac0=0.9, p_vac1=0.9
-        )
+        src = sec.SourceCharacterization(eps=[0.1, 0.2], p_vac0=0.9, p_vac1=0.9)
         assert src.eps == (0.1, 0.2)
 
 
 class TestSecurityBounds:
     def test_reference_cap(self):
-        src = sec.SourceCharacterization(corr_len=0, eps=(), p_vac0=1.0, p_vac1=1.0)
+        src = sec.SourceCharacterization(eps=(), p_vac0=1.0, p_vac1=1.0)
         assert sec.minus_ref_bound(src) == 0.0
-        src = sec.SourceCharacterization(
-            corr_len=0, eps=(), p_vac0=0.81, p_vac1=0.81
-        )
+        src = sec.SourceCharacterization(eps=(), p_vac0=0.81, p_vac1=0.81)
         assert sec.minus_ref_bound(src) == pytest.approx(0.19, abs=1e-15)
 
     def test_fidelity_floor(self):
-        no_corr = sec.SourceCharacterization(corr_len=0, eps=(), p_vac0=0.9, p_vac1=0.9)
+        no_corr = sec.SourceCharacterization(eps=(), p_vac0=0.9, p_vac1=0.9)
         assert sec.fidelity_bound(no_corr) == 1.0
-        clean = sec.SourceCharacterization(
-            corr_len=1, eps=(0.0,), p_vac0=0.9, p_vac1=0.9
-        )
+        clean = sec.SourceCharacterization(eps=(0.0,), p_vac0=0.9, p_vac1=0.9)
         assert sec.fidelity_bound(clean) == 1.0
-        worst = sec.SourceCharacterization(
-            corr_len=1, eps=(1.0,), p_vac0=0.9, p_vac1=0.9
-        )
+        worst = sec.SourceCharacterization(eps=(1.0,), p_vac0=0.9, p_vac1=0.9)
         assert sec.fidelity_bound(worst) == 0.5
 
     def test_from_source_chains_consistently(self):
-        src = sec.SourceCharacterization(
-            corr_len=1, eps=(0.1,), p_vac0=0.9, p_vac1=0.85
-        )
+        src = sec.SourceCharacterization(eps=(0.1,), p_vac0=0.9, p_vac1=0.85)
         b = sec.SecurityBounds.from_source(src)
         assert b.minus_ref == sec.minus_ref_bound(src)
         assert b.fidelity == sec.fidelity_bound(src)
@@ -275,7 +264,7 @@ class TestProtocolConfig:
         # An observed error rate replaces the configured one.
         assert shan.f_ec(0.11) == sec.binary_entropy(0.11)
         fixed = sec.ProtocolConfig(
-            group_size=8, corr_len=0, e_bit=0.03, f_ec_mode="fixed", f_ec_fixed=0.25
+            group_size=8, corr_len=0, e_bit=0.03, f_ec_fixed=0.25
         )
         assert fixed.f_ec() == fixed.f_ec(0.11) == 0.25
 
@@ -286,12 +275,6 @@ class TestProtocolConfig:
             sec.ProtocolConfig(group_size=8, corr_len=-1, e_bit=0.03)
         with pytest.raises(ValueError):
             sec.ProtocolConfig(group_size=8, corr_len=0, e_bit=0.6)
-        with pytest.raises(ValueError):
-            sec.ProtocolConfig(group_size=8, corr_len=0, e_bit=0.03, f_ec_mode="fixed")
-        with pytest.raises(ValueError):
-            sec.ProtocolConfig(
-                group_size=8, corr_len=0, e_bit=0.03, f_ec_fixed=0.2
-            )
 
     @pytest.mark.parametrize(
         "field, value",
@@ -309,7 +292,6 @@ class TestProtocolConfig:
             "group_size": 8,
             "corr_len": 1,
             "e_bit": 0.03,
-            "f_ec_mode": "fixed",
             "f_ec_fixed": 0.2,
             field: value,
         }
@@ -362,10 +344,7 @@ class TestPhaseErrorUpper:
 
 class TestKeyRate:
     def _bounds(self, eps, p_vac):
-        corr_len = len(eps)
-        src = sec.SourceCharacterization(
-            corr_len=corr_len, eps=eps, p_vac0=p_vac, p_vac1=p_vac
-        )
+        src = sec.SourceCharacterization(eps=eps, p_vac0=p_vac, p_vac1=p_vac)
         return sec.SecurityBounds.from_source(src)
 
     def test_perfect_source_rate_is_one_third(self):

@@ -156,7 +156,7 @@ class TestRunSimulation:
     def test_phase_error_uses_empirical_rates(self):
         bounds = _bounds(0.2, 0.1, 1)
         res = sim.run_simulation(self.CFG, bounds, 0.6, 2000, seed=13)
-        for w in range(res.n_groups):
+        for w in range(res.cfg.n_groups):
             if res.n_success[w] == 0:
                 continue
             want = sec.phase_error_upper(8, bounds.minus_act, res.q_hat[w])
@@ -200,9 +200,7 @@ class TestRunSimulation:
         assert res.key_length == 0
 
     def test_fixed_correction_cost(self):
-        cfg = sec.ProtocolConfig(
-            group_size=8, corr_len=0, e_bit=0.05, f_ec_mode="fixed", f_ec_fixed=0.3
-        )
+        cfg = sec.ProtocolConfig(group_size=8, corr_len=0, e_bit=0.05, f_ec_fixed=0.3)
         res = sim.run_simulation(cfg, _bounds(0.2, 0.0, 0), 0.5, 500, seed=1)
         assert res.f_ec == 0.3
 
@@ -292,3 +290,7 @@ class TestSimulateCoherent:
         q = src.detection_rate(8, 0.3, 0.1)
         want = sim.run_simulation(cfg, _bounds(0.1, 0.2, 1), q, 300, seed=21)
         assert res == want
+
+    def test_result_keeps_its_protocol(self):
+        cfg = sec.ProtocolConfig(group_size=8, corr_len=2, e_bit=0.05)
+        assert sim.simulate_coherent(cfg, 0.2, 0.3, 0.1, 100, seed=1).cfg is cfg

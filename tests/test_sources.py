@@ -111,6 +111,20 @@ class TestCharacterize:
             assert char.eps == (0.0, 0.0, 0.0, 0.0)
             assert sec.fidelity_bound(char) == 1.0
 
+    def test_overflowing_exponent_gives_the_limit(self):
+        # At mu 1e308 the exponent 2 * (cos(pi) - 1) * mu is -inf, so eps is
+        # its limit 1, on an array as on a float, without an overflow warning.
+        mus = [0.1, 1e308]
+        batch = src.characterize(
+            src.PhaseRotationModel(mu=np.array(mus), delta=math.pi, corr_len=1)
+        )
+        points = [
+            src.characterize(src.PhaseRotationModel(mu=mu, delta=math.pi, corr_len=1))
+            for mu in mus
+        ]
+        assert batch.eps[0].tolist() == [char.eps[0] for char in points]
+        assert batch.eps[0][1] == 1.0
+
     def test_tiny_deficit_keeps_precision(self):
         m = src.PhaseRotationModel(mu=1e-6, delta=1e-4, corr_len=1)
         eps = src.characterize(m).eps[0]
