@@ -108,23 +108,18 @@ def _bit_axes(table: np.ndarray, corr_len: int, k: int) -> np.ndarray:
 
 
 def _check_tables(corr_len: int, tables: Sequence[np.ndarray]) -> None:
-    """The layout and norm checks of a stack of families' tables, each
-    table with a leading trial axis."""
+    """The layout and norm checks of one family's tables: every table's
+    shape first, then every table's norms, each in pulse order."""
     _require_integer("n_pulses", len(tables), corr_len + 1)
     fock_dim = tables[0].shape[-1]
     _require_integer("fock_dim", fock_dim, 2)
     for k, table in enumerate(tables, start=1):
         shape = (2, 2 ** _window(corr_len, k), fock_dim)
-        if table.shape[1:] != shape:
-            raise ValueError(f"pulse {k} table has shape {table.shape[1:]}, not {shape}")
-
-    def normalized(v: np.ndarray) -> bool:
-        return bool(np.all(np.abs(_norms(v) - 1.0) <= 1e-12))
-
-    rows = [table.reshape(len(table), -1, fock_dim) for table in tables]
-    if not normalized(np.concatenate(rows, axis=1)):
-        k = next(k for k, table in enumerate(tables, start=1) if not normalized(table))
-        raise ValueError(f"pulse {k} holds a state that is not normalized")
+        if table.shape != shape:
+            raise ValueError(f"pulse {k} table has shape {table.shape}, not {shape}")
+    for k, table in enumerate(tables, start=1):
+        if not np.all(np.abs(_norms(table) - 1.0) <= 1e-12):
+            raise ValueError(f"pulse {k} holds a state that is not normalized")
 
 
 @dataclass(frozen=True)
@@ -145,11 +140,11 @@ class EmissionFamily:
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "tables", tuple(np.asarray(t, dtype=complex) for t in self.tables)
-        )
+        # At least 1-D, so that a 0-d table meets the fock_dim check.
+        tables = (np.atleast_1d(np.asarray(t, dtype=complex)) for t in self.tables)
+        object.__setattr__(self, "tables", tuple(tables))
         _require_integer("corr_len", self.corr_len, 0)
-        _check_tables(self.corr_len, self._stack())
+        _check_tables(self.corr_len, self.tables)
 
     @property
     def n_pulses(self) -> int:
@@ -159,9 +154,9 @@ class EmissionFamily:
     def fock_dim(self) -> int:
         return self.tables[0].shape[-1]
 
-    def _stack(self) -> list[np.ndarray]:
-        # The tables as a stack of one family.
-        return [table[None] for table in self.tables]
+    def _lags(self) -> _LagOverlaps:
+        # The lag overlaps of the tables as a stack of one family.
+        return _LagOverlaps(self.corr_len, [table[None] for table in self.tables])
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -309,12 +304,7 @@ def measured_characterization(family: EmissionFamily) -> SourceCharacterization:
     the returned characterization is valid for the family by construction
     rather than by assumption.
     """
-    return _one_source(_LagOverlaps(family.corr_len, family._stack()))
-
-
-def _one_source(lags: _LagOverlaps) -> SourceCharacterization:
-    # The measured characterization of a stack of one family, as floats.
-    char = _characterizations(lags)
+    char = _characterizations(family._lags())
     eps = tuple(e.item() for e in char.eps)
     return replace(char, eps=eps, p_vac0=char.p_vac0.item(), p_vac1=char.p_vac1.item())
 
@@ -427,11 +417,12 @@ def _proof_chain_checks(
         ]
     )
     g = np.array([_tail_overlap(lags, j, t, history) for j, (t, history) in picks])
-    # Rotate b0 and b1 so that each vacuum amplitude is real nonnegative;
-    # a state without vacuum stays as it is.
+    # Rotate b0 and b1 so that each vacuum amplitude is real nonnegative; a
+    # state without vacuum, or already so, stays exactly as it is.
     vacuum = states[..., 0]
     modulus = np.hypot(vacuum.real, vacuum.imag)
-    align = np.divide(modulus, vacuum, out=np.ones_like(vacuum), where=modulus >= 1e-12)
+    rotate = (modulus >= 1e-12) & (vacuum != modulus)
+    align = np.divide(modulus, vacuum, out=np.ones_like(vacuum), where=rotate)
     states *= align[..., None]
     base = _overlaps(states, 1).real
     plus = states[:, 0, 0] + states[:, 1, 0]
@@ -457,13 +448,13 @@ def check_proof_chain(
     t: int,
     history: Sequence[int],
     characterization: Optional[SourceCharacterization] = None,
-    trial: Optional[int] = None,
 ) -> ProofChainCheck:
     """Evaluate the full inequality chain for one analyzed pulse.
 
     ``characterization`` overrides the measured one and must describe one
-    source, not a batch; feeding deliberately corrupted bounds through it is
-    how fault injection exercises the violation detection.
+    source, not a batch, of the family's correlation length; feeding
+    deliberately corrupted bounds through it is how fault injection
+    exercises the violation detection.  The check's ``trial`` is None.
     """
     # Pulse t is analyzed with the corr_len pulses after it.
     _require_integer("t", t, 1, family.n_pulses - family.corr_len)
@@ -474,13 +465,15 @@ def check_proof_chain(
         raise ValueError(f"history bits must be 0 or 1, got {tuple(history)}")
     # int(): a bool in an index tuple would act as a mask.
     history = tuple(int(b) for b in history)
-    lags = _LagOverlaps(family.corr_len, family._stack())
-    char = characterization or _one_source(lags)
-    if char.corr_len != family.corr_len:
+    lags = family._lags()
+    char = characterization
+    if char is None:
+        char = _characterizations(lags)
+    elif char.corr_len != family.corr_len:
         raise ValueError("characterization correlation length mismatch")
-    if any(isinstance(v, np.ndarray) for v in (*char.eps, char.p_vac0, char.p_vac1)):
+    elif any(isinstance(v, np.ndarray) for v in (*char.eps, char.p_vac0, char.p_vac1)):
         raise ValueError("characterization must describe one source, not a batch")
-    return _proof_chain_checks(lags, [t], [history], char, [trial], [family.seed])[0]
+    return _proof_chain_checks(lags, [t], [history], char, [None], [family.seed])[0]
 
 
 def _random_tables(

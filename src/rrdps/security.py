@@ -223,8 +223,8 @@ def vacuum_fidelity_bound(p_vac_a: float, p_vac_b: float) -> float:
     arrays of one shape give an array, entry by entry.
     """
     fields = {"p_vac_a": p_vac_a, "p_vac_b": p_vac_b}
-    for p_vac in fields.values():
-        _require(p_vac, "vacuum probabilities must lie in [0, 1]")
+    for name, p_vac in fields.items():
+        _require(p_vac, f"{name} must lie in [0, 1], got {{}}")
     _require_one_shape(fields)
     return _each(_vacuum_overlap_floor, p_vac_a, p_vac_b)
 
@@ -277,14 +277,6 @@ def plus_vac_floor(source: SourceCharacterization) -> float:
     return root_sum * root_sum / 4.0
 
 
-def minus_ref_bound(source: SourceCharacterization) -> float:
-    """Cap on the minus-outcome probability of the reference state.
-
-    A minus outcome excludes plus with vacuum: ``1 - plus_vac_floor``.
-    """
-    return 1.0 - plus_vac_floor(source)
-
-
 def a1_floor(source: SourceCharacterization) -> float:
     """Floor on the overlap of the bit-0 and bit-1 tails of later pulses.
 
@@ -295,15 +287,6 @@ def a1_floor(source: SourceCharacterization) -> float:
     for e in source.eps:
         prod = prod * _each(math.sqrt, 1.0 - e)
     return prod
-
-
-def fidelity_bound(source: SourceCharacterization) -> float:
-    """Floor on the overlap between actual and reference states.
-
-    ``(1 + a1_floor(source)) / 2``; exactly 1 when there are no
-    correlations to wash out.
-    """
-    return (1.0 + a1_floor(source)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -331,7 +314,11 @@ class SecurityBounds:
 
     @classmethod
     def from_source(cls, source: SourceCharacterization) -> "SecurityBounds":
-        return cls(minus_ref=minus_ref_bound(source), fidelity=fidelity_bound(source))
+        """The reference state's minus-outcome cap ``minus_ref = 1 -
+        plus_vac_floor``, since a minus outcome excludes plus with vacuum,
+        and the actual-to-reference overlap floor ``fidelity = (1 +
+        a1_floor) / 2``, exactly 1 without correlations."""
+        return cls(1.0 - plus_vac_floor(source), (1.0 + a1_floor(source)) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -446,9 +433,10 @@ def key_rate(
     The batch form prices many sources at once: ``bounds`` built from a
     batch of sources, and each group's rate a 1-D array with one entry per
     source.  Every number of the result is then such an array, and each
-    entry is bitwise equal to the one-point rate of its source (``_entry``
-    reads one out).  An array is evaluated once per object, so passing the
-    same array for every group builds each source's tail row once.
+    entry is bitwise equal to the one-point rate of its source; a caller
+    that needs one source's ``KeyRateResult`` prices that source alone.  An
+    array is evaluated once per object, so passing the same array for
+    every group builds each source's tail row once.
 
     Parameters
     ----------
@@ -482,15 +470,6 @@ def key_rate(
         total = total + g.q * (1.0 - f_ec - g.f_pa)
     rate = _each(_clamped, total) / cfg.block_size
     return KeyRateResult(per_group=tuple(per_group), f_ec=f_ec, rate_per_pulse=rate)
-
-
-def _entry(batch: KeyRateResult, i: int) -> KeyRateResult:
-    # Entry i of a batch key_rate result, as a one-point key_rate returns it.
-    per_group = tuple(
-        GroupRate(g.q[i].item(), g.e_ph_upper[i].item(), g.f_pa[i].item())
-        for g in batch.per_group
-    )
-    return KeyRateResult(per_group, batch.f_ec, batch.rate_per_pulse[i].item())
 
 
 def _group_rate(group_size: int, bounds: SecurityBounds, q) -> GroupRate:

@@ -31,7 +31,6 @@ from .security import (
     SourceCharacterization,
     _LARGEST,
     _each,
-    _entry,
     _require,
     _require_integer,
     key_rate,
@@ -188,8 +187,10 @@ def optimize_mu(
     importing ``scipy.optimize``; it stops once the bracket is about 1.5e-8
     of mu wide.  In an optimised row, digits of ``mu``, ``q``,
     ``e_ph_upper`` and ``f_pa`` past about the 8th significant one therefore
-    follow rounding, not the optimum.  The search re-evaluates the grid's
-    best point as scipy does, and no other point twice.
+    follow rounding, not the optimum.  The grid's best point is evaluated
+    a second time, and no other point: by the search, which re-evaluates it
+    as scipy does, or, where none runs, by a one-point ``rate_at_mu`` for
+    the returned result.
 
     Every argument is checked before any rate is evaluated.
 
@@ -199,11 +200,10 @@ def optimize_mu(
         The refined rate is never below the best grid rate.
     """
     mus = np.geomspace(MU_MIN, MU_MAX, MU_GRID_POINTS)
-    batch = rate_at_mu(cfg, delta, eta, mus)
-    rates = batch.rate_per_pulse
+    rates = rate_at_mu(cfg, delta, eta, mus).rate_per_pulse
     best = int(np.argmax(rates))
     grid = mus.tolist()
-    mu_opt, result = grid[best], _entry(batch, best)
+    mu_opt = grid[best]
     if rates[best] > 0.0 and 0 < best < len(grid) - 1:
         if rates[best] > rates[best - 1] and rates[best] > rates[best + 1]:
             searched = {}
@@ -215,5 +215,6 @@ def optimize_mu(
             # The search stays inside its bracket, so inside the grid.
             refined = _golden(neg_rate, grid[best - 1], mu_opt, grid[best + 1])
             if searched[refined].rate_per_pulse > rates[best]:
-                mu_opt, result = refined, searched[refined]
-    return mu_opt, result
+                mu_opt = refined
+            return mu_opt, searched[mu_opt]
+    return mu_opt, rate_at_mu(cfg, delta, eta, mu_opt)

@@ -4,10 +4,11 @@ The files under ``tests/golden/`` pin the exact bytes of the README
 keyrate run (mu optimised, 100 rows), a sweep that reaches group size
 1024, a short corr_len = 10 simulate session, a simulate session with mu
 optimised and a fixed error-correction cost, a prefix of the per-block
-transcript (bits included) on both sides of a chunk boundary, and a
-300-trial oracle report.  A change that only reorganises computation
-must leave them untouched.  Regenerate, after a deliberate output
-change, with
+transcript (bits included) on both sides of a chunk boundary, a
+300-trial oracle report, and the same campaign with every measured
+deficit halved, whose report must detect the violations.  A change that
+only reorganises computation must leave them untouched.  Regenerate,
+after a deliberate output change, with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -73,10 +74,11 @@ SIMULATE_OPT_CFG = {
 RECORD_BLOCKS = (1, 2, 3, 4, 4097, 4098, 4099, 4100)
 
 ORACLE_ARGS = ["oracle", "--trials", "300", "--seed", "1"]
+ORACLE_FAULT_ARGS = [*ORACLE_ARGS, "--fault-injection", "0.5"]
 # The last digits of the mu-optimised runs depend on the BLAS thread count,
 # which is fixed when the library loads, so those runs are pinned in a fresh
-# one-thread interpreter.  The oracle report does not depend on it; it runs
-# in the same interpreter only to capture its stdout.
+# one-thread interpreter.  The oracle reports do not depend on it; they run
+# in the same interpreter only to capture their stdout.
 ONE_BLAS_THREAD = {
     "OPENBLAS_NUM_THREADS": "1",
     "OMP_NUM_THREADS": "1",
@@ -132,6 +134,7 @@ def _outputs(work: Path) -> dict[str, bytes]:
         "simulate-optimize.csv": _fresh_cli_output("simulate", SIMULATE_OPT_CFG, work),
         "records.jsonl": _records(),
         "oracle-seed1.txt": _fresh_cli(ORACLE_ARGS),
+        "oracle-fault-seed1.txt": _fresh_cli(ORACLE_FAULT_ARGS),
     }
 
 
@@ -160,6 +163,10 @@ def test_block_record_prefix():
 
 def test_oracle_report_seed_1():
     assert _fresh_cli(ORACLE_ARGS) == (GOLDEN / "oracle-seed1.txt").read_bytes()
+
+
+def test_fault_injected_oracle_report_seed_1():
+    assert _fresh_cli(ORACLE_FAULT_ARGS) == (GOLDEN / "oracle-fault-seed1.txt").read_bytes()
 
 
 def test_oracle_report_independent_of_blas_threads():

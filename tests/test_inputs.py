@@ -53,7 +53,16 @@ BAD_INPUTS = {
     "transfer-y-bool": (lambda: sec.transfer_bound(0.1, True), "overlap bound"),
     "tail-p-bool": (lambda: sec.binomial_tail(8, 2, True), "success probability"),
     "vacuum-bool": (
-        lambda: sec.vacuum_fidelity_bound(True, 1.0), "vacuum probabilities"
+        lambda: sec.vacuum_fidelity_bound(True, 1.0),
+        r"p_vac_a must lie in \[0, 1\], got True",
+    ),
+    "vacuum-out-of-range": (
+        lambda: sec.vacuum_fidelity_bound(0.5, 1.5),
+        r"p_vac_b must lie in \[0, 1\], got 1.5",
+    ),
+    "vacuum-array-entry": (
+        lambda: sec.vacuum_fidelity_bound(np.array([0.5, 1.5]), np.full(2, 0.5)),
+        r"p_vac_a must lie in \[0, 1\], got 1.5",
     ),
     "tail-s-float": (lambda: sec.binomial_tail(8, 2.5, 0.3), "s must be an integer"),
     "tail-n-float": (lambda: sec.binomial_tail(8.5, 2, 0.3), "n must be an integer"),
@@ -175,6 +184,14 @@ BAD_INPUTS = {
     "entropy-0d": (
         lambda: sec.binary_entropy(np.array(0.1)),
         r"entropy argument must lie in \[0, 1\], got an array of shape \(\)",
+    ),
+    "vacuum-2d": (
+        lambda: sec.vacuum_fidelity_bound(np.full((2, 2), 0.5), np.full((2, 2), 0.5)),
+        r"p_vac_a must lie in \[0, 1\], got an array of shape \(2, 2\)",
+    ),
+    "family-0d-table": (
+        lambda: orc.EmissionFamily(corr_len=0, tables=[np.array(1.0)]),
+        "fock_dim must be >= 2, got 1",
     ),
     "characterization-2d-floors": (
         lambda: sec.SourceCharacterization(

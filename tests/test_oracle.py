@@ -508,7 +508,7 @@ class TestTableLayout:
             char = orc.measured_characterization(fam)
             assert char == reference_characterization(states, lc)
             checks = [
-                orc.check_proof_chain(fam, t, hist, trial=t)
+                dataclasses.replace(orc.check_proof_chain(fam, t, hist), trial=t)
                 for t in range(1, n - lc + 1)
                 for hist in itertools.product((0, 1), repeat=orc._window(lc, t))
             ]
@@ -520,8 +520,9 @@ class TestTableLayout:
                 )
                 for chk in checks:
                     ref = orc.check_proof_chain(
-                        fam, chk.t, chk.history, characterization=char, trial=chk.t
+                        fam, chk.t, chk.history, characterization=char
                     )
+                    ref = dataclasses.replace(ref, trial=chk.t)
                     assert chk == ref
                     assert chk.line() == ref.line()
 
@@ -554,19 +555,25 @@ class TestTableLayout:
     @pytest.mark.parametrize("style", ["perturbed", "free", "coherent"])
     def test_built_stacks_pass_the_table_checks(self, style):
         # A campaign does not check the stacks its builders make, so every
-        # layout it draws must pass the constructor's checks as built:
-        # corr_len up to min(2, n - 1), and at 400 Fock levels sqrt(n!)
-        # overflows in the coherent amplitudes.
+        # family of every layout it draws must pass the constructor's checks
+        # as built: corr_len up to min(2, n - 1), and at 400 Fock levels
+        # sqrt(n!) overflows in the coherent amplitudes.
+        def check_each_family(lc, tables):
+            assert len(tables[0]) == 3
+            for j in range(len(tables[0])):
+                orc._check_tables(lc, [table[j] for table in tables])
+
         for n in (2, 3, 4):
             for lc in range(orc._window(orc._DRAWN_CORR_LEN, n) + 1):
                 if style == "coherent":
                     for fock in (6, 7, 8, 400):
                         mu, delta = [0.02, 0.17, 0.3], [0.05, 0.3, 0.6]
-                        orc._check_tables(lc, orc._coherent_tables(n, lc, fock, mu, delta))
+                        tables = orc._coherent_tables(n, lc, fock, mu, delta)
+                        check_each_family(lc, tables)
                 else:
                     for fock in range(2, 9):
                         tables = orc._random_tables(style, n, lc, fock, [1, 20, 300])
-                        orc._check_tables(lc, tables)
+                        check_each_family(lc, tables)
 
 
 class TestReach:
@@ -635,6 +642,17 @@ class TestSquares:
         char = orc.measured_characterization(fam)
         assert (char.p_vac0, char.p_vac1) == (m * m, m * m)
         assert orc.check_proof_chain(fam, 1, ()).plus_vac_prob == m * m
+
+    def test_canonical_vacuum_is_not_rotated(self):
+        # numpy's complex division gives x / x = 0.9999999999999999 at this
+        # x, so rotating a vacuum amplitude that is already real and
+        # nonnegative would move the plus-vacuum probability off x * x.
+        x = 0.37796883434360806
+        assert np.divide(x, complex(x)) != 1.0
+        rest = math.sqrt(1.0 - x * x)
+        fam = product_family(2, ([x, rest], [x, 1j * rest]))
+        assert x * x == 0.14286043973506582
+        assert orc.check_proof_chain(fam, 1, ()).plus_vac_prob == x * x
 
 
 class TestProofChain:
@@ -738,7 +756,8 @@ def reference_campaign(n_trials, seed, eps_scale, max_pulses=4, max_fock=8):
         if eps_scale is not None:
             eps = tuple(min(1.0, max(0.0, e * eps_scale)) for e in char.eps)
             char = dataclasses.replace(char, eps=eps)
-        yield orc.check_proof_chain(fam, t, history, characterization=char, trial=i)
+        chk = orc.check_proof_chain(fam, t, history, characterization=char)
+        yield dataclasses.replace(chk, trial=i)
 
 
 class TestCampaigns:
@@ -780,10 +799,10 @@ class TestCampaigns:
 
             return count
 
-        # SecurityBounds.from_source reaches these two in the security layer;
-        # the oracle calls the other two floors by its own names.
-        for name in ("minus_ref_bound", "fidelity_bound"):
-            monkeypatch.setattr(sec, name, counted(name, getattr(sec, name)))
+        # The oracle derives the bounds through SecurityBounds.from_source,
+        # and calls the two floors by its own names.
+        from_source = counted("from_source", sec.SecurityBounds.from_source)
+        monkeypatch.setattr(sec.SecurityBounds, "from_source", staticmethod(from_source))
         for name in ("a1_floor", "plus_vac_floor"):
             monkeypatch.setattr(orc, name, counted(name, getattr(orc, name)))
 
@@ -800,7 +819,7 @@ class TestCampaigns:
         sizes = [count for _, count in chunks]
         assert sum(sizes) == 30
         assert sorted(derived) == sorted(
-            ["minus_ref_bound", "fidelity_bound", "a1_floor", "plus_vac_floor", "minus_act"]
+            ["from_source", "a1_floor", "plus_vac_floor", "minus_act"]
         )
         for name, lengths in derived.items():
             assert lengths == sizes, name

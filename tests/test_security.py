@@ -194,8 +194,8 @@ class TestVacuumBounds:
     @pytest.mark.parametrize(
         "a, b, match",
         [
-            ([True, False], [0.5, 0.5], "vacuum probabilities"),
-            ([0.5, 0.5], [0.5, 1.2], "vacuum probabilities"),
+            ([True, False], [0.5, 0.5], r"p_vac_a must lie in \[0, 1\], got True"),
+            ([0.5, 0.5], [0.5, 1.2], r"p_vac_b must lie in \[0, 1\], got 1.2"),
             ([0.5, 0.5], [0.5, 0.5, 0.5], r"p_vac_b of shape \(3,\)"),
             ([0.5, 0.5], 0.5, r"p_vac_b of shape \(\)"),
         ],
@@ -232,23 +232,25 @@ class TestSourceCharacterization:
 class TestSecurityBounds:
     def test_reference_cap(self):
         src = sec.SourceCharacterization(eps=(), p_vac0=1.0, p_vac1=1.0)
-        assert sec.minus_ref_bound(src) == 0.0
+        assert sec.SecurityBounds.from_source(src).minus_ref == 0.0
         src = sec.SourceCharacterization(eps=(), p_vac0=0.81, p_vac1=0.81)
-        assert sec.minus_ref_bound(src) == pytest.approx(0.19, abs=1e-15)
+        minus_ref = sec.SecurityBounds.from_source(src).minus_ref
+        assert minus_ref == pytest.approx(0.19, abs=1e-15)
 
     def test_fidelity_floor(self):
-        no_corr = sec.SourceCharacterization(eps=(), p_vac0=0.9, p_vac1=0.9)
-        assert sec.fidelity_bound(no_corr) == 1.0
-        clean = sec.SourceCharacterization(eps=(0.0,), p_vac0=0.9, p_vac1=0.9)
-        assert sec.fidelity_bound(clean) == 1.0
-        worst = sec.SourceCharacterization(eps=(1.0,), p_vac0=0.9, p_vac1=0.9)
-        assert sec.fidelity_bound(worst) == 0.5
+        def fidelity(eps):
+            src = sec.SourceCharacterization(eps=eps, p_vac0=0.9, p_vac1=0.9)
+            return sec.SecurityBounds.from_source(src).fidelity
+
+        assert fidelity(()) == 1.0
+        assert fidelity((0.0,)) == 1.0
+        assert fidelity((1.0,)) == 0.5
 
     def test_from_source_chains_consistently(self):
         src = sec.SourceCharacterization(eps=(0.1,), p_vac0=0.9, p_vac1=0.85)
         b = sec.SecurityBounds.from_source(src)
-        assert b.minus_ref == sec.minus_ref_bound(src)
-        assert b.fidelity == sec.fidelity_bound(src)
+        assert b.minus_ref == 1.0 - sec.plus_vac_floor(src)
+        assert b.fidelity == (1.0 + sec.a1_floor(src)) / 2.0
         assert b.minus_act == sec.transfer_bound(b.minus_ref, b.fidelity)
 
 

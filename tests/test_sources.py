@@ -1,5 +1,6 @@
 """Unit tests for the coherent phase-rotation source model."""
 
+import dataclasses
 import inspect
 import math
 
@@ -109,7 +110,7 @@ class TestCharacterize:
             model = src.PhaseRotationModel(mu=mu, delta=0.0, corr_len=4)
             char = src.characterize(model)
             assert char.eps == (0.0, 0.0, 0.0, 0.0)
-            assert sec.fidelity_bound(char) == 1.0
+            assert sec.SecurityBounds.from_source(char).fidelity == 1.0
 
     def test_overflowing_exponent_gives_the_limit(self):
         # At mu 1e308 the exponent 2 * (cos(pi) - 1) * mu is -inf, so eps is
@@ -226,8 +227,12 @@ class TestOptimizeMu:
 
     def test_result_is_the_rate_at_the_returned_mu(self):
         cfg = protocol(16, 1)
-        mu_opt, res = src.optimize_mu(cfg, 0.2, 0.3)
-        assert res == src.rate_at_mu(cfg, 0.2, 0.3, mu_opt)
+        # At eta 0 every grid rate is 0, so no search runs.
+        for eta in (0.3, 0.0):
+            mu_opt, res = src.optimize_mu(cfg, 0.2, eta)
+            want = src.rate_at_mu(cfg, 0.2, eta, mu_opt)
+            assert res == want
+            assert repr(res) == repr(want)
 
     @pytest.mark.parametrize(
         "args, message",
@@ -269,11 +274,18 @@ class TestGridBatch:
         grid = np.geomspace(src.MU_MIN, src.MU_MAX, src.MU_GRID_POINTS)
         reference = [src.rate_at_mu(cfg, delta, eta, mu) for mu in grid.tolist()]
         batch = src.rate_at_mu(cfg, delta, eta, grid)
-        got = [sec._entry(batch, i) for i in range(len(grid))]
-        assert got == reference
-        # repr tells -0.0 from 0.0 and an int from a float, which == does not.
-        assert [repr(r) for r in got] == [repr(r) for r in reference]
-        assert batch.rate_per_pulse.tolist() == [r.rate_per_pulse for r in reference]
+        assert [repr(r.f_ec) for r in reference] == [repr(batch.f_ec)] * len(grid)
+        assert len(batch.per_group) == cfg.n_groups
+        # Each array of the batch against the one-point values it stands for.
+        pairs = [(batch.rate_per_pulse, [r.rate_per_pulse for r in reference])]
+        for w, group in enumerate(batch.per_group):
+            for field in dataclasses.fields(sec.GroupRate):
+                want = [getattr(r.per_group[w], field.name) for r in reference]
+                pairs.append((getattr(group, field.name), want))
+        for got, want in pairs:
+            assert got.tolist() == want
+            # repr tells -0.0 from 0.0 and an int from a float, which == does not.
+            assert repr(got.tolist()) == repr(want)
 
     def test_source_front_rounds_as_libm(self):
         # numpy's exp and expm1 differ from libm in the last bit on some
