@@ -10,7 +10,7 @@ against the analytic predictions.
 
 __version__ = "0.1.0"
 
-from .security import ProtocolConfig, SecurityBounds, key_rate
+from .security import ProtocolConfig, key_rate
 from .simulate import simulate_coherent
 from .sources import PhaseRotationModel, characterize, detection_rate, optimize_mu
 
@@ -20,7 +20,6 @@ __all__ = [
     "__version__",
     "PhaseRotationModel",
     "ProtocolConfig",
-    "SecurityBounds",
     "characterize",
     "detection_rate",
     "key_rate",

@@ -308,9 +308,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         mu, _ = optimize_mu(protocol, delta, eta)
     # The session and its analytic rate share one characterisation of the
     # source; at the optimised mu the rate is the optimiser's own result.
-    bounds, q = _coherent_point(protocol, delta, eta, mu)
-    analytic = key_rate(protocol, bounds, [q] * protocol.n_groups)
-    result = run_simulation(protocol, bounds, q, n_blocks, seed)
+    source, q = _coherent_point(protocol, delta, eta, mu)
+    analytic = key_rate(protocol, source, [q] * protocol.n_groups)
+    result = run_simulation(protocol, source, q, n_blocks, seed)
     columns = [
         ("group_size", group_size),
         ("corr_len", corr_len),

@@ -33,8 +33,8 @@ its family's seed.  It then takes each layout's trials in chunks of at most
 ``_CHUNK_AMPLITUDES`` table amplitudes, or one trial where one family holds
 more, and draws, builds, characterizes and checks each chunk in one array
 pass.  A chunk's measured characterization is one batch of the security
-layer, from which its caps and floors are derived once, with one entry per
-trial, and each closed form of its checks is one array expression over its
+layer, which derives its caps and floors once, with one entry per trial,
+and each closed form of its checks is one array expression over its
 trials.  Gathering each trial's tail overlap is the one step per trial,
 since the analyzed pulse and its history differ between trials.  Stacked
 norms and overlaps are bitwise equal to the one-vector forms, and batch
@@ -59,14 +59,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .security import (
-    SecurityBounds,
     SourceCharacterization,
     _LARGEST,
     _require,
     _require_integer,
     _transfer,
-    a1_floor,
-    plus_vac_floor,
     vacuum_fidelity_bound,
 )
 from .sources import PhaseRotationModel
@@ -405,8 +402,8 @@ def _proof_chain_checks(
     the reference block, which carries T0 in both branches, each one array
     expression over the stack.  Gathering each family's two states and
     tail overlap is the one step per family, since t and the history
-    differ between families.  The caps and floors are derived once, from
-    the whole of ``char``.
+    differ between families.  The caps and floors are the ones ``char``
+    derived when it was built.
     """
     corr_len, tables = lags.corr_len, lags.tables
     picks = list(enumerate(zip(ts, histories)))
@@ -433,10 +430,8 @@ def _proof_chain_checks(
     plus_vac = _probability(plus * plus / 4.0, "joint probability")
     a1 = np.minimum(1.0, g).tolist()
     exact = (p_ref, p_act, fid, map(_transfer, p_ref, fid), a1, plus_vac)
-    bounds = SecurityBounds.from_source(char)
-    caps = (bounds.minus_ref, bounds.fidelity, bounds.minus_act)
-    caps += (a1_floor(char), plus_vac_floor(char))
-    caps = [np.full(len(ts), cap).tolist() for cap in caps]
+    fields = ("minus_ref", "fidelity", "minus_act", "a1_floor", "plus_vac_floor")
+    caps = [np.full(len(ts), getattr(char, name)).tolist() for name in fields]
     layout = (len(tables), tables[0].shape[-1], corr_len)
     # One column per field after the layout, in field order.
     columns = zip(ts, histories, *caps, *exact, trials, seeds)

@@ -9,24 +9,25 @@ secure key rate per pulse.
 
 Everything in this module is a pure function of its arguments and safe for
 concurrent use.  Public functions and constructors check their arguments,
-reals through ``_require`` and integers through ``_require_integer``, and
+reals through ``_require`` (one number) or ``_require_batch`` (also a
+batch's 1-D array) and integers through ``_require_integer``, and
 underscored helpers trust them.
 
-The source-side bounds (``SourceCharacterization``, the floors derived from
-it and ``SecurityBounds``) also take equal-length 1-D arrays in place of
-floats, one entry per source; given such bounds and array detection
-rates, ``key_rate`` evaluates the rate of every entry at once.  A batch runs
-its arithmetic on numpy, which rounds exactly as float arithmetic does, but
-makes every libm call and every branch entry by entry (``_each``), so that
-each entry is bitwise equal to a one-point call.  A one-point rate costs
-some tens of microseconds, most of it Python and numpy call overhead that a
-batch pays once per array.
+A ``SourceCharacterization`` derives every source-side bound the rate and
+the oracle read once, when it is built.  Its deficits and floors may be
+equal-length 1-D arrays in place of floats, one entry per source; given
+such a batch and array detection rates, ``key_rate`` evaluates the rate of
+every entry at once.  A batch runs its arithmetic on numpy, which rounds
+exactly as float arithmetic does, but makes every libm call and every
+branch entry by entry (``_each``), so that each entry is bitwise equal to
+a one-point call.  A one-point rate costs some tens of microseconds, most
+of it Python and numpy call overhead that a batch pays once per array.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
 from typing import Optional, Sequence
@@ -53,18 +54,25 @@ _BOOLS = (bool, np.bool_)
 
 
 def _require(value, message: str, low: float = 0.0, high: float = 1.0) -> None:
-    """Raise ``ValueError(message.format(v))`` for the first entry ``v`` of
-    ``value``, a float or a 1-D array (v names any other array's shape),
-    outside ``[low, high]``; NaN is outside, and so is every bool (Python's,
-    numpy's or a bool array's entry), which is no number of this package."""
+    """Raise ``ValueError(message.format(v))`` unless ``value`` is a number
+    in ``[low, high]``: v is the value, or names an array's shape.  NaN is
+    outside, and so is every bool (Python's or numpy's), which is no number
+    of this package."""
     if isinstance(value, np.ndarray):
-        if value.ndim != 1:
-            raise ValueError(message.format(f"an array of shape {value.shape}"))
+        raise ValueError(message.format(f"an array of shape {value.shape}"))
+    if isinstance(value, _BOOLS) or not low <= value <= high:
+        raise ValueError(message.format(value))
+
+
+def _require_batch(value, message: str, low: float = 0.0, high: float = 1.0) -> None:
+    """``_require``, or, for a batch's 1-D array, the same check of each
+    entry, naming the first one outside; a bool array's entries all are."""
+    if isinstance(value, np.ndarray) and value.ndim == 1:
         inside = (low <= value) & (value <= high) & (value.dtype != bool)
         if not inside.all():
             raise ValueError(message.format(value[np.argmin(inside)].item()))
-    elif isinstance(value, _BOOLS) or not low <= value <= high:
-        raise ValueError(message.format(value))
+    else:
+        _require(value, message, low, high)
 
 
 def _require_integer(name: str, value, low=None, high=None) -> None:
@@ -103,7 +111,7 @@ def binary_entropy(x: float) -> float:
     so the privacy-amplification cost never decreases past the midpoint.
     A 1-D array ``x`` gives an array, entry by entry.
     """
-    _require(x, "entropy argument must lie in [0, 1], got {}")
+    _require_batch(x, "entropy argument must lie in [0, 1], got {}")
     return _each(_entropy, x)
 
 
@@ -224,7 +232,7 @@ def vacuum_fidelity_bound(p_vac_a: float, p_vac_b: float) -> float:
     """
     fields = {"p_vac_a": p_vac_a, "p_vac_b": p_vac_b}
     for name, p_vac in fields.items():
-        _require(p_vac, f"{name} must lie in [0, 1], got {{}}")
+        _require_batch(p_vac, f"{name} must lie in [0, 1], got {{}}")
     _require_one_shape(fields)
     return _each(_vacuum_overlap_floor, p_vac_a, p_vac_b)
 
@@ -251,74 +259,53 @@ class SourceCharacterization:
 
     Each deficit and floor may instead be a 1-D array of one shape, one
     entry per source of a batch, each checked as a float would be.
+
+    After its checks it derives, once, the bounds that the rate and the
+    oracle read (arrays for a batch; left out of ``==`` and ``repr``, and
+    derived again by ``dataclasses.replace``): the floor on P(plus, vacuum)
+    ``plus_vac_floor = (sqrt(p_vac0) + sqrt(p_vac1))^2 / 4``; the floor on
+    the overlap of the bit-0 and bit-1 tails of later pulses ``a1_floor =
+    prod_d sqrt(1 - eps_d)``; the reference state's minus-outcome cap
+    ``minus_ref = 1 - plus_vac_floor``, since a minus outcome excludes plus
+    with vacuum; the actual-to-reference overlap floor ``fidelity = (1 +
+    a1_floor) / 2``, exactly 1 without correlations; and ``minus_act``,
+    ``minus_ref`` transferred through ``fidelity`` (:func:`transfer_bound`;
+    the trivial 1 when ``minus_ref > fidelity^2``), the only one the rate's
+    phase-error tail reads.
     """
 
     eps: tuple[float, ...]
     p_vac0: float
     p_vac1: float
+    plus_vac_floor: float = field(init=False, repr=False, compare=False)
+    a1_floor: float = field(init=False, repr=False, compare=False)
+    minus_ref: float = field(init=False, repr=False, compare=False)
+    fidelity: float = field(init=False, repr=False, compare=False)
+    minus_act: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         eps = tuple(self.eps)
         fields = {f"eps at lag {d}": e for d, e in enumerate(eps, start=1)}
         fields.update(p_vac0=self.p_vac0, p_vac1=self.p_vac1)
         for name, value in fields.items():
-            _require(value, f"{name} must lie in [0, 1], got {{}}")
+            _require_batch(value, f"{name} must lie in [0, 1], got {{}}")
         _require_one_shape(fields)
-        object.__setattr__(self, "eps", tuple(_each(float, e) for e in eps))
+        eps = tuple(_each(float, e) for e in eps)
+        root_sum = _each(math.sqrt, self.p_vac0) + _each(math.sqrt, self.p_vac1)
+        plus_vac = root_sum * root_sum / 4.0
+        a1 = np.ones_like(self.p_vac0) if isinstance(self.p_vac0, np.ndarray) else 1.0
+        for e in eps:
+            a1 = a1 * _each(math.sqrt, 1.0 - e)
+        minus_ref, fidelity = 1.0 - plus_vac, (1.0 + a1) / 2.0
+        # The record is frozen, so its fields are set past __setattr__.
+        vars(self).update(
+            eps=eps, plus_vac_floor=plus_vac, a1_floor=a1, minus_ref=minus_ref,
+            fidelity=fidelity, minus_act=_each(_transfer, minus_ref, fidelity),
+        )
 
     @property
     def corr_len(self) -> int:
         return len(self.eps)
-
-
-def plus_vac_floor(source: SourceCharacterization) -> float:
-    """Floor on P(plus, vacuum): ``(sqrt(p_vac0) + sqrt(p_vac1))^2 / 4``."""
-    root_sum = _each(math.sqrt, source.p_vac0) + _each(math.sqrt, source.p_vac1)
-    return root_sum * root_sum / 4.0
-
-
-def a1_floor(source: SourceCharacterization) -> float:
-    """Floor on the overlap of the bit-0 and bit-1 tails of later pulses.
-
-    ``prod_d sqrt(1 - eps_d)``, which is 1 without correlations, for
-    every source of a batch.
-    """
-    prod = np.ones_like(source.p_vac0) if isinstance(source.p_vac0, np.ndarray) else 1.0
-    for e in source.eps:
-        prod = prod * _each(math.sqrt, 1.0 - e)
-    return prod
-
-
-@dataclass(frozen=True)
-class SecurityBounds:
-    """The bound values the key-rate formula consumes.
-
-    ``minus_act`` transfers the reference cap through the fidelity floor
-    (:func:`transfer_bound`; the trivial 1 when ``minus_ref > fidelity^2``),
-    so it cannot disagree with the other two fields.  Built from a batch of
-    sources, the fields are arrays of one shape, with one entry per source.
-    """
-
-    minus_ref: float
-    fidelity: float
-
-    def __post_init__(self) -> None:
-        for name in ("minus_ref", "fidelity"):
-            _require(getattr(self, name), f"{name} must lie in [0, 1], got {{}}")
-        _require_one_shape({"minus_ref": self.minus_ref, "fidelity": self.fidelity})
-
-    @property
-    def minus_act(self) -> float:
-        # transfer_bound without its checks, which __post_init__ has made.
-        return _each(_transfer, self.minus_ref, self.fidelity)
-
-    @classmethod
-    def from_source(cls, source: SourceCharacterization) -> "SecurityBounds":
-        """The reference state's minus-outcome cap ``minus_ref = 1 -
-        plus_vac_floor``, since a minus outcome excludes plus with vacuum,
-        and the actual-to-reference overlap floor ``fidelity = (1 +
-        a1_floor) / 2``, exactly 1 without correlations."""
-        return cls(1.0 - plus_vac_floor(source), (1.0 + a1_floor(source)) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -418,7 +405,7 @@ class KeyRateResult:
 
 
 def key_rate(
-    cfg: ProtocolConfig, bounds: SecurityBounds, q_list: Sequence[float]
+    cfg: ProtocolConfig, source: SourceCharacterization, q_list: Sequence[float]
 ) -> KeyRateResult:
     """Secure key rate per emitted pulse.
 
@@ -430,22 +417,22 @@ def key_rate(
     ``q_w``, so it is evaluated once per distinct detection rate and shared
     by the groups that have it.
 
-    The batch form prices many sources at once: ``bounds`` built from a
-    batch of sources, and each group's rate a 1-D array with one entry per
-    source.  Every number of the result is then such an array, and each
-    entry is bitwise equal to the one-point rate of its source; a caller
-    that needs one source's ``KeyRateResult`` prices that source alone.  An
-    array is evaluated once per object, so passing the same array for
-    every group builds each source's tail row once.
+    The batch form prices many sources at once: ``source`` a batch, and
+    each group's rate a 1-D array with one entry per source.  Every number
+    of the result is then such an array, and each entry is bitwise equal to
+    the one-point rate of its source; a caller that needs one source's
+    ``KeyRateResult`` prices that source alone.  An array is evaluated once
+    per object, so passing the same array for every group builds each
+    source's tail row once.
 
     Parameters
     ----------
     cfg : ProtocolConfig
-    bounds : SecurityBounds
-        Source-side bounds; only ``minus_act`` enters the phase-error tail.
+    source : SourceCharacterization
+        Only its derived ``minus_act`` enters the phase-error tail.
     q_list : sequence of float or of 1-D arrays
         Detection rate per group; must have ``corr_len + 1`` entries, each
-        shaped as the fields of ``bounds``.
+        shaped as the fields of ``source``.
     """
     if len(q_list) != cfg.n_groups:
         raise ValueError(
@@ -460,9 +447,9 @@ def key_rate(
         # An array is keyed by identity, a float by value.
         key = (id(q),) if isinstance(q, np.ndarray) else q
         if key not in by_q:
-            _require(q, "detection rate must lie in [0, 1], got {}")
-            _require_one_shape({"bounds": bounds.minus_ref, "detection rate": q})
-            by_q[key] = _group_rate(cfg.group_size, bounds, q)
+            _require_batch(q, "detection rate must lie in [0, 1], got {}")
+            _require_one_shape({"source": source.minus_act, "detection rate": q})
+            by_q[key] = _group_rate(cfg.group_size, source.minus_act, q)
         g = by_q[key]
         per_group.append(g)
         # A group without detections, with q = 0 and a finite f_ec, adds an
@@ -472,16 +459,16 @@ def key_rate(
     return KeyRateResult(per_group=tuple(per_group), f_ec=f_ec, rate_per_pulse=rate)
 
 
-def _group_rate(group_size: int, bounds: SecurityBounds, q) -> GroupRate:
-    # One group at detection rate q, a float or a batch's 1-D array.  Where
-    # q = 0 the bound is skipped for the trivial e_ph = 1; adding 0.0
-    # records a q of -0.0 as 0.0.
+def _group_rate(group_size: int, minus_act, q) -> GroupRate:
+    # One group at detection rate q, a float or a batch's 1-D array shaped
+    # as minus_act.  Where q = 0 the bound is skipped for the trivial
+    # e_ph = 1; adding 0.0 records a q of -0.0 as 0.0.
     if not isinstance(q, np.ndarray):
-        e_ph = phase_error_upper(group_size, bounds.minus_act, q) if q > 0.0 else 1.0
+        e_ph = phase_error_upper(group_size, minus_act, q) if q > 0.0 else 1.0
     else:
         live = q > 0.0
         e_ph = np.ones(len(q))
-        e_ph[live] = _phase_errors(group_size, bounds.minus_act[live], q[live])
+        e_ph[live] = _phase_errors(group_size, minus_act[live], q[live])
     return GroupRate(q=q + 0.0, e_ph_upper=e_ph, f_pa=_each(_entropy, e_ph))
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .security import (
     ProtocolConfig,
-    SecurityBounds,
+    SourceCharacterization,
     _require,
     _require_integer,
     key_rate,
@@ -192,7 +192,7 @@ class SimResult:
 
 def run_simulation(
     cfg: ProtocolConfig,
-    bounds: SecurityBounds,
+    source: SourceCharacterization,
     q_success: float,
     n_blocks: int,
     seed: int,
@@ -201,7 +201,8 @@ def run_simulation(
 
     Error correction is priced at the observed error rate (or at
     ``cfg.f_ec_fixed``), privacy amplification at the per-group bounds
-    that ``key_rate`` gives for the observed success rates ``q_hat``.
+    that ``key_rate`` gives for ``source`` at the observed success rates
+    ``q_hat``.
     Groups without successes contribute nothing.  The final length is
     clamped at zero and floored to an integer; the result keeps ``cfg``.
     """
@@ -222,7 +223,7 @@ def run_simulation(
     e_hat = total_err / total_suc if total_suc > 0 else 0.0
     f_ec = cfg.f_ec(e_hat)
     q_hat = tuple(float(n) / n_blocks for n in n_success)
-    per_group = key_rate(cfg, bounds, q_hat).per_group
+    per_group = key_rate(cfg, source, q_hat).per_group
     secret = 0.0
     for n, g in zip(n_success.tolist(), per_group):
         # A dark group adds an exact zero, as f_ec is finite.
@@ -247,6 +248,7 @@ def simulate_coherent(
     cfg: ProtocolConfig, delta: float, eta: float, mu: float, n_blocks: int, seed: int
 ) -> SimResult:
     """A session of protocol ``cfg`` on the phase-rotation source at ``delta``,
-    ``eta`` and ``mu``, with the bounds and click rate ``rate_at_mu`` uses."""
-    bounds, q = _coherent_point(cfg, delta, eta, mu)
-    return run_simulation(cfg, bounds, q, n_blocks, seed)
+    ``eta`` and ``mu``, with the characterization and click rate that
+    ``rate_at_mu`` uses."""
+    source, q = _coherent_point(cfg, delta, eta, mu)
+    return run_simulation(cfg, source, q, n_blocks, seed)

@@ -27,11 +27,11 @@ import scipy  # noqa: F401
 from .security import (
     KeyRateResult,
     ProtocolConfig,
-    SecurityBounds,
     SourceCharacterization,
     _LARGEST,
     _each,
     _require,
+    _require_batch,
     _require_integer,
     key_rate,
 )
@@ -52,14 +52,16 @@ class PhaseRotationModel:
     corr_len: int
 
     def __post_init__(self) -> None:
-        _require(self.mu, "mu must be a finite number >= 0, got {}", high=_LARGEST)
+        _require_batch(self.mu, "mu must be a finite number >= 0, got {}", high=_LARGEST)
         _require(self.delta, "delta must be finite, got {}", -_LARGEST, _LARGEST)
         _require_integer("corr_len", self.corr_len, 0)
 
     def rotation(self, lag: int) -> float:
         """Phase kick at the given lag, in radians."""
         _require_integer("lag", lag, 1, self.corr_len)
-        return self.delta / 2 ** (lag - 1)
+        # Scaled by the exponent, as 2**(lag - 1) overflows a float past lag
+        # 1024; where delta / 2**(lag - 1) is finite, it is the same float.
+        return math.ldexp(self.delta, 1 - lag)
 
 
 def characterize(model: PhaseRotationModel) -> SourceCharacterization:
@@ -92,7 +94,7 @@ def detection_rate(group_size: int, eta: float, mu: float) -> float:
     """
     _require_integer("group_size", group_size, 1)
     _require(eta, "transmittance must lie in [0, 1], got {}")
-    _require(
+    _require_batch(
         mu, "mean photon number must be a finite number >= 0, got {}", high=_LARGEST
     )
     return _each(_clicks, mu, group_size * eta)
@@ -106,13 +108,12 @@ def _clicks(mu: float, scale: float) -> float:
 
 def _coherent_point(
     cfg: ProtocolConfig, delta: float, eta: float, mu: float
-) -> tuple[SecurityBounds, float]:
-    # The source bounds and the per-group detection rate at mu, or at each
-    # entry of a 1-D array of mu, which both the analytic rate and a
-    # simulated session consume.
+) -> tuple[SourceCharacterization, float]:
+    # The characterized source, bounds derived, and the per-group detection
+    # rate at mu, or at each entry of a 1-D array of mu, which both the
+    # analytic rate and a simulated session consume.
     model = PhaseRotationModel(mu=mu, delta=delta, corr_len=cfg.corr_len)
-    bounds = SecurityBounds.from_source(characterize(model))
-    return bounds, detection_rate(cfg.group_size, eta, mu)
+    return characterize(model), detection_rate(cfg.group_size, eta, mu)
 
 
 def rate_at_mu(
@@ -124,8 +125,8 @@ def rate_at_mu(
     the batch form of ``key_rate``: the result's numbers are arrays with one
     entry per mu, each bitwise equal to the one-point rate there.
     """
-    bounds, q = _coherent_point(cfg, delta, eta, mu)
-    return key_rate(cfg, bounds, [q] * cfg.n_groups)
+    source, q = _coherent_point(cfg, delta, eta, mu)
+    return key_rate(cfg, source, [q] * cfg.n_groups)
 
 
 # scipy.optimize.golden's constants and default xtol (sqrt of the double

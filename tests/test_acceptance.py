@@ -189,21 +189,19 @@ def test_criterion_6_simulation_matches_analytics(tmp_path, capsys):
                 group_size=group_size, corr_len=corr_len, e_bit=e_bit
             )
             mu, _ = src.optimize_mu(cfg, delta, eta)
-            bounds = sec.SecurityBounds.from_source(
-                src.characterize(
-                    src.PhaseRotationModel(mu=mu, delta=delta, corr_len=corr_len)
-                )
+            source = src.characterize(
+                src.PhaseRotationModel(mu=mu, delta=delta, corr_len=corr_len)
             )
             q = src.detection_rate(group_size, eta, mu)
-            result = sim.run_simulation(cfg, bounds, q, n_blocks, seed)
-            analytic = sec.key_rate(cfg, bounds, [q] * cfg.n_groups)
+            result = sim.run_simulation(cfg, source, q, n_blocks, seed)
+            analytic = sec.key_rate(cfg, source, [q] * cfg.n_groups)
 
             # Success rates: plain binomial standard errors.
             se_q = math.sqrt(q * (1.0 - q) / n_blocks)
             q_ok = all(abs(qh - q) <= 3.0 * se_q for qh in result.q_hat)
 
             # Key rate: delta method through the extraction formula.
-            cap = bounds.minus_act
+            cap = source.minus_act
             block = cfg.block_size
 
             def rate_fn(qs, e):
@@ -289,9 +287,7 @@ def test_criterion_7_degenerate_limits(capsys):
     one_ok = all(
         sec.phase_error_upper(n, 1.0, q) == 1.0 for n in (3, 8, 32) for q in (0.5, 1.0)
     )
-    dead = sec.SecurityBounds.from_source(
-        sec.SourceCharacterization(eps=(), p_vac0=0.0, p_vac1=0.0)
-    )
+    dead = sec.SourceCharacterization(eps=(), p_vac0=0.0, p_vac1=0.0)
     cfg0 = sec.ProtocolConfig(group_size=8, corr_len=0, e_bit=0.0)
     one_ok = one_ok and dead.minus_act == 1.0
     one_ok = one_ok and sec.key_rate(cfg0, dead, [0.5]).rate_per_pulse == 0.0
@@ -323,12 +319,10 @@ def test_criterion_7_degenerate_limits(capsys):
     exact_ok = exact_ok and mu1 == mu0 and res1.rate_per_pulse == res0.rate_per_pulse
 
     # Dark detector: zero rate, no exceptions anywhere in the stack.
-    bounds = sec.SecurityBounds.from_source(
-        src.characterize(src.PhaseRotationModel(mu=0.1, delta=0.2, corr_len=1))
-    )
+    source = src.characterize(src.PhaseRotationModel(mu=0.1, delta=0.2, corr_len=1))
     cfg1 = sec.ProtocolConfig(group_size=8, corr_len=1, e_bit=0.03)
     dark_rate = src.rate_at_mu(cfg1, 0.2, 0.0, 0.1).rate_per_pulse
-    dark_sim = sim.run_simulation(cfg1, bounds, 0.0, 200, seed=1)
+    dark_sim = sim.run_simulation(cfg1, source, 0.0, 200, seed=1)
     dark_ok = dark_rate == 0.0 and dark_sim.key_length == 0
 
     elapsed = time.monotonic() - t0

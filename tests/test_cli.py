@@ -84,6 +84,18 @@ class TestKeyrateCommand:
             values = dict(zip(header, row))
             assert float(values["q"]) == float(values["rate_per_pulse"]) == 0.0
 
+    def test_memory_past_lag_1024(self, tmp_path):
+        # From lag 1025 on, the kick's divisor 2**(lag - 1) is past the float
+        # range; the kick is tiny or exactly 0, and the row an ordinary one.
+        payload = dict(
+            KEYRATE_CFG, corr_len_list=[1100], eta_grid={"min": 0.2, "max": 0.2, "points": 1}
+        )
+        cfg = write_config(tmp_path / "c.json", payload)
+        out = tmp_path / "r.csv"
+        assert cli.main(["keyrate", "--config", cfg, "--out", str(out)]) == 0
+        _, header, rows = read_csv(out)
+        assert [row[0] for row in rows] == ["1100"]
+
     def test_optimizes_through_the_public_optimizer(self, tmp_path, monkeypatch):
         # The one optimiser the package exports is the one the CLI runs.
         payload = dict(

@@ -5,10 +5,12 @@ keyrate run (mu optimised, 100 rows), a sweep that reaches group size
 1024, a short corr_len = 10 simulate session, a simulate session with mu
 optimised and a fixed error-correction cost, a prefix of the per-block
 transcript (bits included) on both sides of a chunk boundary, a
-300-trial oracle report, and the same campaign with every measured
-deficit halved, whose report must detect the violations.  A change that
-only reorganises computation must leave them untouched.  Regenerate,
-after a deliberate output change, with
+300-trial oracle report, the same campaign with every measured deficit
+halved, whose report must detect the violations, and a 200-trial oracle
+report with up to 12 pulses and 64 Fock levels, which pins long families
+and high-Fock coherent tables.  A change that only reorganises
+computation must leave them untouched.  Regenerate, after a deliberate
+output change, with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -75,6 +77,8 @@ RECORD_BLOCKS = (1, 2, 3, 4, 4097, 4098, 4099, 4100)
 
 ORACLE_ARGS = ["oracle", "--trials", "300", "--seed", "1"]
 ORACLE_FAULT_ARGS = [*ORACLE_ARGS, "--fault-injection", "0.5"]
+ORACLE_WIDE_ARGS = ["oracle", "--trials", "200", "--seed", "1", "--pulses", "12"]
+ORACLE_WIDE_ARGS += ["--fock", "64"]
 # The last digits of the mu-optimised runs depend on the BLAS thread count,
 # which is fixed when the library loads, so those runs are pinned in a fresh
 # one-thread interpreter.  The oracle reports do not depend on it; they run
@@ -135,6 +139,7 @@ def _outputs(work: Path) -> dict[str, bytes]:
         "records.jsonl": _records(),
         "oracle-seed1.txt": _fresh_cli(ORACLE_ARGS),
         "oracle-fault-seed1.txt": _fresh_cli(ORACLE_FAULT_ARGS),
+        "oracle-wide-seed1.txt": _fresh_cli(ORACLE_WIDE_ARGS),
     }
 
 
@@ -167,6 +172,10 @@ def test_oracle_report_seed_1():
 
 def test_fault_injected_oracle_report_seed_1():
     assert _fresh_cli(ORACLE_FAULT_ARGS) == (GOLDEN / "oracle-fault-seed1.txt").read_bytes()
+
+
+def test_wide_oracle_report_seed_1():
+    assert _fresh_cli(ORACLE_WIDE_ARGS) == (GOLDEN / "oracle-wide-seed1.txt").read_bytes()
 
 
 def test_oracle_report_independent_of_blas_threads():

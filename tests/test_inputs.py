@@ -10,17 +10,17 @@ from rrdps import simulate as sim
 from rrdps import sources as src
 
 CFG = sec.ProtocolConfig(group_size=8, corr_len=1, e_bit=0.05)
-BOUNDS = sec.SecurityBounds(minus_ref=0.1, fidelity=0.9)
-BATCH = sec.SecurityBounds(minus_ref=np.full(3, 0.1), fidelity=np.full(3, 0.9))
+SOURCE = sec.SourceCharacterization(eps=(0.1,), p_vac0=0.9, p_vac1=0.9)
+BATCH = sec.SourceCharacterization(
+    eps=(np.full(3, 0.1),), p_vac0=np.full(3, 0.9), p_vac1=np.full(3, 0.9)
+)
+PAIR = np.array([0.03, 0.04])
 FAMILY = orc.random_family(3, 1, 3, seed=1)
 
 # A bool is an int, and so passes a bare range check as 0 or 1; a float
 # size or seed, or a negative seed, otherwise fails deep inside numpy
 # under another exception type or an unnamed message, or is used as is.
 BAD_INPUTS = {
-    "bounds-minus-ref-bool": (
-        lambda: sec.SecurityBounds(minus_ref=True, fidelity=0.9), "minus_ref"
-    ),
     "model-mu-bool": (
         lambda: src.PhaseRotationModel(mu=True, delta=0.2, corr_len=1), "mu must"
     ),
@@ -29,10 +29,10 @@ BAD_INPUTS = {
         "delta must be finite, got True",
     ),
     "key-rate-q-bool": (
-        lambda: sec.key_rate(CFG, BOUNDS, [True, True]), "detection rate"
+        lambda: sec.key_rate(CFG, SOURCE, [True, True]), "detection rate"
     ),
     "simulation-q-bool": (
-        lambda: sim.run_simulation(CFG, BOUNDS, True, 10, 1), "q_success"
+        lambda: sim.run_simulation(CFG, SOURCE, True, 10, 1), "q_success"
     ),
     "optimize-eta-bool": (
         lambda: src.optimize_mu(CFG, 0.2, True), "transmittance"
@@ -111,16 +111,6 @@ BAD_INPUTS = {
         lambda: src.PhaseRotationModel(mu=0.1, delta=0.2, corr_len=2).rotation(1.5),
         "lag must be an integer, got 1.5",
     ),
-    "bounds-minus-ref-numpy-bool": (
-        lambda: sec.SecurityBounds(minus_ref=np.True_, fidelity=0.9),
-        "minus_ref must lie in",
-    ),
-    "bounds-minus-ref-bool-array": (
-        lambda: sec.SecurityBounds(
-            minus_ref=np.array([False, True]), fidelity=np.full(2, 0.9)
-        ),
-        "minus_ref must lie in",
-    ),
     "config-e-bit-numpy-bool": (
         lambda: sec.ProtocolConfig(group_size=8, corr_len=0, e_bit=np.False_),
         "bit error rate",
@@ -132,18 +122,18 @@ BAD_INPUTS = {
         lambda: sec.SourceCharacterization(eps=(True,), p_vac0=0.9, p_vac1=0.9),
         "eps at lag 1 must lie in",
     ),
-    # The batch form of key_rate needs every rate shaped like the bounds.
+    # The batch form of key_rate needs every rate shaped like the source.
     "key-rate-array-q-point-bounds": (
-        lambda: sec.key_rate(CFG, BOUNDS, [np.array([0.1, 0.2])] * 2),
-        r"shape \(2,\) does not match bounds of shape \(\)",
+        lambda: sec.key_rate(CFG, SOURCE, [np.array([0.1, 0.2])] * 2),
+        r"shape \(2,\) does not match source of shape \(\)",
     ),
     "key-rate-q-shorter-than-bounds": (
         lambda: sec.key_rate(CFG, BATCH, [np.array([0.1, 0.2])] * 2),
-        r"shape \(2,\) does not match bounds of shape \(3,\)",
+        r"shape \(2,\) does not match source of shape \(3,\)",
     ),
     "key-rate-float-q-batch-bounds": (
         lambda: sec.key_rate(CFG, BATCH, [0.1, 0.2]),
-        r"shape \(\) does not match bounds of shape \(3,\)",
+        r"shape \(\) does not match source of shape \(3,\)",
     ),
     # A batch's fields hold one entry per source, so they share one shape.
     "characterization-batch-lengths": (
@@ -157,14 +147,6 @@ BAD_INPUTS = {
             eps=(np.full(2, 0.1),), p_vac0=np.full(2, 0.9), p_vac1=0.9
         ),
         r"p_vac1 of shape \(\) does not match eps at lag 1 of shape \(2,\)",
-    ),
-    "bounds-float-and-array": (
-        lambda: sec.SecurityBounds(minus_ref=0.1, fidelity=np.array([0.9, 0.8])),
-        r"fidelity of shape \(2,\) does not match minus_ref of shape \(\)",
-    ),
-    "bounds-batch-lengths": (
-        lambda: sec.SecurityBounds(minus_ref=np.full(3, 0.1), fidelity=np.full(2, 0.9)),
-        r"fidelity of shape \(2,\) does not match minus_ref of shape \(3,\)",
     ),
     "coherent-array-mu": (
         lambda: orc.coherent_family(3, 1, np.array([0.1, 0.2]), 0.2),
@@ -198,6 +180,55 @@ BAD_INPUTS = {
             eps=(), p_vac0=np.full((2, 2), 0.9), p_vac1=np.full((2, 2), 0.9)
         ),
         r"p_vac0 must lie in \[0, 1\], got an array of shape \(2, 2\)",
+    ),
+    # Only the batch parameters take a 1-D array; every other number is one.
+    "transfer-x-array": (
+        lambda: sec.transfer_bound(PAIR, 0.5),
+        r"probability bound must lie in \[0, 1\], got an array of shape \(2,\)",
+    ),
+    "transfer-y-array": (
+        lambda: sec.transfer_bound(0.1, PAIR),
+        r"overlap bound must lie in \[0, 1\], got an array of shape \(2,\)",
+    ),
+    "tail-p-array": (
+        lambda: sec.binomial_tail(8, 2, PAIR),
+        r"success probability must lie in \[0, 1\], got an array of shape \(2,\)",
+    ),
+    "phase-error-minus-act-array": (
+        lambda: sec.phase_error_upper(8, np.array([0.1, 0.2]), 0.5),
+        r"minus_act must lie in \[0, 1\], got an array of shape \(2,\)",
+    ),
+    "phase-error-q-array": (
+        lambda: sec.phase_error_upper(8, 0.1, PAIR),
+        r"detection rate must lie in \(0, 1\], got an array of shape \(2,\)",
+    ),
+    "config-e-bit-array": (
+        lambda: sec.ProtocolConfig(8, 0, PAIR),
+        r"bit error rate must lie in \[0, 0.5\], got an array of shape \(2,\)",
+    ),
+    "config-f-ec-fixed-array": (
+        lambda: sec.ProtocolConfig(8, 0, 0.03, f_ec_fixed=PAIR),
+        r"f_ec_fixed must be a finite number >= 0, got an array of shape \(2,\)",
+    ),
+    "model-delta-array": (
+        lambda: src.PhaseRotationModel(mu=0.1, delta=PAIR, corr_len=1),
+        r"delta must be finite, got an array of shape \(2,\)",
+    ),
+    "detection-eta-array": (
+        lambda: src.detection_rate(32, PAIR, 0.1),
+        r"transmittance must lie in \[0, 1\], got an array of shape \(2,\)",
+    ),
+    "simulation-q-array": (
+        lambda: sim.run_simulation(CFG, SOURCE, PAIR, 10, 1),
+        r"q_success must lie in \[0, 1\], got an array of shape \(2,\)",
+    ),
+    "records-q-array": (
+        lambda: next(sim.iter_block_records(CFG, PAIR, 10, 1)),
+        r"q_success must lie in \[0, 1\], got an array of shape \(2,\)",
+    ),
+    "campaign-eps-scale-array": (
+        lambda: orc.run_family_campaign(2, 1, eps_scale=PAIR),
+        r"eps_scale must be a finite number >= 0, got an array of shape \(2,\)",
     ),
 }
 

@@ -1,6 +1,5 @@
 """Tests for the exact small-system verification engine."""
 
-import collections
 import dataclasses
 import functools
 import itertools
@@ -786,31 +785,19 @@ class TestCampaigns:
     )
     def test_report_evaluates_each_verdict_once(self, monkeypatch, tmp_path, flags):
         # The report lines, the summary and the command's exit status all
-        # read each check's verdict; each chunk derives each cap once, in
-        # one batch over its trials.
+        # read each check's verdict; each chunk derives its caps once, in
+        # one batch over its trials: the characterization derives them when
+        # it is built, and a campaign builds one per chunk.
         from rrdps import cli
 
-        derived = collections.defaultdict(list)
+        caps = ("plus_vac_floor", "a1_floor", "minus_ref", "fidelity", "minus_act")
+        derived = []
 
-        def counted(name, real):
-            def count(char):
-                derived[name].append(len(char.p_vac0))
-                return real(char)
+        def post_init(char, real=sec.SourceCharacterization.__post_init__):
+            real(char)
+            derived.append([len(getattr(char, name)) for name in caps])
 
-            return count
-
-        # The oracle derives the bounds through SecurityBounds.from_source,
-        # and calls the two floors by its own names.
-        from_source = counted("from_source", sec.SecurityBounds.from_source)
-        monkeypatch.setattr(sec.SecurityBounds, "from_source", staticmethod(from_source))
-        for name in ("a1_floor", "plus_vac_floor"):
-            monkeypatch.setattr(orc, name, counted(name, getattr(orc, name)))
-
-        def minus_act(bounds, real=sec.SecurityBounds.minus_act.fget):
-            derived["minus_act"].append(len(bounds.minus_ref))
-            return real(bounds)
-
-        monkeypatch.setattr(sec.SecurityBounds, "minus_act", property(minus_act))
+        monkeypatch.setattr(sec.SourceCharacterization, "__post_init__", post_init)
         chunks = record_chunks(monkeypatch)
         out = tmp_path / "report.txt"
         args = ["oracle", "--trials", "30", "--seed", "3", *flags, "--out", str(out)]
@@ -818,11 +805,7 @@ class TestCampaigns:
         assert "summary trials=30" in out.read_text()
         sizes = [count for _, count in chunks]
         assert sum(sizes) == 30
-        assert sorted(derived) == sorted(
-            ["from_source", "a1_floor", "plus_vac_floor", "minus_act"]
-        )
-        for name, lengths in derived.items():
-            assert lengths == sizes, name
+        assert derived == [[count] * len(caps) for count in sizes]
 
     @pytest.mark.parametrize(
         "bad",

@@ -1,5 +1,6 @@
 """Unit tests for the analytic bound layer."""
 
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -230,28 +231,62 @@ class TestSourceCharacterization:
 
 
 class TestSecurityBounds:
+    """The bounds a characterization derives when it is built."""
+
     def test_reference_cap(self):
         src = sec.SourceCharacterization(eps=(), p_vac0=1.0, p_vac1=1.0)
-        assert sec.SecurityBounds.from_source(src).minus_ref == 0.0
+        assert src.minus_ref == 0.0
         src = sec.SourceCharacterization(eps=(), p_vac0=0.81, p_vac1=0.81)
-        minus_ref = sec.SecurityBounds.from_source(src).minus_ref
-        assert minus_ref == pytest.approx(0.19, abs=1e-15)
+        assert src.minus_ref == pytest.approx(0.19, abs=1e-15)
 
     def test_fidelity_floor(self):
         def fidelity(eps):
-            src = sec.SourceCharacterization(eps=eps, p_vac0=0.9, p_vac1=0.9)
-            return sec.SecurityBounds.from_source(src).fidelity
+            return sec.SourceCharacterization(eps=eps, p_vac0=0.9, p_vac1=0.9).fidelity
 
         assert fidelity(()) == 1.0
         assert fidelity((0.0,)) == 1.0
         assert fidelity((1.0,)) == 0.5
 
     def test_from_source_chains_consistently(self):
+        point = sec.SourceCharacterization(eps=(0.1, 0.3), p_vac0=0.9, p_vac1=0.85)
+        assert point.plus_vac_floor == (math.sqrt(0.9) + math.sqrt(0.85)) ** 2 / 4.0
+        assert point.a1_floor == math.sqrt(1.0 - 0.1) * math.sqrt(1.0 - 0.3)
+        batch = sec.SourceCharacterization(
+            eps=(np.array([0.1, 0.0, 1.0]), np.array([0.3, 0.0, 0.5])),
+            p_vac0=np.array([0.9, 1.0, 0.2]),
+            p_vac1=np.array([0.85, 1.0, 0.1]),
+        )
+        for src in (point, batch):
+            assert np.array_equal(src.minus_ref, 1.0 - src.plus_vac_floor)
+            assert np.array_equal(src.fidelity, (1.0 + src.a1_floor) / 2.0)
+        assert point.minus_act == sec.transfer_bound(point.minus_ref, point.fidelity)
+        pairs = zip(batch.minus_ref.tolist(), batch.fidelity.tolist())
+        assert batch.minus_act.tolist() == [sec.transfer_bound(x, y) for x, y in pairs]
+        # Each entry of a batch is the bound of its source alone.
+        for i in range(3):
+            alone = sec.SourceCharacterization(
+                eps=tuple(e[i].item() for e in batch.eps),
+                p_vac0=batch.p_vac0[i].item(),
+                p_vac1=batch.p_vac1[i].item(),
+            )
+            for name in ("plus_vac_floor", "a1_floor", "minus_ref", "fidelity"):
+                assert getattr(batch, name)[i] == getattr(alone, name), name
+            assert batch.minus_act[i] == alone.minus_act
+
+    def test_derived_fields_are_not_compared_and_rederived(self):
         src = sec.SourceCharacterization(eps=(0.1,), p_vac0=0.9, p_vac1=0.85)
-        b = sec.SecurityBounds.from_source(src)
-        assert b.minus_ref == 1.0 - sec.plus_vac_floor(src)
-        assert b.fidelity == (1.0 + sec.a1_floor(src)) / 2.0
-        assert b.minus_act == sec.transfer_bound(b.minus_ref, b.fidelity)
+        assert repr(src) == "SourceCharacterization(eps=(0.1,), p_vac0=0.9, p_vac1=0.85)"
+        # A copy whose derived field was overwritten still equals the original.
+        tampered = dataclasses.replace(src)
+        object.__setattr__(tampered, "minus_act", 0.0)
+        assert tampered == src and repr(tampered) == repr(src)
+        again = dataclasses.replace(src, eps=(0.4,))
+        fresh = sec.SourceCharacterization(eps=(0.4,), p_vac0=0.9, p_vac1=0.85)
+        for name in ("plus_vac_floor", "a1_floor", "minus_ref", "fidelity", "minus_act"):
+            assert getattr(again, name) == getattr(fresh, name), name
+        assert again.a1_floor == math.sqrt(1.0 - 0.4) != src.a1_floor
+        with pytest.raises(TypeError):
+            sec.SourceCharacterization(eps=(), p_vac0=0.9, p_vac1=0.9, minus_act=0.0)
 
 
 class TestProtocolConfig:
@@ -346,8 +381,7 @@ class TestPhaseErrorUpper:
 
 class TestKeyRate:
     def _bounds(self, eps, p_vac):
-        src = sec.SourceCharacterization(eps=eps, p_vac0=p_vac, p_vac1=p_vac)
-        return sec.SecurityBounds.from_source(src)
+        return sec.SourceCharacterization(eps=eps, p_vac0=p_vac, p_vac1=p_vac)
 
     def test_perfect_source_rate_is_one_third(self):
         cfg = sec.ProtocolConfig(group_size=3, corr_len=0, e_bit=0.0)

@@ -10,9 +10,9 @@ from rrdps import simulate as sim
 from rrdps import sources as src
 
 
-def _bounds(mu: float, delta: float, corr_len: int) -> sec.SecurityBounds:
+def _bounds(mu: float, delta: float, corr_len: int) -> sec.SourceCharacterization:
     model = src.PhaseRotationModel(mu=mu, delta=delta, corr_len=corr_len)
-    return sec.SecurityBounds.from_source(src.characterize(model))
+    return src.characterize(model)
 
 
 def group_indices(block: int, group: int, corr_len: int, group_size: int):

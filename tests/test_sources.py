@@ -57,6 +57,16 @@ class TestPhaseRotationModel:
         assert m.rotation(2) == 0.2
         assert m.rotation(3) == 0.1
 
+    def test_rotation_past_lag_1024(self):
+        # delta / 2**(lag - 1) cannot convert 2**1024 to a float; the kick is
+        # the same float wherever that form is finite, and 0.0 past it.
+        m = src.PhaseRotationModel(mu=0.1, delta=0.2, corr_len=1100)
+        assert m.rotation(1100) == 0.0
+        for delta in (0.2, -3.0, 1e300, 5e-324, 3e-310):
+            m = src.PhaseRotationModel(mu=0.1, delta=delta, corr_len=1024)
+            for lag in (1, 2, 53, 1000, 1024):
+                assert m.rotation(lag).hex() == (delta / 2 ** (lag - 1)).hex()
+
     def test_rotation_lag_validation(self):
         m = src.PhaseRotationModel(mu=0.1, delta=0.4, corr_len=2)
         with pytest.raises(ValueError):
@@ -110,7 +120,7 @@ class TestCharacterize:
             model = src.PhaseRotationModel(mu=mu, delta=0.0, corr_len=4)
             char = src.characterize(model)
             assert char.eps == (0.0, 0.0, 0.0, 0.0)
-            assert sec.SecurityBounds.from_source(char).fidelity == 1.0
+            assert char.fidelity == 1.0
 
     def test_overflowing_exponent_gives_the_limit(self):
         # At mu 1e308 the exponent 2 * (cos(pi) - 1) * mu is -inf, so eps is
@@ -189,9 +199,8 @@ class TestRateAtMu:
         cfg = sec.ProtocolConfig(group_size=16, corr_len=1, e_bit=0.03)
         res = src.rate_at_mu(cfg, delta=0.2, eta=0.3, mu=0.08)
         char = src.characterize(src.PhaseRotationModel(mu=0.08, delta=0.2, corr_len=1))
-        bounds = sec.SecurityBounds.from_source(char)
         q = src.detection_rate(16, 0.3, 0.08)
-        want = sec.key_rate(cfg, bounds, [q, q])
+        want = sec.key_rate(cfg, char, [q, q])
         assert res == want
 
 
