@@ -17,9 +17,9 @@ Configs are JSON files; numeric output uses 12 significant digits and no
 timestamps, so reruns with the same config and seed are byte identical
 at a fixed BLAS thread count.  The CLI checks the type of each config
 value and the ``f_ec_mode`` key, which only it reads; ``ProtocolConfig``
-checks the ranges of the protocol parameters, and its message is printed
-with the config path in front.  Every config error is raised before the
-first rate is evaluated.
+checks the ranges of the protocol parameters.  Every config error, a file
+that is not UTF-8 JSON included, is printed with the config path in front
+and raised before the first rate is evaluated.
 Relative output paths are resolved against ``RRDPS_OUT_DIR`` when that is
 set.  Exit codes: 0 on success, 1 on usage or config errors (unknown
 keys and non-finite numbers included), 2 when a verification campaign
@@ -85,9 +85,12 @@ def _load_config(path: str) -> dict:
 
     with open(path, "r", encoding="utf-8") as f:
         hooks = {"parse_float": finite(float), "parse_int": finite(int)}
-        cfg = json.load(f, parse_constant=reject, **hooks)
+        try:
+            cfg = json.load(f, parse_constant=reject, **hooks)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(cfg, dict):
-        raise ValueError("config root must be a JSON object")
+        raise ValueError(f"{path}: config root must be a JSON object")
     return cfg
 
 
@@ -146,8 +149,6 @@ def _eta_grid(cfg: dict, where: str) -> list[float]:
         raise ValueError(f"{where}: eta grid must satisfy 0 <= min <= max <= 1")
     if log and lo <= 0.0:
         raise ValueError(f"{where}: log-spaced eta grid needs min > 0")
-    if points == 1:
-        return [lo]
     if log:
         return [float(x) for x in np.geomspace(lo, hi, points)]
     return [float(x) for x in np.linspace(lo, hi, points)]
@@ -452,7 +453,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

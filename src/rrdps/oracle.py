@@ -64,7 +64,7 @@ from .security import (
     _require,
     _require_integer,
     _transfer,
-    vacuum_fidelity_bound,
+    _vacuum_overlap_floor,
 )
 from .sources import PhaseRotationModel
 
@@ -578,7 +578,6 @@ def coherent_family(
     mu: float,
     delta: float,
     fock_dim: int = 8,
-    seed: Optional[int] = None,
 ) -> EmissionFamily:
     """Coherent-state family of the phase-rotation source model.
 
@@ -594,7 +593,7 @@ def coherent_family(
     if np.ndim(mu) != 0:
         raise ValueError(f"mu must be a single number, got {mu!r}")
     tables = _coherent_tables(n_pulses, corr_len, fock_dim, [mu], [delta])
-    return EmissionFamily(corr_len=corr_len, tables=[t[0] for t in tables], seed=seed)
+    return EmissionFamily(corr_len=corr_len, tables=[t[0] for t in tables])
 
 
 @dataclass(frozen=True)
@@ -692,8 +691,9 @@ def run_family_campaign(
     in chunks of at most ``_CHUNK_AMPLITUDES`` table amplitudes, or of one
     trial where one family holds more, and each chunk's families are drawn
     from their seeds, built, characterized and checked in one array pass.
-    Each check equals the one ``check_proof_chain`` gives on the family
-    ``random_family`` or ``coherent_family`` builds from the same draws.
+    Each check equals, but for its trial and seed labels, the one
+    ``check_proof_chain`` gives on the family ``random_family`` or
+    ``coherent_family`` builds from the same draws.
     """
     _require_integer("n_trials", n_trials, 1)
     _require_integer("seed", seed, 0)
@@ -748,8 +748,8 @@ def verify_fidelity_proposition(
     Half the pairs are biased toward large vacuum amplitude so the floor
     is nontrivial; the rest exercise the trivial branch.  A pair fails when
     its overlap falls below the floor by more than ``FIDELITY_TOL``.  The
-    pairs are drawn one by one, and the overlaps, vacuum weights and floors
-    of each window of ``_WINDOW`` pairs are computed in one array pass.
+    pairs are drawn one by one; each window of ``_WINDOW`` pairs gets its
+    overlaps and vacuum weights in one array pass, its floors pair by pair.
     """
     _require_integer("dim", dim, 2)
     _require_integer("n_trials", n_trials, 1)
@@ -775,7 +775,7 @@ def verify_fidelity_proposition(
         states[~weighted] = _units(normals[~weighted])
         vac = np.hypot(states[:, 0].real, states[:, 0].imag)
         weights = vac * vac
-        floors = vacuum_fidelity_bound(weights[0::2], weights[1::2])
+        floors = list(map(_vacuum_overlap_floor, *weights.reshape(-1, 2).T.tolist()))
         margins += (_lag_overlaps(states.reshape(-1, 2, dim), 1) - floors).tolist()
     return FidelityPropositionResult(
         dim=dim,

@@ -9,9 +9,11 @@ secure key rate per pulse.
 
 Everything in this module is a pure function of its arguments and safe for
 concurrent use.  Public functions and constructors check their arguments,
-reals through ``_require`` (one number) or ``_require_batch`` (also a
-batch's 1-D array) and integers through ``_require_integer``, and
-underscored helpers trust them.
+and underscored helpers trust them.  Only the batch entry points,
+``SourceCharacterization`` and ``key_rate`` here and ``PhaseRotationModel``,
+``characterize``, ``detection_rate`` and ``rate_at_mu`` in
+:mod:`rrdps.sources`, take a 1-D array (``_require_batch``); every other
+public function takes one number (``_require``) and rejects an array.
 
 A ``SourceCharacterization`` derives every source-side bound the rate and
 the oracle read once, when it is built.  Its deficits and floors may be
@@ -75,14 +77,14 @@ def _require_batch(value, message: str, low: float = 0.0, high: float = 1.0) -> 
         _require(value, message, low, high)
 
 
-def _require_integer(name: str, value, low=None, high=None) -> None:
+def _require_integer(name: str, value, low: int, high=None) -> None:
     """Raise a ``ValueError`` naming ``name`` unless ``value`` is an integer,
     not a bool, at least ``low`` and, given ``high``, in ``[low, high]``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if high is not None and not low <= value <= high:
         raise ValueError(f"{name} must lie in [{low}, {high}], got {value}")
-    if low is not None and value < low:
+    if value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
@@ -109,10 +111,9 @@ def binary_entropy(x: float) -> float:
     Returns ``-x*log2(x) - (1-x)*log2(1-x)`` for ``x`` in [0, 0.5] (with
     the limit value 0 at x = 0) and returns 1.0 for any ``x`` above 0.5,
     so the privacy-amplification cost never decreases past the midpoint.
-    A 1-D array ``x`` gives an array, entry by entry.
     """
-    _require_batch(x, "entropy argument must lie in [0, 1], got {}")
-    return _each(_entropy, x)
+    _require(x, "entropy argument must lie in [0, 1], got {}")
+    return _entropy(x)
 
 
 def _entropy(x: float) -> float:
@@ -227,14 +228,11 @@ def vacuum_fidelity_bound(p_vac_a: float, p_vac_b: float) -> float:
     Two normalized states whose vacuum probabilities are at least
     ``p_vac_a`` and ``p_vac_b`` overlap in magnitude by at least
     ``2*sqrt(p_vac_a*p_vac_b) - 1``; the bound degrades to the trivial 0
-    when the vacuum weights are too small to constrain anything.  Two 1-D
-    arrays of one shape give an array, entry by entry.
+    when the vacuum weights are too small to constrain anything.
     """
-    fields = {"p_vac_a": p_vac_a, "p_vac_b": p_vac_b}
-    for name, p_vac in fields.items():
-        _require_batch(p_vac, f"{name} must lie in [0, 1], got {{}}")
-    _require_one_shape(fields)
-    return _each(_vacuum_overlap_floor, p_vac_a, p_vac_b)
+    _require(p_vac_a, "p_vac_a must lie in [0, 1], got {}")
+    _require(p_vac_b, "p_vac_b must lie in [0, 1], got {}")
+    return _vacuum_overlap_floor(p_vac_a, p_vac_b)
 
 
 def _vacuum_overlap_floor(p_vac_a: float, p_vac_b: float) -> float:

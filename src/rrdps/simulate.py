@@ -97,10 +97,7 @@ def _count_draw(
     bitgen = _stream(seed, group, chunk).bit_generator
     words = bitgen.random_raw(_CHUNK + _CHUNK // 2)
     if span < 1 << 32:
-        halves = np.empty((2, _CHUNK // 2), dtype=np.uint32)
-        halves[0] = words[_CHUNK:] & 0xFFFFFFFF
-        halves[1] = words[_CHUNK:] >> 32
-        halves *= np.uint32(span)  # mod 2**32
+        halves = words[_CHUNK:].view(np.uint32) * np.uint32(span)  # mod 2**32
         if halves.min() >= (1 << 32) % span:
             bitgen.advance(_CHUNK // 4)
             flip_words = bitgen.random_raw(_CHUNK)

@@ -129,11 +129,12 @@ def rate_at_mu(
     return key_rate(cfg, source, [q] * cfg.n_groups)
 
 
-# scipy.optimize.golden's constants and default xtol (sqrt of the double
-# machine epsilon); keep them as scipy spells them so iterates match bitwise.
+# scipy.optimize.golden's constants, default xtol (sqrt of the double machine
+# epsilon) and maxiter; keep them as scipy spells them so iterates match bitwise.
 _GOLDEN_R = 0.61803399
 _GOLDEN_C = 1.0 - _GOLDEN_R
 _GOLDEN_XTOL = 1.4901161193847656e-08
+_GOLDEN_MAXITER = 5000
 
 # The mu grid that optimize_mu scans: MU_GRID_POINTS log-spaced values
 # from MU_MIN to MU_MAX.
@@ -142,7 +143,7 @@ MU_MAX = 10.0
 MU_GRID_POINTS = 200
 
 
-def _golden(func, xa: float, xb: float, xc: float, maxiter: int = 5000) -> float:
+def _golden(func, xa: float, xb: float, xc: float) -> float:
     """Minimise ``func`` by golden-section search on the bracket ``xa < xb < xc``.
 
     Reproduces the 3-point-bracket branch of ``scipy.optimize.golden`` at its
@@ -156,7 +157,7 @@ def _golden(func, xa: float, xb: float, xc: float, maxiter: int = 5000) -> float
     else:
         x1, x2 = xb - _GOLDEN_C * (xb - xa), xb
     f1, f2 = func(x1), func(x2)
-    for _ in range(maxiter):
+    for _ in range(_GOLDEN_MAXITER):
         if abs(x3 - x0) <= _GOLDEN_XTOL * (abs(x1) + abs(x2)):
             break
         if f2 < f1:

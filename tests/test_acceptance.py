@@ -99,7 +99,7 @@ def test_criterion_3_rate_curves_vs_memory_length(capsys):
     group_size, e_bit, delta = 32, 0.03, 0.2
     etas = [float(x) for x in np.geomspace(1e-3, 1.0, 25)]
     curves = {}
-    for corr_len in (0, 1, 2, 10):
+    for corr_len in (0, 1, 2, 10, 16, 32, 64):
         cfg = sec.ProtocolConfig(group_size=group_size, corr_len=corr_len, e_bit=e_bit)
         rates = []
         for eta in etas:
@@ -129,15 +129,32 @@ def test_criterion_3_rate_curves_vs_memory_length(capsys):
     ]
     ratio_ok = all(0.5 <= r <= 0.9 for r in ratios)
 
+    # The paper's headline past corr_len 10: a longer memory never raises
+    # the rate beyond rounding, and from 32 on it no longer moves it.
+    lens = sorted(curves)
+    rise = max(
+        (curves[b][i] - curves[a][i]) / curves[a][i]
+        for a, b in zip(lens, lens[1:])
+        for i in range(len(etas))
+    )
+    far_gap = max(
+        abs(curves[64][i] - curves[32][i]) / curves[32][i] for i in range(len(etas))
+    )
+    saturation_ok = rise <= 1e-14 and far_gap <= 1e-12
+
     elapsed = time.monotonic() - t0
-    ok = dominance and positive and pairwise_ok and ratio_ok and elapsed < 120.0
+    ok = (
+        dominance and positive and pairwise_ok and ratio_ok and saturation_ok
+        and elapsed < 120.0
+    )
     _verdict(
         capsys,
         "C3 rate-curves-vs-memory",
         ok,
         f"dominance {dominance}, positive {positive}, "
         f"max pair gap {pair_gap:.3f}, mid-range ratio "
-        f"[{min(ratios):.3f}, {max(ratios):.3f}], {elapsed:.1f}s",
+        f"[{min(ratios):.3f}, {max(ratios):.3f}], max rise with corr_len "
+        f"{rise:.1e}, corr_len 32 vs 64 {far_gap:.1e}, {elapsed:.1f}s",
     )
 
 
@@ -182,7 +199,7 @@ def test_criterion_6_simulation_matches_analytics(tmp_path, capsys):
     seed = 60
     all_ok = True
     details = []
-    for corr_len in (0, 1):
+    for corr_len in (0, 1, 10):
         for eta in (0.05, 0.2):
             t0 = time.monotonic()
             cfg = sec.ProtocolConfig(

@@ -174,6 +174,16 @@ class TestKeyrateCommand:
         # Bitwise equality of the formatted rates, not mere closeness.
         assert by_corr[0] == by_corr[1]
 
+    def test_linear_grid_reaches_eta_zero(self, tmp_path):
+        grid = {"min": 0.0, "max": 0.5, "points": 3, "log": False}
+        cfg = write_config(tmp_path / "c.json", dict(KEYRATE_CFG, eta_grid=grid))
+        out = tmp_path / "r.csv"
+        assert cli.main(["keyrate", "--config", cfg, "--out", str(out)]) == 0
+        _, header, rows = read_csv(out)
+        assert [float(r[1]) for r in rows] == [0.0, 0.25, 0.5] * 2
+        dark = [dict(zip(header, r)) for r in rows if float(r[1]) == 0.0]
+        assert [float(r["rate_per_pulse"]) for r in dark] == [0.0, 0.0]
+
     def test_fixed_error_correction_cost(self, tmp_path):
         payload = dict(KEYRATE_CFG, f_ec_mode="fixed", f_ec_fixed=0.25)
         cfg = write_config(tmp_path / "c.json", payload)
@@ -446,6 +456,21 @@ class TestStrictConfigs:
             ),
             ("keyrate", dict(KEYRATE_CFG, corr_len_list=[False, True]), "corr_len_list"),
             ("keyrate", dict(KEYRATE_CFG, mu_mode=0.05), "mu_mode"),
+            (
+                "keyrate",
+                dict(KEYRATE_CFG, eta_grid={"min": 0.1, "max": 0.2, "points": 0}),
+                "eta grid needs at least one point",
+            ),
+            (
+                "sweep",
+                dict(SWEEP_CFG, eta_grid={"min": 0.3, "max": 0.2, "points": 2}),
+                "eta grid must satisfy 0 <= min <= max <= 1",
+            ),
+            (
+                "keyrate",
+                dict(KEYRATE_CFG, eta_grid={"min": 0.5, "max": 1.5, "points": 2}),
+                "eta grid must satisfy 0 <= min <= max <= 1",
+            ),
         ],
         ids=[
             "keyrate",
@@ -455,6 +480,9 @@ class TestStrictConfigs:
             "eta-grid-log",
             "bool-list",
             "bare-mu",
+            "eta-grid-no-points",
+            "eta-grid-min-above-max",
+            "eta-grid-max-above-1",
         ],
     )
     def test_rejected(self, tmp_path, capsys, command, payload, message):
@@ -462,6 +490,33 @@ class TestStrictConfigs:
         out = tmp_path / "r.csv"
         assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (KEYRATE_CFG, "no output path (use --out or output_path)"),
+            (dict(KEYRATE_CFG, output_path=3), "key 'output_path' has wrong type"),
+        ],
+        ids=["missing", "not-a-string"],
+    )
+    def test_output_path_rejected(self, tmp_path, capsys, payload, message):
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert cli.main(["keyrate", "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "text",
+        [b'{"group_size": 32,', b"\xff\xfe{}", b"[1, 2]"],
+        ids=["truncated", "utf-16-bom", "list-root"],
+    )
+    def test_unreadable_config_names_its_path(self, tmp_path, capsys, text):
+        cfg = tmp_path / "c.json"
+        cfg.write_bytes(text)
+        out = tmp_path / "r.csv"
+        assert cli.main(["keyrate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: ")
         assert not out.exists()
 
 

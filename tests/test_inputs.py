@@ -62,7 +62,7 @@ BAD_INPUTS = {
     ),
     "vacuum-array-entry": (
         lambda: sec.vacuum_fidelity_bound(np.array([0.5, 1.5]), np.full(2, 0.5)),
-        r"p_vac_a must lie in \[0, 1\], got 1.5",
+        r"p_vac_a must lie in \[0, 1\], got an array of shape \(2,\)",
     ),
     "tail-s-float": (lambda: sec.binomial_tail(8, 2.5, 0.3), "s must be an integer"),
     "tail-n-float": (lambda: sec.binomial_tail(8.5, 2, 0.3), "n must be an integer"),
@@ -90,6 +90,16 @@ BAD_INPUTS = {
     ),
     "proof-chain-t-float": (
         lambda: orc.check_proof_chain(FAMILY, 1.5, ()), "t must be an integer, got 1.5"
+    ),
+    "proof-chain-corr-len-mismatch": (
+        lambda: orc.check_proof_chain(
+            FAMILY, 1, (), sec.SourceCharacterization(eps=(), p_vac0=0.9, p_vac1=0.9)
+        ),
+        "characterization correlation length mismatch",
+    ),
+    "family-style-unknown": (
+        lambda: orc.random_family(2, 0, 3, seed=1, style="dense"),
+        "unknown family style 'dense'",
     ),
     "coherent-fock-float": (
         lambda: orc.coherent_family(2, 0, 0.1, 0.2, fock_dim=1.5),
@@ -225,6 +235,14 @@ BAD_INPUTS = {
     "records-q-array": (
         lambda: next(sim.iter_block_records(CFG, PAIR, 10, 1)),
         r"q_success must lie in \[0, 1\], got an array of shape \(2,\)",
+    ),
+    "entropy-array": (
+        lambda: sec.binary_entropy(PAIR),
+        r"entropy argument must lie in \[0, 1\], got an array of shape \(2,\)",
+    ),
+    "vacuum-b-array": (
+        lambda: sec.vacuum_fidelity_bound(0.5, PAIR),
+        r"p_vac_b must lie in \[0, 1\], got an array of shape \(2,\)",
     ),
     "campaign-eps-scale-array": (
         lambda: orc.run_family_campaign(2, 1, eps_scale=PAIR),

@@ -393,12 +393,18 @@ def sample_families():
             yield orc.coherent_family(n, lc, mu=0.2, delta=0.4, fock_dim=fock + 3)
 
 
+def analyzed_pulses(fam):
+    """Every analyzed pulse t of a family, with every history before it."""
+    for t in range(1, fam.n_pulses - fam.corr_len + 1):
+        for hist in itertools.product((0, 1), repeat=orc._window(fam.corr_len, t)):
+            yield t, hist
+
+
 def analysis_cases():
     """Every valid (t, history) of every sample family."""
     for fam in sample_families():
-        for t in range(1, fam.n_pulses - fam.corr_len + 1):
-            for hist in itertools.product((0, 1), repeat=orc._window(fam.corr_len, t)):
-                yield fam, t, hist
+        for t, hist in analyzed_pulses(fam):
+            yield fam, t, hist
 
 
 FLAGS = (
@@ -730,33 +736,40 @@ class TestProofChain:
         assert "p_act=" in line and "actcap=" in line
 
 
-def reference_campaign(n_trials, seed, eps_scale, max_pulses=4, max_fock=8):
-    """The checks of a campaign made trial by trial: each trial's family
-    drawn from its streams, built alone by the public builders and checked
-    by check_proof_chain."""
+def drawn_families(n_trials, seed):
+    """Each trial of a campaign at the default max_pulses 4 and max_fock 8:
+    its family drawn from the trial's streams and built alone by the public
+    builders, its family seed, and its drawn analyzed pulse and history."""
     for i in range(n_trials):
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
         rng = np.random.default_rng(ss)
         fam_seed = int(ss.generate_state(1, np.uint32)[0])
-        n = int(rng.integers(2, max_pulses + 1))
+        n = int(rng.integers(2, 4 + 1))
         lc = int(rng.integers(0, min(2, n - 1) + 1))
         kind = rng.random()
         if kind < 0.1:
-            fock = int(rng.integers(6, max_fock + 1))
+            fock = int(rng.integers(6, 8 + 1))
             mu, delta = float(rng.uniform(0.02, 0.3)), float(rng.uniform(0.05, 0.6))
-            fam = orc.coherent_family(n, lc, mu, delta, fock_dim=fock, seed=fam_seed)
+            fam = orc.coherent_family(n, lc, mu, delta, fock_dim=fock)
         else:
             style = "free" if kind > 0.85 else "perturbed"
-            fock = int(rng.integers(2, max_fock + 1))
+            fock = int(rng.integers(2, 8 + 1))
             fam = orc.random_family(n, lc, fock, seed=fam_seed, style=style)
         t = int(rng.integers(1, n - lc + 1))
         history = tuple(int(b) for b in rng.integers(0, 2, size=min(lc, t - 1)))
+        yield fam, fam_seed, t, history
+
+
+def reference_campaign(n_trials, seed, eps_scale):
+    """The checks of a campaign made trial by trial: each drawn family
+    checked alone by check_proof_chain, labelled with its trial and seed."""
+    for i, (fam, fam_seed, t, history) in enumerate(drawn_families(n_trials, seed)):
         char = orc.measured_characterization(fam)
         if eps_scale is not None:
             eps = tuple(min(1.0, max(0.0, e * eps_scale)) for e in char.eps)
             char = dataclasses.replace(char, eps=eps)
         chk = orc.check_proof_chain(fam, t, history, characterization=char)
-        yield dataclasses.replace(chk, trial=i)
+        yield dataclasses.replace(chk, trial=i, seed=fam_seed)
 
 
 class TestCampaigns:
@@ -846,6 +859,31 @@ class TestCampaigns:
         for got, ref in zip(camp.checks, want):
             assert got == ref
             assert got.line() == ref.line()
+
+    def test_c4_families_pass_at_every_pulse_and_history(self):
+        # A campaign checks one drawn (t, history) per family; the bound
+        # needs every analyzed pulse under every history.
+        n_checks = 0
+        for fam, _, _, _ in drawn_families(1000, 20240815):
+            for t, hist in analyzed_pulses(fam):
+                chk = orc.check_proof_chain(fam, t, hist)
+                assert chk.passed, chk.line()
+                n_checks += 1
+        assert n_checks == 2584
+
+    def test_every_history_flags_what_the_drawn_one_does(self):
+        # Zeroed deficits, as --fault-injection sets them: checked at every
+        # (t, history), at least as many families fail as drawn checks do.
+        flagged = 0
+        for fam, _, _, _ in drawn_families(200, 20240815):
+            char = orc.measured_characterization(fam)
+            char = dataclasses.replace(char, eps=(0.0,) * fam.corr_len)
+            flagged += any(
+                not orc.check_proof_chain(fam, t, hist, characterization=char).passed
+                for t, hist in analyzed_pulses(fam)
+            )
+        drawn = orc.run_family_campaign(200, 20240815, eps_scale=0.0).n_failed
+        assert flagged >= drawn > 0
 
     @pytest.mark.parametrize("max_fock", [8, 64])
     def test_chunks_and_groups_leak_nothing(self, max_fock):

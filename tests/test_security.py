@@ -184,29 +184,6 @@ class TestVacuumBounds:
         with pytest.raises(ValueError):
             sec.vacuum_fidelity_bound(0.5, 1.2)
 
-    def test_arrays_entry_by_entry(self):
-        a, b = [1.0, 0.25, 1.0, 0.3, 0.9], [1.0, 0.25, 0.81, 0.7, 0.6]
-        got = sec.vacuum_fidelity_bound(np.array(a), np.array(b))
-        assert isinstance(got, np.ndarray)
-        want = [sec.vacuum_fidelity_bound(x, y) for x, y in zip(a, b)]
-        assert all(isinstance(w, float) for w in want)
-        assert got.tolist() == want
-
-    @pytest.mark.parametrize(
-        "a, b, match",
-        [
-            ([True, False], [0.5, 0.5], r"p_vac_a must lie in \[0, 1\], got True"),
-            ([0.5, 0.5], [0.5, 1.2], r"p_vac_b must lie in \[0, 1\], got 1.2"),
-            ([0.5, 0.5], [0.5, 0.5, 0.5], r"p_vac_b of shape \(3,\)"),
-            ([0.5, 0.5], 0.5, r"p_vac_b of shape \(\)"),
-        ],
-        ids=["bool", "out-of-range", "lengths", "float-and-array"],
-    )
-    def test_bad_arrays_rejected(self, a, b, match):
-        b = b if isinstance(b, float) else np.array(b)
-        with pytest.raises(ValueError, match=match):
-            sec.vacuum_fidelity_bound(np.array(a), b)
-
 
 class TestSourceCharacterization:
     def test_corr_len_is_the_number_of_deficits(self):

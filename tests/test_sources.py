@@ -349,9 +349,7 @@ class TestGoldenSection:
 
         defaults = inspect.signature(golden).parameters
         assert src._GOLDEN_XTOL == defaults["tol"].default
-        assert inspect.signature(src._golden).parameters["maxiter"].default == (
-            defaults["maxiter"].default
-        )
+        assert src._GOLDEN_MAXITER == defaults["maxiter"].default
 
     def test_readme_rows_match_scipy(self, monkeypatch):
         real_golden, real_rate = src._golden, src.rate_at_mu
