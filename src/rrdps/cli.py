@@ -16,10 +16,12 @@ Subcommands:
 Configs are JSON files; numeric output uses 12 significant digits and no
 timestamps, so reruns with the same config and seed are byte identical
 at a fixed BLAS thread count.  The CLI checks the type of each config
-value and the ``f_ec_mode`` key, which only it reads; ``ProtocolConfig``
-checks the ranges of the protocol parameters.  Every config error, a file
-that is not UTF-8 JSON included, is printed with the config path in front
-and raised before the first rate is evaluated.
+value; ``ProtocolConfig`` checks the ranges of the protocol parameters and
+prices error correction at ``f_ec_fixed`` if given, else at the Shannon
+limit.  ``--out`` and ``--seed`` override ``output_path`` and ``seed``, and
+a key is checked whenever present.  Every config error, a file that is not
+UTF-8 JSON included, is printed with the config path in front and raised
+before the first rate is evaluated.
 Relative output paths are resolved against ``RRDPS_OUT_DIR`` when that is
 set.  Exit codes: 0 on success, 1 on usage or config errors (unknown
 keys and non-finite numbers included), 2 when a verification campaign
@@ -44,7 +46,7 @@ import numpy as np
 
 from . import __version__
 from .oracle import run_family_campaign, verify_fidelity_proposition
-from .security import KeyRateResult, ProtocolConfig, key_rate
+from .security import ProtocolConfig, key_rate
 from .simulate import run_simulation
 from .sources import _coherent_point, optimize_mu, rate_at_mu
 
@@ -95,7 +97,7 @@ def _load_config(path: str) -> dict:
 
 
 # Every key each config may hold; anything else is a config error.
-_COMMON_KEYS = {"e_bit", "mu_mode", "f_ec_mode", "f_ec_fixed", "output_path"}
+_COMMON_KEYS = {"e_bit", "mu_mode", "f_ec_fixed", "output_path"}
 _RATE_KEYS = _COMMON_KEYS | {"corr_len_list", "eta_grid"}
 _KEYRATE_KEYS = _RATE_KEYS | {"group_size", "delta"}
 _SWEEP_KEYS = _RATE_KEYS | {"group_size_list", "delta_list"}
@@ -149,9 +151,19 @@ def _eta_grid(cfg: dict, where: str) -> list[float]:
         raise ValueError(f"{where}: eta grid must satisfy 0 <= min <= max <= 1")
     if log and lo <= 0.0:
         raise ValueError(f"{where}: log-spaced eta grid needs min > 0")
-    if log:
-        return [float(x) for x in np.geomspace(lo, hi, points)]
-    return [float(x) for x in np.linspace(lo, hi, points)]
+    return (np.geomspace if log else np.linspace)(lo, hi, points).tolist()
+
+
+def _flag_or_key(flag, cfg: dict, key: str, valid, bad: str, missing: str, where: str):
+    """The flag's value if it is given, else the config key's.  Each one
+    present must pass ``valid``, so a flag never hides a bad key."""
+    values = ([cfg[key]] if key in cfg else []) + ([] if flag is None else [flag])
+    for value in values:
+        if not valid(value):
+            raise ValueError(f"{where}: {key} must be {bad}, got {value!r}")
+    if not values:
+        raise ValueError(f"{where}: {missing}")
+    return values[-1]
 
 
 def _mu_mode(cfg: dict, where: str) -> Optional[float]:
@@ -190,37 +202,15 @@ def _read_config(args: argparse.Namespace, known: set) -> tuple[dict, _Common]:
     where = args.config
     cfg = _load_config(where)
     _reject_unknown(cfg, known, where)
-    f_ec_mode = cfg.get("f_ec_mode", "shannon")
-    if f_ec_mode not in ("shannon", "fixed"):
-        raise ValueError(f"{where}: f_ec_mode must be 'shannon' or 'fixed'")
-    f_ec_fixed = None
+    f_ec = None
     if "f_ec_fixed" in cfg:
-        f_ec_fixed = float(_get(cfg, "f_ec_fixed", _NUMBER, where))
-    if (f_ec_fixed is None) == (f_ec_mode == "fixed"):
-        message = "f_ec_fixed must be given exactly when f_ec_mode is 'fixed'"
-        raise ValueError(f"{where}: {message}")
-    out = args.out or cfg.get("output_path")
-    if not out:
-        raise ValueError(f"{where}: no output path (use --out or output_path)")
-    if not isinstance(out, str):
-        raise ValueError(f"{where}: key 'output_path' has wrong type")
-    common = _Common(
-        where=where,
-        e_bit=float(_get(cfg, "e_bit", _NUMBER, where)),
-        f_ec_fixed=f_ec_fixed,
-        fixed_mu=_mu_mode(cfg, where),
-        out=out,
+        f_ec = float(_get(cfg, "f_ec_fixed", _NUMBER, where))
+    out = _flag_or_key(
+        args.out, cfg, "output_path", lambda v: isinstance(v, str) and v != "",
+        "a nonempty string", "no output path (use --out or output_path)", where,
     )
-    return cfg, common
-
-
-def _mu_step(
-    protocol: ProtocolConfig, delta: float, eta: float, fixed_mu: Optional[float]
-) -> tuple[float, KeyRateResult]:
-    """The mu of one rate point, optimised unless fixed, and its rate."""
-    if fixed_mu is None:
-        return optimize_mu(protocol, delta, eta)
-    return fixed_mu, rate_at_mu(protocol, delta, eta, fixed_mu)
+    e_bit = float(_get(cfg, "e_bit", _NUMBER, where))
+    return cfg, _Common(where, e_bit, f_ec, _mu_mode(cfg, where), out)
 
 
 _RATE_HEADER = [
@@ -261,7 +251,11 @@ def _cmd_rates(args: argparse.Namespace) -> int:
     rows = []
     for same_size, delta in product(protocols, deltas):
         for protocol, eta in product(same_size, etas):
-            mu, res = _mu_step(protocol, delta, eta, common.fixed_mu)
+            mu = common.fixed_mu
+            if mu is None:
+                mu, res = optimize_mu(protocol, delta, eta)
+            else:
+                res = rate_at_mu(protocol, delta, eta, mu)
             g = res.per_group[0]
             rows.append(
                 [
@@ -297,11 +291,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     n_blocks = _get(cfg, "n_blocks", int, where)
     if n_blocks < 1:
         raise ValueError(f"{where}: n_blocks must be >= 1, got {n_blocks}")
-    seed = args.seed if args.seed is not None else cfg.get("seed")
-    if seed is None:
-        raise ValueError(f"{where}: no seed (use --seed or a \"seed\" key)")
-    if not _is(seed, int) or seed < 0:
-        raise ValueError(f"{where}: seed must be a non-negative integer, got {seed!r}")
+    seed = _flag_or_key(
+        args.seed, cfg, "seed", lambda v: _is(v, int) and v >= 0,
+        "a non-negative integer", 'no seed (use --seed or a "seed" key)', where,
+    )
     protocol = common.protocol(group_size, corr_len)
 
     mu = common.fixed_mu

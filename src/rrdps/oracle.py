@@ -52,7 +52,7 @@ must fit ``_TABLE_BUDGET`` (2**21) amplitudes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -263,12 +263,10 @@ def _probability(p: np.ndarray, what: str) -> list[float]:
     return np.clip(p, 0.0, 1.0).tolist()
 
 
-def _characterizations(
-    lags: _LagOverlaps, eps_scale: Optional[float] = None
-) -> SourceCharacterization:
-    """The measured characterization of a stack of families, as one batch
-    whose deficits and floors hold one entry per family, with each per-lag
-    deficit scaled by ``eps_scale`` and clipped to [0, 1] if given."""
+def _squared_floors(lags: _LagOverlaps) -> np.ndarray:
+    # The worst-case overlap moduli of a stack of families, squared and
+    # capped at 1: one row per lag, then the bit-0 and bit-1 vacuum floors,
+    # with one entry per family.
     tables, n_trials = lags.tables, len(lags.tables[0])
     worst = [
         np.min(
@@ -285,7 +283,16 @@ def _characterizations(
     moduli = np.concatenate(
         [np.reshape(worst, (-1, n_trials)), np.hypot(vac.real, vac.imag).min(axis=2).T]
     )
-    squares = np.minimum(1.0, moduli * moduli)
+    return np.minimum(1.0, moduli * moduli)
+
+
+def _characterizations(
+    lags: _LagOverlaps, eps_scale: Optional[float] = None
+) -> SourceCharacterization:
+    """The measured characterization of a stack of families, as one batch
+    whose deficits and floors hold one entry per family, with each per-lag
+    deficit scaled by ``eps_scale`` and clipped to [0, 1] if given."""
+    squares = _squared_floors(lags)
     eps = 1.0 - squares[:-2]
     if eps_scale is not None:
         eps = np.clip(eps * eps_scale, 0.0, 1.0)
@@ -301,9 +308,8 @@ def measured_characterization(family: EmissionFamily) -> SourceCharacterization:
     the returned characterization is valid for the family by construction
     rather than by assumption.
     """
-    char = _characterizations(family._lags())
-    eps = tuple(e.item() for e in char.eps)
-    return replace(char, eps=eps, p_vac0=char.p_vac0.item(), p_vac1=char.p_vac1.item())
+    *squares, p_vac0, p_vac1 = _squared_floors(family._lags())[:, 0].tolist()
+    return SourceCharacterization(tuple(1.0 - s for s in squares), p_vac0, p_vac1)
 
 
 @dataclass(frozen=True)

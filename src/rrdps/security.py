@@ -407,13 +407,14 @@ def key_rate(
 ) -> KeyRateResult:
     """Secure key rate per emitted pulse.
 
-    Sums ``q_w * (1 - f_ec - f_pa_w)`` over the groups and divides by the
-    block size; a negative total clamps to zero rather than erroring.
+    Averages ``q_w * (1 - f_ec - f_pa_w)`` over the groups and divides by
+    the group size; a negative average clamps to zero rather than erroring.
     Groups with ``q_w = 0`` contribute nothing and skip the phase-error
     evaluation (their per-group record conservatively carries the trivial
     bound 1, so ``f_pa_w = 1``).  The bound depends on a group only through
-    ``q_w``, so it is evaluated once per distinct detection rate and shared
-    by the groups that have it.
+    ``q_w``, so it is evaluated once per distinct detection rate, and its
+    term is weighted by the share of groups that have it: exactly 1 when
+    all are equal, so no rounded sum lets a longer memory rate higher.
 
     The batch form prices many sources at once: ``source`` a batch, and
     each group's rate a 1-D array with one entry per source.  Every number
@@ -439,8 +440,7 @@ def key_rate(
         )
     f_ec = cfg.f_ec()
     by_q: dict = {}
-    per_group = []
-    total = 0.0
+    keys = []
     for q in q_list:
         # An array is keyed by identity, a float by value.
         key = (id(q),) if isinstance(q, np.ndarray) else q
@@ -448,13 +448,14 @@ def key_rate(
             _require_batch(q, "detection rate must lie in [0, 1], got {}")
             _require_one_shape({"source": source.minus_act, "detection rate": q})
             by_q[key] = _group_rate(cfg.group_size, source.minus_act, q)
-        g = by_q[key]
-        per_group.append(g)
-        # A group without detections, with q = 0 and a finite f_ec, adds an
-        # exact zero, so the sum skips it as if it were left out.
-        total = total + g.q * (1.0 - f_ec - g.f_pa)
-    rate = _each(_clamped, total) / cfg.block_size
-    return KeyRateResult(per_group=tuple(per_group), f_ec=f_ec, rate_per_pulse=rate)
+        keys.append(key)
+    total = 0.0
+    for key, g in by_q.items():
+        # Groups without detections, with q = 0 and a finite f_ec, add an
+        # exact zero, so the sum skips them as if they were left out.
+        total = total + keys.count(key) / cfg.n_groups * (g.q * (1.0 - f_ec - g.f_pa))
+    rate = _each(_clamped, total) / cfg.group_size
+    return KeyRateResult(tuple(by_q[key] for key in keys), f_ec, rate)
 
 
 def _group_rate(group_size: int, minus_act, q) -> GroupRate:

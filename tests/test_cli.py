@@ -185,7 +185,7 @@ class TestKeyrateCommand:
         assert [float(r["rate_per_pulse"]) for r in dark] == [0.0, 0.0]
 
     def test_fixed_error_correction_cost(self, tmp_path):
-        payload = dict(KEYRATE_CFG, f_ec_mode="fixed", f_ec_fixed=0.25)
+        payload = dict(KEYRATE_CFG, f_ec_fixed=0.25)
         cfg = write_config(tmp_path / "c.json", payload)
         out = tmp_path / "r.csv"
         assert cli.main(["keyrate", "--config", cfg, "--out", str(out)]) == 0
@@ -497,7 +497,10 @@ class TestStrictConfigs:
         "payload, message",
         [
             (KEYRATE_CFG, "no output path (use --out or output_path)"),
-            (dict(KEYRATE_CFG, output_path=3), "key 'output_path' has wrong type"),
+            (
+                dict(KEYRATE_CFG, output_path=3),
+                "output_path must be a nonempty string, got 3",
+            ),
         ],
         ids=["missing", "not-a-string"],
     )
@@ -522,14 +525,17 @@ class TestStrictConfigs:
 
 CONFIGS = {"keyrate": KEYRATE_CFG, "sweep": SWEEP_CFG, "simulate": SIM_CFG}
 
-# Error-correction settings that the config reader or ProtocolConfig refuse.
+# Error-correction settings that the config reader or ProtocolConfig
+# refuse, with what the message says.  f_ec_fixed alone selects the fixed
+# cost, so a mode key is unknown, whatever its value.
+MODE_KEY = "unknown key 'f_ec_mode'"
 BAD_F_EC = {
-    "fixed-without-value": {"f_ec_mode": "fixed"},
-    "value-under-shannon": {"f_ec_mode": "shannon", "f_ec_fixed": 0.2},
-    "negative-value": {"f_ec_mode": "fixed", "f_ec_fixed": -0.1},
-    "boolean-value": {"f_ec_mode": "fixed", "f_ec_fixed": True},
-    "unknown-mode": {"f_ec_mode": "ldpc"},
-    "mode-not-a-string": {"f_ec_mode": 1},
+    "fixed-without-value": ({"f_ec_mode": "fixed"}, MODE_KEY),
+    "value-under-shannon": ({"f_ec_mode": "shannon", "f_ec_fixed": 0.2}, MODE_KEY),
+    "unknown-mode": ({"f_ec_mode": "ldpc"}, MODE_KEY),
+    "mode-not-a-string": ({"f_ec_mode": 1}, MODE_KEY),
+    "negative-value": ({"f_ec_fixed": -0.1}, "f_ec_fixed must be a finite number >= 0"),
+    "boolean-value": ({"f_ec_fixed": True}, "key 'f_ec_fixed' has wrong type"),
 }
 
 
@@ -537,10 +543,12 @@ class TestErrorCorrectionOptions:
     @pytest.mark.parametrize("command", sorted(CONFIGS))
     @pytest.mark.parametrize("case", sorted(BAD_F_EC))
     def test_rejected(self, tmp_path, capsys, command, case):
-        cfg = write_config(tmp_path / "c.json", dict(CONFIGS[command], **BAD_F_EC[case]))
+        keys, message = BAD_F_EC[case]
+        cfg = write_config(tmp_path / "c.json", dict(CONFIGS[command], **keys))
         out = tmp_path / "r.csv"
         assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {cfg}: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: ") and message in err
         assert not out.exists()
 
 
@@ -557,7 +565,6 @@ LATE_ERRORS = [
     ("simulate", dict(SIM_CFG, e_bit=0.7)),
     ("simulate", dict(SIM_CFG, mu_mode="optimize", e_bit=0.7)),
     ("simulate", dict(SIM_CFG, mu_mode="optimize", corr_len=-1)),
-    ("simulate", dict(SIM_CFG, mu_mode="optimize", f_ec_fixed=0.2)),
     ("simulate", dict(SIM_CFG, mu_mode="optimize", eta=1.5)),
     ("simulate", dict(SIM_CFG, mu_mode="optimize", n_blocks=0)),
     ("simulate", dict(SIM_CFG, n_blocks=0)),
@@ -576,17 +583,24 @@ def test_config_errors_precede_rate_evaluation(tmp_path, monkeypatch, capsys):
         out = tmp_path / f"r{i}.csv"
         assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1, payload
         assert not out.exists()
-    # A bad seed, from the config or from --seed, is named after the config.
-    bad_seeds = [
-        (dict(SIM_CFG, seed=-3), []),
-        (dict(SIM_CFG, seed=True), []),
-        (SIM_CFG, ["--seed", "-1"]),
+    # A bad seed or output path, from the config or from a flag, is named
+    # after the config; a flag that overrides a bad key does not hide it.
+    seed, path = "seed must be a non-negative integer", "output_path must be a nonempty"
+    bad_keys = [
+        (dict(SIM_CFG, seed=-3), [], seed),
+        (dict(SIM_CFG, seed=True), [], seed),
+        (SIM_CFG, ["--seed", "-1"], seed),
+        (dict(SIM_CFG, seed="abc"), ["--seed", "1"], seed),
+        (dict(SIM_CFG, seed=-5), ["--seed", "1"], seed),
+        (dict(SIM_CFG, seed=True), ["--seed", "1"], seed),
+        (dict(SIM_CFG, output_path=3), [], path),
+        (dict(SIM_CFG, output_path=""), [], path),
     ]
     capsys.readouterr()
-    for i, (payload, flags) in enumerate(bad_seeds):
+    for i, (payload, flags, message) in enumerate(bad_keys):
         cfg = write_config(tmp_path / f"s{i}.json", payload)
         out = tmp_path / f"s{i}.csv"
         args = ["simulate", "--config", cfg, *flags, "--out", str(out)]
         assert cli.main(args) == 1, args
-        assert capsys.readouterr().err.startswith(f"error: {cfg}: seed "), args
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: {message}"), args
         assert not out.exists()

@@ -66,7 +66,6 @@ SIMULATE_OPT_CFG = {
     "e_bit": 0.03,
     "eta": 0.2,
     "mu_mode": "optimize",
-    "f_ec_mode": "fixed",
     "f_ec_fixed": 0.25,
     "n_blocks": 5000,
     "seed": 13,

@@ -244,6 +244,30 @@ BAD_INPUTS = {
         lambda: sec.vacuum_fidelity_bound(0.5, PAIR),
         r"p_vac_b must lie in \[0, 1\], got an array of shape \(2,\)",
     ),
+    "model-mu-batch-entry": (
+        lambda: src.PhaseRotationModel(mu=np.array([0.1, -1.0]), delta=0.2, corr_len=1),
+        r"mu must be a finite number >= 0, got -1.0",
+    ),
+    "model-mu-bool-array": (
+        lambda: src.PhaseRotationModel(mu=np.array([True, False]), delta=0.2, corr_len=1),
+        r"mu must be a finite number >= 0, got True",
+    ),
+    "characterization-eps-batch-entry": (
+        lambda: sec.SourceCharacterization(
+            eps=(np.array([0.1, 1.5]),), p_vac0=np.full(2, 0.9), p_vac1=np.full(2, 0.9)
+        ),
+        r"eps at lag 1 must lie in \[0, 1\], got 1.5",
+    ),
+    "characterization-p-vac0-nan-entry": (
+        lambda: sec.SourceCharacterization(
+            eps=(), p_vac0=np.array([0.9, np.nan]), p_vac1=np.full(2, 0.9)
+        ),
+        r"p_vac0 must lie in \[0, 1\], got nan",
+    ),
+    "key-rate-q-batch-entry": (
+        lambda: sec.key_rate(CFG, BATCH, [np.array([0.1, 0.2, 2.0])] * 2),
+        r"detection rate must lie in \[0, 1\], got 2.0",
+    ),
     "campaign-eps-scale-array": (
         lambda: orc.run_family_campaign(2, 1, eps_scale=PAIR),
         r"eps_scale must be a finite number >= 0, got an array of shape \(2,\)",

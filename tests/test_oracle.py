@@ -620,6 +620,25 @@ class TestMeasuredCharacterization:
         assert char.eps == ()
         assert 0.0 <= char.p_vac0 <= 1.0
 
+    def test_builds_one_record_equal_to_the_batch_entry(self, monkeypatch):
+        fam = orc.random_family(4, 2, 6, seed=1)
+        batch = orc._characterizations(fam._lags())
+        built = []
+        real = sec.SourceCharacterization.__post_init__
+
+        def counted(record):
+            built.append(record)
+            real(record)
+
+        monkeypatch.setattr(sec.SourceCharacterization, "__post_init__", counted)
+        char = orc.measured_characterization(fam)
+        assert len(built) == 1
+        assert char.eps == tuple(e.item() for e in batch.eps)
+        derived = ("plus_vac_floor", "a1_floor", "minus_ref", "fidelity", "minus_act")
+        for name in ("p_vac0", "p_vac1", *derived):
+            value = getattr(char, name)
+            assert type(value) is float and value == getattr(batch, name).item(), name
+
 
 # A modulus whose correctly rounded square, x * x = 0.37804247084817577, is
 # not what every libm's pow(x, 2) returns, and whose vacuum alignment
