@@ -1,5 +1,6 @@
 """Properties of the key rate, checked on drawn sources: a worse source
-never rates higher, and a batch entry is its one-point rate.
+never rates higher, a batch entry is its one-point rate, and so is the
+rate that ``optimize_mu``'s search evaluates.
 
 Below a relative step of about 1e-14 in ``minus_act``, ``_transfer`` and
 ``phase_error_upper`` round either way (one ulp more ``minus_act`` can
@@ -13,10 +14,11 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from rrdps import security as sec  # noqa: E402
+from rrdps import sources as src  # noqa: E402
 
 # On a failure hypothesis imports libcst to write a patch of the failing
 # example, and libcst's import warns; as an error that warning would end
@@ -99,3 +101,35 @@ def test_batch_entries_are_one_point_rates(n, e_bit, corr_len, entries):
         got += [getattr(batch.per_group[0], f)[i] for f in FIELDS]
         want = [point.rate_per_pulse] + [getattr(point.per_group[0], f) for f in FIELDS]
         assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
+
+
+# The search objective against the one-point rate.  Two examples always
+# run: no detections (eta 0, so q = 0), and a source so correlated that
+# minus_act is the trivial 1.
+NO_CLICKS = (32, 1, 0.2, 0.0, 0.05)
+TRIVIAL_CAP = (32, 2, 3.0, 0.3, 10.0)
+
+
+def test_examples_reach_both_edges():
+    n, _, _, eta, mu = NO_CLICKS
+    assert src.detection_rate(n, eta, mu) == 0.0
+    _, corr_len, delta, _, mu = TRIVIAL_CAP
+    model = src.PhaseRotationModel(mu=mu, delta=delta, corr_len=corr_len)
+    assert src.characterize(model).minus_act == 1.0
+
+
+@PROPERTY
+@example(*NO_CLICKS)
+@example(*TRIVIAL_CAP)
+@given(
+    st.integers(3, 1024),
+    st.integers(0, 64),
+    st.one_of(st.just(0.0), st.floats(-4.0, 4.0)),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    st.floats(src.MU_MIN, src.MU_MAX),
+)
+def test_search_objective_is_the_one_point_rate(n, corr_len, delta, eta, mu):
+    cfg = sec.ProtocolConfig(n, corr_len, 0.03)
+    got = src._rate_of_mu(cfg, delta, eta)(mu)
+    want = src.rate_at_mu(cfg, delta, eta, mu).rate_per_pulse
+    assert float(got).hex() == float(want).hex()

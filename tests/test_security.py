@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from rrdps import security as sec
+from rrdps import sources as src
 
 # Frozen from independent evaluations at 50-digit working precision.
 H_011 = 0.49991595816452799564
@@ -157,9 +158,15 @@ class TestBinomialTail:
         assert 0.3 < sec.binomial_tail(1024, 306, 0.3) < 0.7
 
     def test_cached_row_is_read_only(self):
-        row = sec._log_binom_row(16)
-        with pytest.raises(ValueError):
-            row[0] = 0.0
+        # Every cached array is shared with later calls: the tail constants,
+        # and optimize_mu's mu grid and each array of the grid's source.
+        grid = src._grid_source(2, 0.2)
+        fields = [*grid.eps, *vars(grid).values()]
+        arrays = [f for f in fields if isinstance(f, np.ndarray)]
+        assert len(arrays) == 2 + 2 + 5  # deficits, floors, derived bounds
+        for array in [*sec._log_binom_row(16), src._mu_grid(), *arrays]:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -387,21 +394,30 @@ class TestKeyRate:
             sec.key_rate(cfg, self._bounds((0.0,), 1.0), [0.5])
 
     def test_bound_evaluated_once_per_distinct_rate(self, monkeypatch):
-        calls = []
-        real = sec.phase_error_upper
+        # The pricer runs once per distinct rate, and evaluates the bound
+        # only where the rate is positive.
+        priced, bounded = [], []
+        real_price, real_bound = sec._group_rate, sec._phase_errors
 
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
+        def price(*args):
+            priced.append(args[2])
+            return real_price(*args)
 
-        monkeypatch.setattr(sec, "phase_error_upper", counting)
+        def bound(*args):
+            bounded.append(args[2])
+            return real_bound(*args)
+
+        monkeypatch.setattr(sec, "_group_rate", price)
+        monkeypatch.setattr(sec, "_phase_errors", bound)
         cfg = sec.ProtocolConfig(group_size=8, corr_len=3, e_bit=0.02)
         bounds = self._bounds((0.01, 0.005, 0.002), 0.95)
         res = sec.key_rate(cfg, bounds, [0.2, 0.3, 0.2, 0.0])
-        assert [a[2] for a in calls] == [0.2, 0.3]
+        assert priced == [0.2, 0.3, 0.0]
+        assert bounded == [0.2, 0.3]
         assert res.per_group[0] == res.per_group[2]
-        assert res.per_group[0].e_ph_upper == real(8, bounds.minus_act, 0.2)
-        calls.clear()
+        want = sec.phase_error_upper(8, bounds.minus_act, 0.2)
+        assert res.per_group[0].e_ph_upper == want
+        priced.clear()
         cfg = sec.ProtocolConfig(group_size=8, corr_len=10, e_bit=0.02)
         sec.key_rate(cfg, self._bounds((0.01,) * 10, 0.95), [0.2] * 11)
-        assert len(calls) == 1
+        assert priced == [0.2]

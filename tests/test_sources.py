@@ -259,16 +259,58 @@ class TestOptimizeMu:
     )
     def test_bad_input_is_rejected_before_any_rate(self, monkeypatch, args, message):
         # The messages are the ones the per-mu grid raised at its first point;
-        # the group size is ProtocolConfig's to check.
+        # the group size is ProtocolConfig's to check.  A grid source counts
+        # as work: a cached one would hide a check that runs only on a miss.
         def evaluated(*_):
             raise AssertionError("a rate was evaluated before the input was checked")
 
         monkeypatch.setattr(sec, "_tail_row", evaluated)
         monkeypatch.setattr(sec, "_phase_errors", evaluated)
+        monkeypatch.setattr(src, "_grid_source", evaluated)
         group_size, corr_len, delta, eta = args
         with pytest.raises(ValueError) as err:
             src.optimize_mu(protocol(group_size, corr_len), delta, eta)
         assert str(err.value) == message
+
+    def test_cached_grid_keeps_every_check(self, monkeypatch):
+        # True == 1.0 and both hash alike, so a cache looked up before the
+        # check would hand True the source of delta 1.0, and price it.
+        cfg = protocol(16, 1)
+        first = src.optimize_mu(cfg, 1.0, 0.3)
+        assert src._grid_source(1, True) is src._grid_source(1, 1.0)
+        with pytest.raises(ValueError, match="read-only"):
+            src._grid_source(1, 1.0).minus_act[0] = 0.0
+        assert src.optimize_mu(cfg, 1.0, 0.3) == first
+
+        def evaluated(*_):
+            raise AssertionError("a rate was evaluated before delta was checked")
+
+        monkeypatch.setattr(sec, "_tail_row", evaluated)
+        for delta in (True, np.True_):
+            with pytest.raises(ValueError, match=f"^delta must be finite, got {delta}$"):
+                src.optimize_mu(cfg, delta, 0.3)
+
+    def test_searched_row_makes_one_rate_record(self, monkeypatch):
+        # The search runs on the rate's private steps; the one rate_at_mu
+        # call of a row is the returned result, at one mu.
+        calls = []
+        real = src.rate_at_mu
+
+        def record(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(src, "rate_at_mu", record)
+        searched = []
+        real_golden = src._golden
+        monkeypatch.setattr(
+            src, "_golden", lambda *a: searched.append(a) or real_golden(*a)
+        )
+        cfg = protocol(32, 2)
+        mu_opt, _ = src.optimize_mu(cfg, 0.2, 0.03)
+        assert len(searched) == 1
+        assert calls == [(cfg, 0.2, 0.03, mu_opt)]
+        assert isinstance(mu_opt, float)
 
 
 class TestGridBatch:
@@ -339,9 +381,10 @@ class TestGoldenSection:
             return func(x)
 
         got = src._golden(counted, *brack)
-        want, _, nfev = golden(func, brack=brack, full_output=True)
-        assert got == want
+        want, fval, nfev = golden(func, brack=brack, full_output=True)
+        assert got == (want, fval)
         assert len(calls) == nfev - 3
+        return len(calls)
 
     def test_stop_rule_is_scipys_default(self):
         # A slightly different xtol changes no iterate on most objectives.
@@ -353,32 +396,37 @@ class TestGoldenSection:
 
     def test_readme_rows_match_scipy(self, monkeypatch):
         real_golden, real_rate = src._golden, src.rate_at_mu
-        searches = []  # (objective, bracket, rate evaluations in the search)
+        searches = []  # (objective, bracket, objective evaluations)
         n_rate = 0
 
-        def count_rate(cfg, delta, eta, mu):
-            # An array pass evaluates every mu of the array.
+        def count_rate(*args):
             nonlocal n_rate
-            n_rate += np.size(mu)
-            return real_rate(cfg, delta, eta, mu)
+            n_rate += 1
+            return real_rate(*args)
 
         def record_golden(func, *brack):
-            start = n_rate
-            x = real_golden(func, *brack)
-            searches.append((func, brack, n_rate - start))
-            return x
+            calls = []
+
+            def counted(x):
+                calls.append(x)
+                return func(x)
+
+            found = real_golden(counted, *brack)
+            searches.append((func, brack, len(calls)))
+            return found
 
         monkeypatch.setattr(src, "rate_at_mu", count_rate)
         monkeypatch.setattr(src, "_golden", record_golden)
         for corr_len, eta in README_ROWS:
             start = n_rate
             src.optimize_mu(protocol(32, corr_len), 0.2, eta)
-            # The grid and the search; nothing is re-evaluated afterwards.
-            assert n_rate - start == 200 + searches[-1][2]
+            # The search's objective, then one rate record for the result.
+            assert n_rate - start == 1
         assert len(searches) == len(README_ROWS)
         monkeypatch.undo()
-        for func, brack, _ in searches:
-            self._compare(func, brack)
+        for func, brack, n_objective in searches:
+            # Again, and the same count as scipy's, fewer its three points.
+            assert self._compare(func, brack) == n_objective
 
     @pytest.mark.parametrize(
         "brack",
