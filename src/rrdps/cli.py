@@ -89,7 +89,7 @@ def _load_config(path: str) -> dict:
         hooks = {"parse_float": finite(float), "parse_int": finite(int)}
         try:
             cfg = json.load(f, parse_constant=reject, **hooks)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ValueError(f"{path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: config root must be a JSON object")

@@ -24,11 +24,8 @@ exactly as float arithmetic does, but makes every libm call and every
 branch entry by entry (``_each``), so that each entry is bitwise equal to
 a one-point call; only the square root, which IEEE 754 rounds correctly,
 runs on the whole array.  Most of a one-point rate's cost is Python and numpy
-call overhead, which a batch pays once per array: at group size 32,
-``rate_at_mu`` takes about 23 us at corr_len 0 and 37 us at corr_len 10 on
-one core of a 2-vCPU Xeon, and the private steps that the mu search of
-:func:`rrdps.sources.optimize_mu` runs without checks or records 12 and
-17 us.  Names for error messages are built only when a check fails.
+call overhead, which a batch pays once per array.  Names for error messages
+are built only when a check fails.
 """
 
 from __future__ import annotations

@@ -11,19 +11,15 @@ Randomness is drawn from counter-keyed streams in fixed-size chunks with
 fixed shapes, so results are reproducible, independent of chunking, and a
 longer run extends a shorter one with the same seed.  Each group draws,
 per chunk, success, delay, first position and flip from one Philox
-stream.  The record iterator reads all four; the aggregate counts read
-only success and flip, from the stream's raw words, and skip the delay
-and position draws by advancing its counter, so they see the same values
-and agree with the records exactly.  The pulse bits have a stream of
-their own, which only the record iterator draws: a flip decides an error
-whatever the bits are, so the aggregate counts never read them.
+stream.  The counts read only success and flip, from the stream's raw
+words, and skip the delay and position draws by advancing its counter.
+No pulse bits are drawn: a flip decides an error whatever the bits are.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
 
 import numpy as np
 
@@ -39,29 +35,9 @@ from .sources import _coherent_point
 _CHUNK = 4096
 
 
-@dataclass(frozen=True)
-class GroupOutcome:
-    """Measurement result of one group within one block."""
-
-    group: int
-    success: bool
-    delay: Optional[int] = None
-    first: Optional[int] = None   # absolute 1-based pulse index
-    second: Optional[int] = None
-    sent: Optional[int] = None    # parity of the two encoded bits
-    measured: Optional[int] = None
-    flipped: Optional[bool] = None
-
-
-@dataclass(frozen=True)
-class BlockRecord:
-    block: int
-    bits: tuple[int, ...]
-    outcomes: tuple[GroupOutcome, ...]
-
-
 def _stream(seed: int, key: int, chunk: int) -> np.random.Generator:
-    # Key 0 draws the pulse bits, key w the draws of group w.
+    # Key w feeds the draws of group w; key 0 is kept for the pulse bits,
+    # which only the tests' per-block transcript draws.
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(key, chunk)))
     )
@@ -112,59 +88,6 @@ def _below(words: np.ndarray, p: float) -> np.ndarray:
     return (words >> 11) < math.ceil(p * 2**53)
 
 
-def _check_run_args(q_success: float, n_blocks: int, seed: int) -> None:
-    _require(q_success, "q_success must lie in [0, 1], got {}")
-    _require_integer("n_blocks", n_blocks, 1)
-    _require_integer("seed", seed, 0)
-
-
-def iter_block_records(
-    cfg: ProtocolConfig, q_success: float, n_blocks: int, seed: int
-) -> Iterator[BlockRecord]:
-    """Per-block protocol transcript, mainly for inspection and tests; the
-    arguments are checked as by :func:`run_simulation` when iteration starts."""
-    _check_run_args(q_success, n_blocks, seed)
-    stride = cfg.n_groups
-    for c, start in enumerate(range(0, n_blocks, _CHUNK)):
-        draws = [
-            _full_draw(cfg, q_success, seed, w, c) for w in range(1, cfg.n_groups + 1)
-        ]
-        bits = _stream(seed, 0, c).integers(
-            0, 2, size=(_CHUNK, cfg.block_size), dtype=np.int8
-        )
-        for b in range(min(_CHUNK, n_blocks - start)):
-            block = start + b + 1
-            outcomes = []
-            for w, (succ, delays, us, flips) in enumerate(draws, start=1):
-                if not succ[b]:
-                    outcomes.append(GroupOutcome(group=w, success=False))
-                    continue
-                delay = int(delays[b])
-                u = int(us[b])
-                rel1 = stride * (u - 1) + (w - 1)
-                rel2 = stride * (u + delay - 1) + (w - 1)
-                sent = int(bits[b, rel1] ^ bits[b, rel2])
-                flipped = bool(flips[b])
-                base = (block - 1) * cfg.block_size
-                outcomes.append(
-                    GroupOutcome(
-                        group=w,
-                        success=True,
-                        delay=delay,
-                        first=base + rel1 + 1,
-                        second=base + rel2 + 1,
-                        sent=sent,
-                        measured=sent ^ int(flipped),
-                        flipped=flipped,
-                    )
-                )
-            yield BlockRecord(
-                block=block,
-                bits=tuple(int(x) for x in bits[b]),
-                outcomes=tuple(outcomes),
-            )
-
-
 @dataclass(frozen=True)
 class SimResult:
     """Aggregate outcome of a session of protocol ``cfg`` and its extracted key size."""
@@ -203,7 +126,9 @@ def run_simulation(
     Groups without successes contribute nothing.  The final length is
     clamped at zero and floored to an integer; the result keeps ``cfg``.
     """
-    _check_run_args(q_success, n_blocks, seed)
+    _require(q_success, "q_success must lie in [0, 1], got {}")
+    _require_integer("n_blocks", n_blocks, 1)
+    _require_integer("seed", seed, 0)
     n_success = np.zeros(cfg.n_groups, dtype=np.int64)
     n_errors = np.zeros(cfg.n_groups, dtype=np.int64)
     for c, start in enumerate(range(0, n_blocks, _CHUNK)):

@@ -511,8 +511,13 @@ class TestStrictConfigs:
 
     @pytest.mark.parametrize(
         "text",
-        [b'{"group_size": 32,', b"\xff\xfe{}", b"[1, 2]"],
-        ids=["truncated", "utf-16-bom", "list-root"],
+        [
+            b'{"group_size": 32,',
+            b"\xff\xfe{}",
+            b"[1, 2]",
+            b"[" * 100000 + b"]" * 100000,
+        ],
+        ids=["truncated", "utf-16-bom", "list-root", "deeply-nested"],
     )
     def test_unreadable_config_names_its_path(self, tmp_path, capsys, text):
         cfg = tmp_path / "c.json"

@@ -1,4 +1,4 @@
-"""Byte-for-byte golden outputs of the CLI and the block-record iterator.
+"""Byte-for-byte golden outputs of the CLI and of the test transcript.
 
 The files under ``tests/golden/`` pin the exact bytes of the README
 keyrate run (mu optimised, 100 rows), a sweep that reaches group size
@@ -24,8 +24,8 @@ import tempfile
 from pathlib import Path
 
 from rrdps import cli
-from rrdps import simulate as sim
 from rrdps.security import ProtocolConfig
+from transcript import iter_block_records
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -101,7 +101,7 @@ def _records() -> bytes:
     cfg = ProtocolConfig(group_size=4, corr_len=2, e_bit=0.25)
     lines = [
         json.dumps(dataclasses.asdict(rec)) + "\n"
-        for rec in sim.iter_block_records(cfg, 0.5, max(RECORD_BLOCKS), seed=3)
+        for rec in iter_block_records(cfg, 0.5, max(RECORD_BLOCKS), seed=3)
         if rec.block in RECORD_BLOCKS
     ]
     return "".join(lines).encode("utf-8")

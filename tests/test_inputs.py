@@ -232,10 +232,6 @@ BAD_INPUTS = {
         lambda: sim.run_simulation(CFG, SOURCE, PAIR, 10, 1),
         r"q_success must lie in \[0, 1\], got an array of shape \(2,\)",
     ),
-    "records-q-array": (
-        lambda: next(sim.iter_block_records(CFG, PAIR, 10, 1)),
-        r"q_success must lie in \[0, 1\], got an array of shape \(2,\)",
-    ),
     "entropy-array": (
         lambda: sec.binary_entropy(PAIR),
         r"entropy argument must lie in \[0, 1\], got an array of shape \(2,\)",

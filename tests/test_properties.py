@@ -1,6 +1,7 @@
 """Properties of the key rate, checked on drawn sources: a worse source
-never rates higher, a batch entry is its one-point rate, and so is the
-rate that ``optimize_mu``'s search evaluates.
+never rates higher, the phase-error bound does not fall as ``minus_act``
+rises or rise as the detection rate rises, a batch entry is its one-point
+rate, and so is the rate that ``optimize_mu``'s search evaluates.
 
 Below a relative step of about 1e-14 in ``minus_act``, ``_transfer`` and
 ``phase_error_upper`` round either way (one ulp more ``minus_act`` can
@@ -41,8 +42,7 @@ def rate(group_size, e_bit, source, q):
     return sec.key_rate(cfg, source, [q] * cfg.n_groups).rate_per_pulse
 
 
-def above_ulp_scale(before, after):
-    a, b = before.minus_act, after.minus_act
+def above_ulp_scale(a, b):
     return a == b or abs(a - b) >= 1e-12 * max(a, b)
 
 
@@ -54,7 +54,7 @@ def test_larger_deficit_never_raises_the_rate(n, e_bit, eps, data, p0, p1, q, st
     worse[lag] = min(1.0, eps[lag] * (1.0 + step))
     source = sec.SourceCharacterization(tuple(eps), p0, p1)
     worse_source = sec.SourceCharacterization(tuple(worse), p0, p1)
-    assume(above_ulp_scale(source, worse_source))
+    assume(above_ulp_scale(source.minus_act, worse_source.minus_act))
     assert rate(n, e_bit, worse_source, q) <= rate(n, e_bit, source, q)
 
 
@@ -63,7 +63,7 @@ def test_larger_deficit_never_raises_the_rate(n, e_bit, eps, data, p0, p1, q, st
 def test_appended_lag_never_raises_the_rate(n, e_bit, eps, extra, p0, p1, q):
     source = sec.SourceCharacterization(tuple(eps), p0, p1)
     longer = sec.SourceCharacterization((*eps, extra), p0, p1)
-    assume(above_ulp_scale(source, longer))
+    assume(above_ulp_scale(source.minus_act, longer.minus_act))
     assert rate(n, e_bit, longer, q) <= rate(n, e_bit, source, q)
 
 
@@ -74,8 +74,25 @@ def test_higher_vacuum_floor_never_lowers_the_rate(n, e_bit, eps, p0, p1, q, up,
     floors[bit1] += (1.0 - floors[bit1]) * up
     source = sec.SourceCharacterization(tuple(eps), p0, p1)
     better = sec.SourceCharacterization(tuple(eps), *floors)
-    assume(above_ulp_scale(source, better))
+    assume(above_ulp_scale(source.minus_act, better.minus_act))
     assert rate(n, e_bit, better, q) >= rate(n, e_bit, source, q)
+
+
+@PROPERTY
+@given(
+    st.integers(3, 1024),
+    st.floats(0.0, 1.0),
+    st.floats(1e-12, 1.0),
+    st.floats(0.0, 1.0, exclude_min=True),
+    st.floats(1e-12, 1.0),
+)
+def test_phase_error_bound_is_monotone(n, minus_act, step, q, q_step):
+    more_minus = min(1.0, minus_act * (1.0 + step))
+    more_q = min(1.0, q * (1.0 + q_step))
+    assume(above_ulp_scale(minus_act, more_minus))
+    bound = sec.phase_error_upper(n, minus_act, q)
+    assert sec.phase_error_upper(n, more_minus, q) >= bound
+    assert sec.phase_error_upper(n, minus_act, more_q) <= bound
 
 
 ENTRIES = st.tuples(

@@ -8,6 +8,7 @@ import pytest
 from rrdps import security as sec
 from rrdps import simulate as sim
 from rrdps import sources as src
+from transcript import iter_block_records
 
 
 def _bounds(mu: float, delta: float, corr_len: int) -> sec.SourceCharacterization:
@@ -57,7 +58,7 @@ class TestRecords:
     CFG = sec.ProtocolConfig(group_size=8, corr_len=1, e_bit=0.05)
 
     def test_pair_geometry(self):
-        for rec in sim.iter_block_records(self.CFG, 0.5, 200, seed=3):
+        for rec in iter_block_records(self.CFG, 0.5, 200, seed=3):
             for o in rec.outcomes:
                 if not o.success:
                     assert o.first is None and o.delay is None
@@ -69,7 +70,7 @@ class TestRecords:
 
     def test_parity_recomputable_from_bits(self):
         block_size = self.CFG.block_size
-        for rec in sim.iter_block_records(self.CFG, 0.5, 100, seed=9):
+        for rec in iter_block_records(self.CFG, 0.5, 100, seed=9):
             for o in rec.outcomes:
                 if not o.success:
                     continue
@@ -81,25 +82,21 @@ class TestRecords:
     @pytest.mark.parametrize(
         "bad",
         [{"q_success": 1.5}, {"n_blocks": True}, {"n_blocks": 0}, {"seed": -1}],
-        ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
+        ids=lambda bad: "-".join(["counts", *(f"{k}={v}" for k, v in bad.items())]),
     )
-    @pytest.mark.parametrize("records", [True, False], ids=["records", "counts"])
-    def test_bad_arguments_rejected(self, records, bad):
+    def test_bad_arguments_rejected(self, bad):
         args = {"q_success": 0.5, "n_blocks": 10, "seed": 1, **bad}
         with pytest.raises(ValueError, match=next(iter(bad))):
-            if records:
-                next(sim.iter_block_records(self.CFG, **args))
-            else:
-                sim.run_simulation(self.CFG, _bounds(0.2, 0.1, 1), **args)
+            sim.run_simulation(self.CFG, _bounds(0.2, 0.1, 1), **args)
 
     def test_prefix_property(self):
-        short = list(sim.iter_block_records(self.CFG, 0.5, 300, seed=4))
-        longer = list(sim.iter_block_records(self.CFG, 0.5, 9000, seed=4))
+        short = list(iter_block_records(self.CFG, 0.5, 300, seed=4))
+        longer = list(iter_block_records(self.CFG, 0.5, 9000, seed=4))
         assert short == longer[:300]
 
     def test_seed_sensitivity(self):
-        a = list(sim.iter_block_records(self.CFG, 0.5, 50, seed=1))
-        b = list(sim.iter_block_records(self.CFG, 0.5, 50, seed=2))
+        a = list(iter_block_records(self.CFG, 0.5, 50, seed=1))
+        b = list(iter_block_records(self.CFG, 0.5, 50, seed=2))
         assert a != b
 
 
@@ -118,7 +115,7 @@ class TestRunSimulation:
         sim.run_simulation(self.CFG, _bounds(0.2, 0.2, 1), 0.4, 5000, seed=6)
         assert sorted(set(keys)) == [1, 2]
         keys.clear()
-        list(sim.iter_block_records(self.CFG, 0.4, 5000, seed=6))
+        list(iter_block_records(self.CFG, 0.4, 5000, seed=6))
         assert sorted(set(keys)) == [0, 1, 2]
 
     def test_counts_match_records(self):
@@ -126,7 +123,7 @@ class TestRunSimulation:
         res = sim.run_simulation(self.CFG, bounds, 0.4, 700, seed=6)
         ns = [0] * self.CFG.n_groups
         ne = [0] * self.CFG.n_groups
-        for rec in sim.iter_block_records(self.CFG, 0.4, 700, seed=6):
+        for rec in iter_block_records(self.CFG, 0.4, 700, seed=6):
             for o in rec.outcomes:
                 if o.success:
                     ns[o.group - 1] += 1
