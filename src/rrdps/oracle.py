@@ -32,11 +32,11 @@ order and from the trial's own stream; a random family's trial holds only
 its family's seed.  It then takes each layout's trials in chunks of at most
 ``_CHUNK_AMPLITUDES`` table amplitudes, or one trial where one family holds
 more, and draws, builds, characterizes and checks each chunk in one array
-pass.  A chunk's measured characterization is one batch of the security
-layer, which derives its caps and floors once, with one entry per trial,
-and each closed form of its checks is one array expression over its
-trials.  Gathering each trial's tail overlap is the one step per trial,
-since the analyzed pulse and its history differ between trials.  Stacked
+pass.  The security layer derives a chunk's caps and floors once from its
+measured deficits and floors (``_derive``), with one entry per trial, and
+each closed form of its checks is one array expression over its trials.
+Gathering each trial's tail overlap is the one step per trial, since the
+analyzed pulse and its history differ between trials.  Stacked
 norms and overlaps are bitwise equal to the one-vector forms, and batch
 caps to one-point ones, so a stack's results do not depend on what else it
 holds.  A modulus is squared as ``x * x``, which is correctly rounded, as
@@ -61,6 +61,7 @@ import numpy as np
 from .security import (
     SourceCharacterization,
     _LARGEST,
+    _derive,
     _require,
     _require_integer,
     _transfer,
@@ -286,17 +287,16 @@ def _squared_floors(lags: _LagOverlaps) -> np.ndarray:
     return np.minimum(1.0, moduli * moduli)
 
 
-def _characterizations(
-    lags: _LagOverlaps, eps_scale: Optional[float] = None
-) -> SourceCharacterization:
-    """The measured characterization of a stack of families, as one batch
-    whose deficits and floors hold one entry per family, with each per-lag
-    deficit scaled by ``eps_scale`` and clipped to [0, 1] if given."""
+def _characterizations(lags: _LagOverlaps, eps_scale: Optional[float] = None) -> dict:
+    """The bounds a stack of families' measured characterization derives, by
+    field name, each an array with one entry per family, with each per-lag
+    deficit scaled by ``eps_scale`` and clipped to [0, 1] if given.  The
+    squared floors lie in [0, 1] by construction, so the deficits do too."""
     squares = _squared_floors(lags)
     eps = 1.0 - squares[:-2]
     if eps_scale is not None:
         eps = np.clip(eps * eps_scale, 0.0, 1.0)
-    return SourceCharacterization(eps=tuple(eps), p_vac0=squares[-2], p_vac1=squares[-1])
+    return _derive(tuple(eps), squares[-2], squares[-1])
 
 
 def measured_characterization(family: EmissionFamily) -> SourceCharacterization:
@@ -396,20 +396,21 @@ def _proof_chain_checks(
     lags: _LagOverlaps,
     ts: Sequence[int],
     histories: Sequence[tuple[int, ...]],
-    char: SourceCharacterization,
+    char: dict,
     trials: Sequence[Optional[int]],
     seeds: Sequence[Optional[int]],
 ) -> list[ProofChainCheck]:
     """One check per family of a stack, of pulse ``ts[j]`` of family j
-    under ``histories[j]`` against entry j of ``char``, a batch with one
-    entry per family or one source for them all.
+    under ``histories[j]`` against the bounds ``char`` holds by field name:
+    entry j of arrays with one entry per family, or one source's floats for
+    them all.
 
     Closed forms on the actual block (|0> b0 T0 + |1> b1 T1) / sqrt(2) and
     the reference block, which carries T0 in both branches, each one array
     expression over the stack.  Gathering each family's two states and
     tail overlap is the one step per family, since t and the history
-    differ between families.  The caps and floors are the ones ``char``
-    derived when it was built.
+    differ between families.  The caps and floors are the ones the security
+    layer derived (``_derive``).
     """
     corr_len, tables = lags.corr_len, lags.tables
     picks = list(enumerate(zip(ts, histories)))
@@ -437,7 +438,7 @@ def _proof_chain_checks(
     a1 = np.minimum(1.0, g).tolist()
     exact = (p_ref, p_act, fid, map(_transfer, p_ref, fid), a1, plus_vac)
     fields = ("minus_ref", "fidelity", "minus_act", "a1_floor", "plus_vac_floor")
-    caps = [np.full(len(ts), getattr(char, name)).tolist() for name in fields]
+    caps = [np.full(len(ts), char[name]).tolist() for name in fields]
     layout = (len(tables), tables[0].shape[-1], corr_len)
     # One column per field after the layout, in field order.
     columns = zip(ts, histories, *caps, *exact, trials, seeds)
@@ -452,10 +453,10 @@ def check_proof_chain(
 ) -> ProofChainCheck:
     """Evaluate the full inequality chain for one analyzed pulse.
 
-    ``characterization`` overrides the measured one and must describe one
-    source, not a batch, of the family's correlation length; feeding
-    deliberately corrupted bounds through it is how fault injection
-    exercises the violation detection.  The check's ``trial`` is None.
+    ``characterization`` overrides the measured one and must have the
+    family's correlation length; feeding deliberately corrupted bounds
+    through it is how fault injection exercises the violation detection.
+    The check's ``trial`` is None.
     """
     # Pulse t is analyzed with the corr_len pulses after it.
     _require_integer("t", t, 1, family.n_pulses - family.corr_len)
@@ -467,13 +468,12 @@ def check_proof_chain(
     # int(): a bool in an index tuple would act as a mask.
     history = tuple(int(b) for b in history)
     lags = family._lags()
-    char = characterization
-    if char is None:
+    if characterization is None:
         char = _characterizations(lags)
-    elif char.corr_len != family.corr_len:
+    elif characterization.corr_len != family.corr_len:
         raise ValueError("characterization correlation length mismatch")
-    elif any(isinstance(v, np.ndarray) for v in (*char.eps, char.p_vac0, char.p_vac1)):
-        raise ValueError("characterization must describe one source, not a batch")
+    else:
+        char = vars(characterization)
     return _proof_chain_checks(lags, [t], [history], char, [None], [family.seed])[0]
 
 
@@ -596,8 +596,6 @@ def coherent_family(
     """
     _require_integer("n_pulses", n_pulses, 1)
     _require_integer("fock_dim", fock_dim, 2)
-    if np.ndim(mu) != 0:
-        raise ValueError(f"mu must be a single number, got {mu!r}")
     tables = _coherent_tables(n_pulses, corr_len, fock_dim, [mu], [delta])
     return EmissionFamily(corr_len=corr_len, tables=[t[0] for t in tables])
 

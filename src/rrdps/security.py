@@ -9,23 +9,21 @@ secure key rate per pulse.
 
 Everything in this module is a pure function of its arguments and safe for
 concurrent use.  Public functions and constructors check their arguments,
-and underscored helpers trust them.  Only the batch entry points,
-``SourceCharacterization`` and ``key_rate`` here and ``PhaseRotationModel``,
-``characterize``, ``detection_rate`` and ``rate_at_mu`` in
-:mod:`rrdps.sources`, take a 1-D array (``_require_batch``); every other
-public function takes one number (``_require``) and rejects an array.
+and underscored helpers trust them.  Every public function and constructor
+here and in :mod:`rrdps.sources` takes one number per argument
+(``_require``) and rejects an array.
 
 A ``SourceCharacterization`` derives every source-side bound the rate and
-the oracle read once, when it is built.  Its deficits and floors may be
-equal-length 1-D arrays in place of floats, one entry per source; given
-such a batch and array detection rates, ``key_rate`` evaluates the rate of
-every entry at once.  A batch runs its arithmetic on numpy, which rounds
+the oracle read once, when it is built.  The private steps ``_derive``,
+``_tail_row``, ``_phase_errors``, ``_group_rate`` and ``_pulse_rate`` also
+take equal-length 1-D arrays in place of floats, one entry per source: the
+mu grid of :func:`rrdps.sources.optimize_mu` and a chunk of oracle trials
+run them on a batch.  A batch runs its arithmetic on numpy, which rounds
 exactly as float arithmetic does, but makes every libm call and every
 branch entry by entry (``_each``), so that each entry is bitwise equal to
 a one-point call; only the square root, which IEEE 754 rounds correctly,
-runs on the whole array.  Most of a one-point rate's cost is Python and numpy
-call overhead, which a batch pays once per array.  Names for error messages
-are built only when a check fails.
+runs on the whole array.  Most of a one-point rate's cost is Python and
+numpy call overhead, which a batch pays once per array.
 """
 
 from __future__ import annotations
@@ -68,17 +66,6 @@ def _require(value, message: str, low: float = 0.0, high: float = 1.0) -> None:
         raise ValueError(message.format(value))
 
 
-def _require_batch(value, message: str, low: float = 0.0, high: float = 1.0) -> None:
-    """``_require``, or, for a batch's 1-D array, the same check of each
-    entry, naming the first one outside; a bool array's entries all are."""
-    if isinstance(value, np.ndarray) and value.ndim == 1:
-        inside = (low <= value) & (value <= high) & (value.dtype != bool)
-        if not inside.all():
-            raise ValueError(message.format(value[np.argmin(inside)].item()))
-    else:
-        _require(value, message, low, high)
-
-
 def _require_integer(name: str, value, low: int, high=None) -> None:
     """Raise a ``ValueError`` naming ``name`` unless ``value`` is an integer,
     not a bool, at least ``low`` and, given ``high``, in ``[low, high]``."""
@@ -88,18 +75,6 @@ def _require_integer(name: str, value, low: int, high=None) -> None:
         raise ValueError(f"{name} must lie in [{low}, {high}], got {value}")
     if value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
-
-
-def _require_one_shape(values, names) -> None:
-    """Raise a ``ValueError`` naming two of ``values`` that differ in shape,
-    a float's shape being (); ``names()`` gives their names, and runs only
-    then."""
-    shapes = [getattr(v, "shape", ()) for v in values]
-    if shapes.count(shapes[0]) < len(shapes):
-        (first, want), *rest = zip(names(), shapes)
-        name, shape = next(pair for pair in rest if pair[1] != want)
-        message = f"{name} of shape {shape} does not match {first} of shape {want}"
-        raise ValueError(message)
 
 
 # v >= _TINIEST exactly when v > 0, and v <= _LARGEST exactly when v < inf,
@@ -265,18 +240,15 @@ class SourceCharacterization:
     corr_len : int
         ``len(eps)``, the number of later pulses a bit can influence (0 = none).
 
-    Each deficit and floor may instead be a 1-D array of one shape, one
-    entry per source of a batch, each checked as a float would be.
-
     After its checks it derives, once, the bounds that the rate and the
-    oracle read (arrays for a batch; left out of ``==`` and ``repr``, and
-    derived again by ``dataclasses.replace``): the floor on P(plus, vacuum)
-    ``plus_vac_floor = (sqrt(p_vac0) + sqrt(p_vac1))^2 / 4``; the floor on
-    the overlap of the bit-0 and bit-1 tails of later pulses ``a1_floor =
-    prod_d sqrt(1 - eps_d)``; the reference state's minus-outcome cap
-    ``minus_ref = 1 - plus_vac_floor``, since a minus outcome excludes plus
-    with vacuum; the actual-to-reference overlap floor ``fidelity = (1 +
-    a1_floor) / 2``, exactly 1 without correlations; and ``minus_act``,
+    oracle read (left out of ``==`` and ``repr``, and derived again by
+    ``dataclasses.replace``): the floor on P(plus, vacuum) ``plus_vac_floor
+    = (sqrt(p_vac0) + sqrt(p_vac1))^2 / 4``; the floor on the overlap of the
+    bit-0 and bit-1 tails of later pulses ``a1_floor = prod_d sqrt(1 -
+    eps_d)``; the reference state's minus-outcome cap ``minus_ref = 1 -
+    plus_vac_floor``, since a minus outcome excludes plus with vacuum; the
+    actual-to-reference overlap floor ``fidelity = (1 + a1_floor) / 2``,
+    exactly 1 without correlations; and ``minus_act``,
     ``minus_ref`` transferred through ``fidelity`` (:func:`transfer_bound`;
     the trivial 1 when ``minus_ref > fidelity^2``), the only one the rate's
     phase-error tail reads.
@@ -293,19 +265,11 @@ class SourceCharacterization:
 
     def __post_init__(self) -> None:
         eps = tuple(self.eps)
-        values = (*eps, self.p_vac0, self.p_vac1)
-
-        def names() -> list[str]:
-            lags = [f"eps at lag {d}" for d in range(1, len(eps) + 1)]
-            return [*lags, "p_vac0", "p_vac1"]
-
-        for i, value in enumerate(values):
-            try:
-                _require_batch(value, "must lie in [0, 1], got {}")
-            except ValueError as err:
-                raise ValueError(f"{names()[i]} {err}") from None
-        _require_one_shape(values, names)
-        eps = tuple(_each(float, e) for e in eps)
+        for d, e in enumerate(eps, start=1):
+            _require(e, f"eps at lag {d} must lie in [0, 1], got {{}}")
+        _require(self.p_vac0, "p_vac0 must lie in [0, 1], got {}")
+        _require(self.p_vac1, "p_vac1 must lie in [0, 1], got {}")
+        eps = tuple(map(float, eps))
         # The record is frozen, so its fields are set past __setattr__.
         vars(self).update(eps=eps, **_derive(eps, self.p_vac0, self.p_vac1))
 
@@ -316,9 +280,9 @@ class SourceCharacterization:
 
 def _derive(eps, p_vac0, p_vac1) -> dict:
     # SourceCharacterization's derived bounds by field name, from checked
-    # deficits and floors: floats, or a batch's 1-D arrays.  IEEE 754 rounds
-    # a square root correctly, so numpy's is bitwise math.sqrt and needs no
-    # _each.
+    # deficits and floors: floats, or a batch's equal-length 1-D arrays.
+    # IEEE 754 rounds a square root correctly, so numpy's is bitwise
+    # math.sqrt and needs no _each.
     batch = isinstance(p_vac0, np.ndarray)
     sqrt = np.sqrt if batch else math.sqrt
     root_sum = sqrt(p_vac0) + sqrt(p_vac1)
@@ -445,43 +409,39 @@ def key_rate(
     term is weighted by the share of groups that have it: exactly 1 when
     all are equal, so no rounded sum lets a longer memory rate higher.
 
-    The batch form prices many sources at once: ``source`` a batch, and
-    each group's rate a 1-D array with one entry per source.  Every number
-    of the result is then such an array, and each entry is bitwise equal to
-    the one-point rate of its source; a caller that needs one source's
-    ``KeyRateResult`` prices that source alone.  An array is evaluated once
-    per object, so passing the same array for every group builds each
-    source's tail row once.
-
     Parameters
     ----------
     cfg : ProtocolConfig
     source : SourceCharacterization
-        Only its derived ``minus_act`` enters the phase-error tail.
-    q_list : sequence of float or of 1-D arrays
-        Detection rate per group; must have ``corr_len + 1`` entries, each
-        shaped as the fields of ``source``.
+        Only its derived ``minus_act`` enters the phase-error tail.  Its
+        memory may not be longer than ``cfg.corr_len``, which the groups'
+        interleaving covers; a shorter one is conservative.
+    q_list : sequence of float
+        Detection rate per group, in [0, 1]; must have ``corr_len + 1``
+        entries.
     """
     if len(q_list) != cfg.n_groups:
         raise ValueError(
             f"need one detection rate per group: expected {cfg.n_groups}, "
             f"got {len(q_list)}"
         )
-    f_ec = cfg.f_ec()
-    by_q: dict = {}
-    keys = []
-    for q in q_list:
-        # An array is keyed by identity, a float by value.
-        key = (id(q),) if isinstance(q, np.ndarray) else q
-        if key not in by_q:
-            _require_batch(q, "detection rate must lie in [0, 1], got {}")
-            pair = (source.minus_act, q)
-            _require_one_shape(pair, lambda: ("source", "detection rate"))
-            by_q[key] = _group_rate(cfg.group_size, source.minus_act, q)
-        keys.append(key)
-    shares = [(keys.count(key) / cfg.n_groups, g) for key, g in by_q.items()]
-    rate = _pulse_rate(cfg.group_size, f_ec, shares)
-    return KeyRateResult(tuple(by_q[key] for key in keys), f_ec, rate)
+    _require_covered(cfg, source)
+    qs = list(q_list)
+    for q in qs:
+        _require(q, "detection rate must lie in [0, 1], got {}")
+    f_ec, n = cfg.f_ec(), cfg.group_size
+    by_q = {q: _group_rate(n, source.minus_act, q) for q in dict.fromkeys(qs)}
+    shares = [(qs.count(q) / cfg.n_groups, g) for q, g in by_q.items()]
+    return KeyRateResult(tuple(by_q[q] for q in qs), f_ec, _pulse_rate(n, f_ec, shares))
+
+
+def _require_covered(cfg: ProtocolConfig, source: SourceCharacterization) -> None:
+    # Reject a source whose memory outlasts the groups' interleaving.
+    if source.corr_len > cfg.corr_len:
+        raise ValueError(
+            f"source corr_len {source.corr_len} exceeds the protocol's "
+            f"corr_len {cfg.corr_len}, which its groups' interleaving covers"
+        )
 
 
 def _pulse_rate(group_size: int, f_ec: float, shares) -> float:

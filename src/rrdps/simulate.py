@@ -27,6 +27,7 @@ from .security import (
     ProtocolConfig,
     SourceCharacterization,
     _require,
+    _require_covered,
     _require_integer,
     key_rate,
 )
@@ -126,6 +127,7 @@ def run_simulation(
     Groups without successes contribute nothing.  The final length is
     clamped at zero and floored to an integer; the result keeps ``cfg``.
     """
+    _require_covered(cfg, source)
     _require(q_success, "q_success must lie in [0, 1], got {}")
     _require_integer("n_blocks", n_blocks, 1)
     _require_integer("seed", seed, 0)

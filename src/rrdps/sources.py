@@ -8,12 +8,11 @@ up to ``corr_len`` pulses.  The model maps onto a
 overlaps, and ties into the detection side through the interferometer
 click-rate formula.
 
-``PhaseRotationModel``, ``characterize``, ``detection_rate`` and
-``rate_at_mu`` also take a 1-D array of mu in place of one mu, which is how
-``optimize_mu`` evaluates its whole grid in one pass; each entry is bitwise
-equal to the one-point result (see :mod:`rrdps.security`).  Public
-functions check their arguments and then run private steps; the mu search
-runs the same steps at each iterate, its arguments checked once per row.
+Public functions take one number per argument, check it and then run
+private steps.  ``optimize_mu`` prices its whole mu grid and each iterate of
+its search with one private rate step, ``_rate``, on arguments checked once
+per row: on the grid's 1-D array of mu each entry is bitwise equal to the
+one-point result (see :mod:`rrdps.security`).
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from .security import (
     _group_rate,
     _pulse_rate,
     _require,
-    _require_batch,
     _require_integer,
     key_rate,
 )
@@ -49,8 +47,7 @@ class PhaseRotationModel:
 
     A bit of value 1 encoded at some pulse rotates the phase of the pulse
     ``lag`` positions later by ``delta / 2**(lag-1)`` radians, for lags up
-    to ``corr_len``.  Kicks from several past bits add up.  ``mu`` may be a
-    1-D array, one source per entry.
+    to ``corr_len``.  Kicks from several past bits add up.
     """
 
     mu: float
@@ -58,7 +55,7 @@ class PhaseRotationModel:
     corr_len: int
 
     def __post_init__(self) -> None:
-        _require_batch(self.mu, "mu must be a finite number >= 0, got {}", high=_LARGEST)
+        _require(self.mu, "mu must be a finite number >= 0, got {}", high=_LARGEST)
         _require(self.delta, "delta must be finite, got {}", -_LARGEST, _LARGEST)
         _require_integer("corr_len", self.corr_len, 0)
 
@@ -111,10 +108,9 @@ def detection_rate(group_size: int, eta: float, mu: float) -> float:
     """
     _require_integer("group_size", group_size, 1)
     _require(eta, "transmittance must lie in [0, 1], got {}")
-    _require_batch(
-        mu, "mean photon number must be a finite number >= 0, got {}", high=_LARGEST
-    )
-    return _each(_clicks, mu, group_size * eta)
+    message = "mean photon number must be a finite number >= 0, got {}"
+    _require(mu, message, high=_LARGEST)
+    return _clicks(mu, group_size * eta)
 
 
 def _clicks(mu: float, scale: float) -> float:
@@ -127,8 +123,7 @@ def _coherent_point(
     cfg: ProtocolConfig, delta: float, eta: float, mu: float
 ) -> tuple[SourceCharacterization, float]:
     # The characterized source, bounds derived, and the per-group detection
-    # rate at mu, or at each entry of a 1-D array of mu, which both the
-    # analytic rate and a simulated session consume.
+    # rate at mu, for the analytic rate and a simulated session alike.
     model = PhaseRotationModel(mu=mu, delta=delta, corr_len=cfg.corr_len)
     return characterize(model), detection_rate(cfg.group_size, eta, mu)
 
@@ -136,31 +131,26 @@ def _coherent_point(
 def rate_at_mu(
     cfg: ProtocolConfig, delta: float, eta: float, mu: float
 ) -> KeyRateResult:
-    """Key rate of the phase-rotation source at a fixed mean photon number.
-
-    Given a 1-D array of mu, prices every entry in one array pass through
-    the batch form of ``key_rate``: the result's numbers are arrays with one
-    entry per mu, each bitwise equal to the one-point rate there.
-    """
+    """Key rate of the phase-rotation source at a fixed mean photon number."""
     source, q = _coherent_point(cfg, delta, eta, mu)
     return key_rate(cfg, source, [q] * cfg.n_groups)
 
 
-def _rate_of_mu(cfg: ProtocolConfig, delta: float, eta: float):
-    # rate_at_mu(cfg, delta, eta, mu).rate_per_pulse, bitwise, as a function
-    # of one float mu: the same private steps on checked arguments, with no
-    # record, and what does not depend on mu computed once.
-    n, f_ec, scales = cfg.group_size, cfg.f_ec(), _lag_scales(delta, cfg.corr_len)
-    clicks = n * eta
+def _minus_act(mu, scales: list[float]):
+    # The source's minus_act at mu, or at each entry of a 1-D array of mu,
+    # from the lag scales of its delta.
+    eps, p_vac = _source_front(mu, scales)
+    return _derive(eps, p_vac, p_vac)["minus_act"]
 
-    def rate(mu: float) -> float:
-        eps, p_vac = _source_front(mu, scales)
-        minus_act = _derive(eps, p_vac, p_vac)["minus_act"]
-        group = _group_rate(n, minus_act, _clicks(mu, clicks))
-        # Every group has this detection rate, so this one has all the weight.
-        return _pulse_rate(n, f_ec, [(1.0, group)])
 
-    return rate
+def _rate(cfg: ProtocolConfig, eta: float, minus_act, mu):
+    # rate_at_mu(cfg, delta, eta, mu).rate_per_pulse, bitwise, given the
+    # source's minus_act at mu: at floats, or at each entry of 1-D arrays of
+    # one shape.  The same private steps on checked arguments, with no record.
+    n = cfg.group_size
+    group = _group_rate(n, minus_act, _each(_clicks, mu, n * eta))
+    # Every group has this detection rate, so this one has all the weight.
+    return _pulse_rate(n, cfg.f_ec(), [(1.0, group)])
 
 
 # scipy.optimize.golden's constants, default xtol (sqrt of the double machine
@@ -188,16 +178,12 @@ def _mu_grid() -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _grid_source(corr_len: int, delta: float) -> SourceCharacterization:
-    # The source at every grid mu, the same for every group size and eta;
-    # cached, so its arrays are read-only.  Look up only a checked delta.
-    # An entry holds corr_len + 7 arrays of 200 floats.
-    model = PhaseRotationModel(mu=_mu_grid(), delta=delta, corr_len=corr_len)
-    source = characterize(model)
-    for value in (*source.eps, *vars(source).values()):
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
-    return source
+def _grid_minus_act(corr_len: int, delta: float) -> np.ndarray:
+    # The source's minus_act at every grid mu, the same for every group size
+    # and eta; cached, so read-only.  Look up only a checked delta.
+    minus_act = _minus_act(_mu_grid(), _lag_scales(delta, corr_len))
+    minus_act.flags.writeable = False
+    return minus_act
 
 
 def _golden(func, xa: float, xb: float, xc: float) -> tuple[float, float]:
@@ -235,18 +221,19 @@ def optimize_mu(
     """Maximize the key rate of protocol ``cfg`` over the mean photon number.
 
     Evaluates a fixed grid of ``MU_GRID_POINTS`` (200) log-spaced mu from
-    ``MU_MIN`` (1e-6) to ``MU_MAX`` (10) in one array pass through
-    ``key_rate``, each point bitwise equal to the one-point rate, and
-    refines the best interior point by golden-section search on its
-    bracketing interval.  If no grid point yields a positive rate the grid
-    optimum is returned as is, with rate 0.  Deterministic.
+    ``MU_MIN`` (1e-6) to ``MU_MAX`` (10) in one array pass, each point
+    bitwise equal to the one-point rate, and refines the best interior
+    point by golden-section search on its bracketing interval.  If no grid
+    point yields a positive rate the grid optimum is returned as is, with
+    rate 0.  Deterministic.
 
-    The grid's source depends only on ``cfg.corr_len`` and ``delta``, so it
-    is characterized once per pair and kept for later calls.  The search
-    evaluates the rate of one mu by the private steps of ``rate_at_mu``, on
-    arguments checked once: bitwise the same rate, without its records or
-    its checks.  The returned result is the one ``rate_at_mu`` call of the
-    row, at the returned mu.
+    The grid and every iterate of the search are priced by one private
+    step, which runs the private steps of ``rate_at_mu`` on arguments
+    checked once per row: bitwise the same rate, without its records or
+    its checks.  The grid's ``minus_act`` depends only on ``cfg.corr_len``
+    and ``delta``, so it is derived once per pair and kept for later calls.
+    The returned result is the one ``rate_at_mu`` call of the row, at the
+    returned mu.
 
     The refinement reproduces the iterates of ``scipy.optimize.golden`` at
     its default ``xtol`` of 1.4901161193847656e-08 bit for bit, without
@@ -263,21 +250,22 @@ def optimize_mu(
         The refined rate is never below the best grid rate.
     """
     # The model checks delta and detection_rate checks eta; only then is a
-    # grid source looked up, as True would find the entry of 1.0.
+    # cached grid looked up, as True would find the entry of 1.0.
+    PhaseRotationModel(mu=MU_MIN, delta=delta, corr_len=cfg.corr_len)
+    detection_rate(cfg.group_size, eta, MU_MIN)
     mus = _mu_grid()
-    PhaseRotationModel(mu=mus, delta=delta, corr_len=cfg.corr_len)
-    q = detection_rate(cfg.group_size, eta, mus)
-    source = _grid_source(cfg.corr_len, delta)
-    rates = key_rate(cfg, source, [q] * cfg.n_groups).rate_per_pulse
+    rates = _rate(cfg, eta, _grid_minus_act(cfg.corr_len, delta), mus)
     best = int(np.argmax(rates))
     grid = mus.tolist()
     mu_opt = grid[best]
     if rates[best] > 0.0 and 0 < best < len(grid) - 1:
         if rates[best] > rates[best - 1] and rates[best] > rates[best + 1]:
-            rate = _rate_of_mu(cfg, delta, eta)
+            scales = _lag_scales(delta, cfg.corr_len)
             # The search stays inside its bracket, so inside the grid.
             bracket = grid[best - 1], mu_opt, grid[best + 1]
-            refined, neg_rate = _golden(lambda mu: -rate(mu), *bracket)
+            refined, neg_rate = _golden(
+                lambda mu: -_rate(cfg, eta, _minus_act(mu, scales), mu), *bracket
+            )
             if -neg_rate > rates[best]:
                 mu_opt = refined
     return mu_opt, rate_at_mu(cfg, delta, eta, mu_opt)

@@ -11,10 +11,18 @@ from rrdps import sources as src
 
 CFG = sec.ProtocolConfig(group_size=8, corr_len=1, e_bit=0.05)
 SOURCE = sec.SourceCharacterization(eps=(0.1,), p_vac0=0.9, p_vac1=0.9)
-BATCH = sec.SourceCharacterization(
-    eps=(np.full(3, 0.1),), p_vac0=np.full(3, 0.9), p_vac1=np.full(3, 0.9)
-)
 PAIR = np.array([0.03, 0.04])
+
+
+def batch_source():
+    # What the batch form took: three sources in one record.
+    return sec.SourceCharacterization(
+        eps=(np.full(3, 0.1),), p_vac0=np.full(3, 0.9), p_vac1=np.full(3, 0.9)
+    )
+
+
+# A source with a longer memory than the protocol interleaves its groups for.
+LONG_MEMORY = sec.SourceCharacterization(eps=(1e-4,) * 10, p_vac0=0.95, p_vac1=0.95)
 FAMILY = orc.random_family(3, 1, 3, seed=1)
 
 # A bool is an int, and so passes a bare range check as 0 or 1; a float
@@ -132,37 +140,37 @@ BAD_INPUTS = {
         lambda: sec.SourceCharacterization(eps=(True,), p_vac0=0.9, p_vac1=0.9),
         "eps at lag 1 must lie in",
     ),
-    # The batch form of key_rate needs every rate shaped like the source.
+    # The inputs of the former batch form: each is an array where one number
+    # goes, and is named as such, whatever its entries and shapes.
     "key-rate-array-q-point-bounds": (
         lambda: sec.key_rate(CFG, SOURCE, [np.array([0.1, 0.2])] * 2),
-        r"shape \(2,\) does not match source of shape \(\)",
+        r"^detection rate must lie in \[0, 1\], got an array of shape \(2,\)$",
     ),
     "key-rate-q-shorter-than-bounds": (
-        lambda: sec.key_rate(CFG, BATCH, [np.array([0.1, 0.2])] * 2),
-        r"shape \(2,\) does not match source of shape \(3,\)",
+        lambda: sec.key_rate(CFG, batch_source(), [np.array([0.1, 0.2])] * 2),
+        r"^eps at lag 1 must lie in \[0, 1\], got an array of shape \(3,\)$",
     ),
     "key-rate-float-q-batch-bounds": (
-        lambda: sec.key_rate(CFG, BATCH, [0.1, 0.2]),
-        r"shape \(\) does not match source of shape \(3,\)",
+        lambda: sec.key_rate(CFG, batch_source(), [0.1, 0.2]),
+        r"^eps at lag 1 must lie in \[0, 1\], got an array of shape \(3,\)$",
     ),
-    # A batch's fields hold one entry per source, so they share one shape.
     "characterization-batch-lengths": (
         lambda: sec.SourceCharacterization(
             eps=(np.full(3, 0.1),), p_vac0=np.full(2, 0.9), p_vac1=0.9
         ),
-        r"p_vac0 of shape \(2,\) does not match eps at lag 1 of shape \(3,\)",
+        r"^eps at lag 1 must lie in \[0, 1\], got an array of shape \(3,\)$",
     ),
     "characterization-batch-float-floor": (
         lambda: sec.SourceCharacterization(
             eps=(np.full(2, 0.1),), p_vac0=np.full(2, 0.9), p_vac1=0.9
         ),
-        r"p_vac1 of shape \(\) does not match eps at lag 1 of shape \(2,\)",
+        r"^eps at lag 1 must lie in \[0, 1\], got an array of shape \(2,\)$",
     ),
     "coherent-array-mu": (
         lambda: orc.coherent_family(3, 1, np.array([0.1, 0.2]), 0.2),
-        "mu must be a single number",
+        r"^mu must be a finite number >= 0, got an array of shape \(2,\)$",
     ),
-    # Only floats and 1-D arrays are numbers of this package.
+    # Only floats are numbers of this package.
     "rate-0d-mu": (
         lambda: src.rate_at_mu(CFG, 0.2, 0.2, np.array(0.1)),
         r"mu must be a finite number >= 0, got an array of shape \(\)",
@@ -191,7 +199,7 @@ BAD_INPUTS = {
         ),
         r"p_vac0 must lie in \[0, 1\], got an array of shape \(2, 2\)",
     ),
-    # Only the batch parameters take a 1-D array; every other number is one.
+    # Every number is one: no public function or constructor takes an array.
     "transfer-x-array": (
         lambda: sec.transfer_bound(PAIR, 0.5),
         r"probability bound must lie in \[0, 1\], got an array of shape \(2,\)",
@@ -240,29 +248,77 @@ BAD_INPUTS = {
         lambda: sec.vacuum_fidelity_bound(0.5, PAIR),
         r"p_vac_b must lie in \[0, 1\], got an array of shape \(2,\)",
     ),
+    "model-mu-array": (
+        lambda: src.PhaseRotationModel(mu=PAIR, delta=0.2, corr_len=1),
+        r"^mu must be a finite number >= 0, got an array of shape \(2,\)$",
+    ),
+    "detection-mu-array": (
+        lambda: src.detection_rate(32, 0.2, PAIR),
+        r"^mean photon number must be a finite number >= 0, "
+        r"got an array of shape \(2,\)$",
+    ),
+    "rate-mu-array": (
+        lambda: src.rate_at_mu(CFG, 0.2, 0.2, PAIR),
+        r"^mu must be a finite number >= 0, got an array of shape \(2,\)$",
+    ),
+    "key-rate-q-array": (
+        lambda: sec.key_rate(CFG, SOURCE, [0.1, PAIR]),
+        r"^detection rate must lie in \[0, 1\], got an array of shape \(2,\)$",
+    ),
+    "key-rate-batch-source": (
+        lambda: sec.key_rate(
+            CFG,
+            sec.SourceCharacterization(eps=(PAIR,), p_vac0=0.9, p_vac1=0.9),
+            [0.1] * 2,
+        ),
+        r"^eps at lag 1 must lie in \[0, 1\], got an array of shape \(2,\)$",
+    ),
+    "characterization-eps-array": (
+        lambda: sec.SourceCharacterization(eps=(0.1, PAIR), p_vac0=0.9, p_vac1=0.9),
+        r"^eps at lag 2 must lie in \[0, 1\], got an array of shape \(2,\)$",
+    ),
+    "characterization-p-vac0-array": (
+        lambda: sec.SourceCharacterization(eps=(0.1,), p_vac0=PAIR, p_vac1=0.9),
+        r"^p_vac0 must lie in \[0, 1\], got an array of shape \(2,\)$",
+    ),
+    "characterization-p-vac1-array": (
+        lambda: sec.SourceCharacterization(eps=(0.1,), p_vac0=0.9, p_vac1=PAIR),
+        r"^p_vac1 must lie in \[0, 1\], got an array of shape \(2,\)$",
+    ),
+    # The former batch entry checks: a batch is an array, whatever it holds.
     "model-mu-batch-entry": (
         lambda: src.PhaseRotationModel(mu=np.array([0.1, -1.0]), delta=0.2, corr_len=1),
-        r"mu must be a finite number >= 0, got -1.0",
+        r"^mu must be a finite number >= 0, got an array of shape \(2,\)$",
     ),
     "model-mu-bool-array": (
         lambda: src.PhaseRotationModel(mu=np.array([True, False]), delta=0.2, corr_len=1),
-        r"mu must be a finite number >= 0, got True",
+        r"^mu must be a finite number >= 0, got an array of shape \(2,\)$",
     ),
     "characterization-eps-batch-entry": (
         lambda: sec.SourceCharacterization(
             eps=(np.array([0.1, 1.5]),), p_vac0=np.full(2, 0.9), p_vac1=np.full(2, 0.9)
         ),
-        r"eps at lag 1 must lie in \[0, 1\], got 1.5",
+        r"^eps at lag 1 must lie in \[0, 1\], got an array of shape \(2,\)$",
     ),
     "characterization-p-vac0-nan-entry": (
         lambda: sec.SourceCharacterization(
             eps=(), p_vac0=np.array([0.9, np.nan]), p_vac1=np.full(2, 0.9)
         ),
-        r"p_vac0 must lie in \[0, 1\], got nan",
+        r"^p_vac0 must lie in \[0, 1\], got an array of shape \(2,\)$",
     ),
     "key-rate-q-batch-entry": (
-        lambda: sec.key_rate(CFG, BATCH, [np.array([0.1, 0.2, 2.0])] * 2),
-        r"detection rate must lie in \[0, 1\], got 2.0",
+        lambda: sec.key_rate(CFG, batch_source(), [np.array([0.1, 0.2, 2.0])] * 2),
+        r"^eps at lag 1 must lie in \[0, 1\], got an array of shape \(3,\)$",
+    ),
+    # A source whose memory outlasts the protocol's interleaving is not covered
+    # by the proof; a shorter one is conservative and allowed.
+    "key-rate-source-memory-too-long": (
+        lambda: sec.key_rate(sec.ProtocolConfig(32, 0, 0.03), LONG_MEMORY, [0.1]),
+        r"^source corr_len 10 exceeds the protocol's corr_len 0,",
+    ),
+    "simulation-source-memory-too-long": (
+        lambda: sim.run_simulation(CFG, LONG_MEMORY, 0.1, 10, 1),
+        r"^source corr_len 10 exceeds the protocol's corr_len 1,",
     ),
     "campaign-eps-scale-array": (
         lambda: orc.run_family_campaign(2, 1, eps_scale=PAIR),

@@ -622,6 +622,7 @@ class TestMeasuredCharacterization:
 
     def test_builds_one_record_equal_to_the_batch_entry(self, monkeypatch):
         fam = orc.random_family(4, 2, 6, seed=1)
+        *squares, p_vac0, p_vac1 = orc._squared_floors(fam._lags())
         batch = orc._characterizations(fam._lags())
         built = []
         real = sec.SourceCharacterization.__post_init__
@@ -633,11 +634,13 @@ class TestMeasuredCharacterization:
         monkeypatch.setattr(sec.SourceCharacterization, "__post_init__", counted)
         char = orc.measured_characterization(fam)
         assert len(built) == 1
-        assert char.eps == tuple(e.item() for e in batch.eps)
+        assert char.eps == tuple(1.0 - s.item() for s in squares)
+        assert (char.p_vac0, char.p_vac1) == (p_vac0.item(), p_vac1.item())
         derived = ("plus_vac_floor", "a1_floor", "minus_ref", "fidelity", "minus_act")
-        for name in ("p_vac0", "p_vac1", *derived):
+        assert sorted(batch) == sorted(derived)
+        for name in derived:
             value = getattr(char, name)
-            assert type(value) is float and value == getattr(batch, name).item(), name
+            assert type(value) is float and value == batch[name].item(), name
 
 
 # A modulus whose correctly rounded square, x * x = 0.37804247084817577, is
@@ -702,20 +705,27 @@ class TestProofChain:
 
     @pytest.mark.parametrize("size", [1, 2])
     def test_batch_characterization_rejected(self, monkeypatch, size):
+        # A characterization holds one source: a batch is rejected when it
+        # is built, before any check could read it.
         fam = orc.random_family(3, 1, 3, seed=0)
         honest = orc.measured_characterization(fam)
-        batch = sec.SourceCharacterization(
-            eps=(np.full(size, honest.eps[0]),),
-            p_vac0=np.full(size, honest.p_vac0),
-            p_vac1=np.full(size, honest.p_vac1),
-        )
 
         def computed(*args):
             raise AssertionError("an overlap was computed before the check")
 
         monkeypatch.setattr(orc, "_overlaps", computed)
-        with pytest.raises(ValueError, match="characterization"):
-            orc.check_proof_chain(fam, t=1, history=(), characterization=batch)
+        message = rf"^eps at lag 1 must lie in .*, got an array of shape \({size},\)$"
+        with pytest.raises(ValueError, match=message):
+            orc.check_proof_chain(
+                fam,
+                t=1,
+                history=(),
+                characterization=sec.SourceCharacterization(
+                    eps=(np.full(size, honest.eps[0]),),
+                    p_vac0=np.full(size, honest.p_vac0),
+                    p_vac1=np.full(size, honest.p_vac1),
+                ),
+            )
 
     def test_each_overlap_computed_once(self, monkeypatch):
         # The measured characterization and the tail overlap share one
@@ -818,18 +828,18 @@ class TestCampaigns:
     def test_report_evaluates_each_verdict_once(self, monkeypatch, tmp_path, flags):
         # The report lines, the summary and the command's exit status all
         # read each check's verdict; each chunk derives its caps once, in
-        # one batch over its trials: the characterization derives them when
-        # it is built, and a campaign builds one per chunk.
+        # one batch over its trials.
         from rrdps import cli
 
         caps = ("plus_vac_floor", "a1_floor", "minus_ref", "fidelity", "minus_act")
         derived = []
 
-        def post_init(char, real=sec.SourceCharacterization.__post_init__):
-            real(char)
-            derived.append([len(getattr(char, name)) for name in caps])
+        def derive(*args, real=orc._derive):
+            bounds = real(*args)
+            derived.append([len(bounds[name]) for name in caps])
+            return bounds
 
-        monkeypatch.setattr(sec.SourceCharacterization, "__post_init__", post_init)
+        monkeypatch.setattr(orc, "_derive", derive)
         chunks = record_chunks(monkeypatch)
         out = tmp_path / "report.txt"
         args = ["oracle", "--trials", "30", "--seed", "3", *flags, "--out", str(out)]

@@ -1,7 +1,8 @@
 """Properties of the key rate, checked on drawn sources: a worse source
 never rates higher, the phase-error bound does not fall as ``minus_act``
-rises or rise as the detection rate rises, a batch entry is its one-point
-rate, and so is the rate that ``optimize_mu``'s search evaluates.
+rises or rise as the detection rate rises, an entry of the private batch
+steps that price the mu grid is its one-point rate, and so is the rate that
+``optimize_mu``'s search evaluates.
 
 Below a relative step of about 1e-14 in ``minus_act``, ``_transfer`` and
 ``phase_error_upper`` round either way (one ulp more ``minus_act`` can
@@ -109,13 +110,13 @@ FIELDS = ("q", "e_ph_upper", "f_pa")
 def test_batch_entries_are_one_point_rates(n, e_bit, corr_len, entries):
     cfg = sec.ProtocolConfig(n, corr_len, e_bit)
     eps, p0, p1, q = (np.array(column) for column in zip(*entries))
-    source = sec.SourceCharacterization(tuple(eps[:, :corr_len].T), p0, p1)
-    batch = sec.key_rate(cfg, source, [q] * cfg.n_groups)
+    minus_act = sec._derive(tuple(eps[:, :corr_len].T), p0, p1)["minus_act"]
+    group = sec._group_rate(n, minus_act, q)
+    rates = sec._pulse_rate(n, cfg.f_ec(), [(1.0, group)])
     for i, (deficits, floor0, floor1, rate_q) in enumerate(entries):
         one = sec.SourceCharacterization(tuple(deficits[:corr_len]), floor0, floor1)
         point = sec.key_rate(cfg, one, [rate_q] * cfg.n_groups)
-        got = [batch.rate_per_pulse[i]]
-        got += [getattr(batch.per_group[0], f)[i] for f in FIELDS]
+        got = [rates[i]] + [getattr(group, f)[i] for f in FIELDS]
         want = [point.rate_per_pulse] + [getattr(point.per_group[0], f) for f in FIELDS]
         assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
 
@@ -147,6 +148,7 @@ def test_examples_reach_both_edges():
 )
 def test_search_objective_is_the_one_point_rate(n, corr_len, delta, eta, mu):
     cfg = sec.ProtocolConfig(n, corr_len, 0.03)
-    got = src._rate_of_mu(cfg, delta, eta)(mu)
+    minus_act = src._minus_act(mu, src._lag_scales(delta, corr_len))
+    got = src._rate(cfg, eta, minus_act, mu)
     want = src.rate_at_mu(cfg, delta, eta, mu).rate_per_pulse
     assert float(got).hex() == float(want).hex()

@@ -159,12 +159,9 @@ class TestBinomialTail:
 
     def test_cached_row_is_read_only(self):
         # Every cached array is shared with later calls: the tail constants,
-        # and optimize_mu's mu grid and each array of the grid's source.
-        grid = src._grid_source(2, 0.2)
-        fields = [*grid.eps, *vars(grid).values()]
-        arrays = [f for f in fields if isinstance(f, np.ndarray)]
-        assert len(arrays) == 2 + 2 + 5  # deficits, floors, derived bounds
-        for array in [*sec._log_binom_row(16), src._mu_grid(), *arrays]:
+        # and optimize_mu's mu grid and the grid's minus_act.
+        minus_act = src._grid_minus_act(2, 0.2)
+        for array in [*sec._log_binom_row(16), src._mu_grid(), minus_act]:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
 
@@ -197,11 +194,6 @@ class TestSourceCharacterization:
         assert sec.SourceCharacterization(eps=(), p_vac0=0.9, p_vac1=0.9).corr_len == 0
         point = sec.SourceCharacterization(eps=(0.1, 0.2), p_vac0=0.9, p_vac1=0.9)
         assert point.corr_len == len(point.eps) == 2
-        floors = np.full(4, 0.9)
-        batch = sec.SourceCharacterization(
-            eps=(np.full(4, 0.1),) * 3, p_vac0=floors, p_vac1=floors
-        )
-        assert batch.corr_len == len(batch.eps) == 3
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
@@ -235,27 +227,27 @@ class TestSecurityBounds:
         point = sec.SourceCharacterization(eps=(0.1, 0.3), p_vac0=0.9, p_vac1=0.85)
         assert point.plus_vac_floor == (math.sqrt(0.9) + math.sqrt(0.85)) ** 2 / 4.0
         assert point.a1_floor == math.sqrt(1.0 - 0.1) * math.sqrt(1.0 - 0.3)
-        batch = sec.SourceCharacterization(
-            eps=(np.array([0.1, 0.0, 1.0]), np.array([0.3, 0.0, 0.5])),
-            p_vac0=np.array([0.9, 1.0, 0.2]),
-            p_vac1=np.array([0.85, 1.0, 0.1]),
-        )
-        for src in (point, batch):
-            assert np.array_equal(src.minus_ref, 1.0 - src.plus_vac_floor)
-            assert np.array_equal(src.fidelity, (1.0 + src.a1_floor) / 2.0)
+        # The private batch form that the mu grid and the oracle derive on.
+        eps = (np.array([0.1, 0.0, 1.0]), np.array([0.3, 0.0, 0.5]))
+        p_vac0, p_vac1 = np.array([0.9, 1.0, 0.2]), np.array([0.85, 1.0, 0.1])
+        batch = sec._derive(eps, p_vac0, p_vac1)
+        for bounds in (vars(point), batch):
+            assert np.array_equal(bounds["minus_ref"], 1.0 - bounds["plus_vac_floor"])
+            assert np.array_equal(bounds["fidelity"], (1.0 + bounds["a1_floor"]) / 2.0)
         assert point.minus_act == sec.transfer_bound(point.minus_ref, point.fidelity)
-        pairs = zip(batch.minus_ref.tolist(), batch.fidelity.tolist())
-        assert batch.minus_act.tolist() == [sec.transfer_bound(x, y) for x, y in pairs]
+        pairs = zip(batch["minus_ref"].tolist(), batch["fidelity"].tolist())
+        want = [sec.transfer_bound(x, y) for x, y in pairs]
+        assert batch["minus_act"].tolist() == want
         # Each entry of a batch is the bound of its source alone.
         for i in range(3):
             alone = sec.SourceCharacterization(
-                eps=tuple(e[i].item() for e in batch.eps),
-                p_vac0=batch.p_vac0[i].item(),
-                p_vac1=batch.p_vac1[i].item(),
+                eps=tuple(e[i].item() for e in eps),
+                p_vac0=p_vac0[i].item(),
+                p_vac1=p_vac1[i].item(),
             )
             for name in ("plus_vac_floor", "a1_floor", "minus_ref", "fidelity"):
-                assert getattr(batch, name)[i] == getattr(alone, name), name
-            assert batch.minus_act[i] == alone.minus_act
+                assert batch[name][i] == getattr(alone, name), name
+            assert batch["minus_act"][i] == alone.minus_act
 
     def test_derived_fields_are_not_compared_and_rederived(self):
         src = sec.SourceCharacterization(eps=(0.1,), p_vac0=0.9, p_vac1=0.85)
@@ -387,6 +379,29 @@ class TestKeyRate:
         cfg = sec.ProtocolConfig(group_size=4, corr_len=1, e_bit=0.25)
         res = sec.key_rate(cfg, self._bounds((1.0,), 0.4), [0.3, 0.3])
         assert res.rate_per_pulse == 0.0
+
+    def test_source_memory_must_fit_the_protocol(self, monkeypatch):
+        # The groups' interleaving covers corr_len pulses of memory: a longer
+        # one is refused before any rate work, in the rate and in a session,
+        # and a shorter one is priced as the same source padded with zero
+        # deficits, which is what it is.
+        from rrdps import simulate as sim
+
+        def evaluated(*_):
+            raise AssertionError("work ran before the source was checked")
+
+        cfg = sec.ProtocolConfig(group_size=8, corr_len=2, e_bit=0.02)
+        short, padded = self._bounds((0.1,), 0.9), self._bounds((0.1, 0.0), 0.9)
+        q_list = [0.2] * 3
+        assert sec.key_rate(cfg, short, q_list) == sec.key_rate(cfg, padded, q_list)
+        monkeypatch.setattr(sec, "_group_rate", evaluated)
+        monkeypatch.setattr(sim, "_count_draw", evaluated)
+        long = self._bounds((0.1,) * 3, 0.9)
+        message = "^source corr_len 3 exceeds the protocol's corr_len 2,"
+        with pytest.raises(ValueError, match=message):
+            sec.key_rate(cfg, long, q_list)
+        with pytest.raises(ValueError, match=message):
+            sim.run_simulation(cfg, long, 0.2, 10, 1)
 
     def test_group_count_enforced(self):
         cfg = sec.ProtocolConfig(group_size=4, corr_len=1, e_bit=0.0)

@@ -124,17 +124,16 @@ class TestCharacterize:
 
     def test_overflowing_exponent_gives_the_limit(self):
         # At mu 1e308 the exponent 2 * (cos(pi) - 1) * mu is -inf, so eps is
-        # its limit 1, on an array as on a float, without an overflow warning.
+        # its limit 1, on the grid's array as on a float, without an
+        # overflow warning.
         mus = [0.1, 1e308]
-        batch = src.characterize(
-            src.PhaseRotationModel(mu=np.array(mus), delta=math.pi, corr_len=1)
-        )
+        (batch,), _ = src._source_front(np.array(mus), src._lag_scales(math.pi, 1))
         points = [
             src.characterize(src.PhaseRotationModel(mu=mu, delta=math.pi, corr_len=1))
             for mu in mus
         ]
-        assert batch.eps[0].tolist() == [char.eps[0] for char in points]
-        assert batch.eps[0][1] == 1.0
+        assert batch.tolist() == [char.eps[0] for char in points]
+        assert batch[1] == points[1].eps[0] == 1.0
 
     def test_tiny_deficit_keeps_precision(self):
         m = src.PhaseRotationModel(mu=1e-6, delta=1e-4, corr_len=1)
@@ -167,10 +166,11 @@ class TestDetectionRate:
 
     def test_overflowing_exposure_gives_the_limit(self):
         # 32 * 1e308 overflows to inf, where x * exp(-x) would be inf * 0.
-        assert src.detection_rate(32, 1.0, 1e308) == 0.0
-        mu = np.array([0.01, 1e308, sec._LARGEST, 1e300])
+        mus = [0.01, 1e308, sec._LARGEST, 1e300]
         want = [src.detection_rate(32, 1.0, 0.01), 0.0, 0.0, 0.0]
-        assert src.detection_rate(32, 1.0, mu).tolist() == want
+        assert [src.detection_rate(32, 1.0, mu) for mu in mus] == want
+        # The grid's clicks, as optimize_mu's rate step takes them.
+        assert sec._each(src._clicks, np.array(mus), 32 * 1.0).tolist() == want
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -259,14 +259,15 @@ class TestOptimizeMu:
     )
     def test_bad_input_is_rejected_before_any_rate(self, monkeypatch, args, message):
         # The messages are the ones the per-mu grid raised at its first point;
-        # the group size is ProtocolConfig's to check.  A grid source counts
-        # as work: a cached one would hide a check that runs only on a miss.
+        # the group size is ProtocolConfig's to check.  A grid minus_act
+        # counts as work: a cached one would hide a check that runs only on a
+        # miss.
         def evaluated(*_):
             raise AssertionError("a rate was evaluated before the input was checked")
 
         monkeypatch.setattr(sec, "_tail_row", evaluated)
         monkeypatch.setattr(sec, "_phase_errors", evaluated)
-        monkeypatch.setattr(src, "_grid_source", evaluated)
+        monkeypatch.setattr(src, "_grid_minus_act", evaluated)
         group_size, corr_len, delta, eta = args
         with pytest.raises(ValueError) as err:
             src.optimize_mu(protocol(group_size, corr_len), delta, eta)
@@ -274,12 +275,12 @@ class TestOptimizeMu:
 
     def test_cached_grid_keeps_every_check(self, monkeypatch):
         # True == 1.0 and both hash alike, so a cache looked up before the
-        # check would hand True the source of delta 1.0, and price it.
+        # check would hand True the minus_act of delta 1.0, and price it.
         cfg = protocol(16, 1)
         first = src.optimize_mu(cfg, 1.0, 0.3)
-        assert src._grid_source(1, True) is src._grid_source(1, 1.0)
+        assert src._grid_minus_act(1, True) is src._grid_minus_act(1, 1.0)
         with pytest.raises(ValueError, match="read-only"):
-            src._grid_source(1, 1.0).minus_act[0] = 0.0
+            src._grid_minus_act(1, 1.0)[0] = 0.0
         assert src.optimize_mu(cfg, 1.0, 0.3) == first
 
         def evaluated(*_):
@@ -314,7 +315,8 @@ class TestOptimizeMu:
 
 
 class TestGridBatch:
-    """One array pass over the grid against a per-mu loop of rate_at_mu."""
+    """optimize_mu's one array pass over the grid against a per-mu loop of
+    rate_at_mu."""
 
     @pytest.mark.parametrize("eta", [0.0, 0.03, 1.0])
     @pytest.mark.parametrize("delta", [0.0, 0.2, 3.0])
@@ -324,12 +326,14 @@ class TestGridBatch:
         cfg = sec.ProtocolConfig(group_size=group_size, corr_len=corr_len, e_bit=0.03)
         grid = np.geomspace(src.MU_MIN, src.MU_MAX, src.MU_GRID_POINTS)
         reference = [src.rate_at_mu(cfg, delta, eta, mu) for mu in grid.tolist()]
-        batch = src.rate_at_mu(cfg, delta, eta, grid)
-        assert [repr(r.f_ec) for r in reference] == [repr(batch.f_ec)] * len(grid)
-        assert len(batch.per_group) == cfg.n_groups
+        minus_act = src._grid_minus_act(corr_len, delta)
+        rates = src._rate(cfg, eta, minus_act, grid)
+        # The group that _rate prices, from the same grid clicks.
+        q = sec._each(src._clicks, grid, group_size * eta)
+        group = sec._group_rate(group_size, minus_act, q)
         # Each array of the batch against the one-point values it stands for.
-        pairs = [(batch.rate_per_pulse, [r.rate_per_pulse for r in reference])]
-        for w, group in enumerate(batch.per_group):
+        pairs = [(rates, [r.rate_per_pulse for r in reference])]
+        for w in range(cfg.n_groups):
             for field in dataclasses.fields(sec.GroupRate):
                 want = [getattr(r.per_group[w], field.name) for r in reference]
                 pairs.append((getattr(group, field.name), want))
@@ -343,18 +347,18 @@ class TestGridBatch:
         # inputs, for floats and arrays alike, so the comparison above
         # cannot see them swapped in; pin the libm values instead.
         mu = np.geomspace(src.MU_MIN, src.MU_MAX, src.MU_GRID_POINTS)
+        scales = src._lag_scales(0.7, 4)
         for point in (mu, *mu.tolist()[::20]):
-            model = src.PhaseRotationModel(mu=point, delta=0.7, corr_len=4)
-            char = src.characterize(model)
+            deficits, p_vac = src._source_front(point, scales)
             mus = np.atleast_1d(point).tolist()
-            for lag, eps in enumerate(char.eps, start=1):
+            for lag, eps in enumerate(deficits, start=1):
                 c = math.cos(0.7 / 2 ** (lag - 1)) - 1.0
                 assert np.atleast_1d(eps).tolist() == [
                     -math.expm1(2.0 * m * c) for m in mus
                 ]
-            assert np.atleast_1d(char.p_vac0).tolist() == [math.exp(-m) for m in mus]
+            assert np.atleast_1d(p_vac).tolist() == [math.exp(-m) for m in mus]
             xs = [32 * 0.2 * m for m in mus]
-            assert np.atleast_1d(src.detection_rate(32, 0.2, point)).tolist() == [
+            assert np.atleast_1d(sec._each(src._clicks, point, 32 * 0.2)).tolist() == [
                 x * math.exp(-x) / 2.0 for x in xs
             ]
 
