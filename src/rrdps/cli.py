@@ -21,11 +21,11 @@ prices error correction at ``f_ec_fixed`` if given, else at the Shannon
 limit.  ``--out`` and ``--seed`` override ``output_path`` and ``seed``, and
 a key is checked whenever present.  Every config error, a file that is not
 UTF-8 JSON included, is printed with the config path in front and raised
-before the first rate is evaluated.
-Relative output paths are resolved against ``RRDPS_OUT_DIR`` when that is
-set.  Exit codes: 0 on success, 1 on usage or config errors (unknown
-keys and non-finite numbers included), 2 when a verification campaign
-reports violations (or fault injection fails to produce them).
+before the first rate is evaluated, and every subcommand rejects an empty
+``--out``.  Relative output paths are resolved against ``RRDPS_OUT_DIR``
+when that is set.  Exit codes: 0 on success, 1 on usage or config errors
+(argparse's own, unknown keys and non-finite numbers included), 2 when a
+verification campaign reports violations (or fault injection finds none).
 """
 
 from __future__ import annotations
@@ -348,6 +348,8 @@ _CAMPAIGN_FLAGS = {
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    if args.out == "":
+        raise ValueError("--out must be a nonempty string, got ''")
     try:
         campaign = run_family_campaign(
             **{name: getattr(args, attr) for name, attr in _CAMPAIGN_FLAGS.items()}
@@ -367,8 +369,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.fault_injection is not None:
         lines.append(f"# fault injection: eps scaled by {_fmt(args.fault_injection)}")
     lines += campaign.lines()
-    injected = args.fault_injection is not None
-    if not injected:
+    if args.fault_injection is None:
         prop = verify_fidelity_proposition(dim=6, n_trials=2000, seed=args.seed)
         lines += prop.lines()
         ok = campaign.passed and prop.passed
@@ -376,13 +377,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         # Understated correlations must be caught, so here failures are
         # the expected outcome.
         ok = campaign.n_failed > 0
-        lines.append(
-            "fault-injection "
-            + ("DETECTED" if ok else "MISSED")
-            + f" violations={campaign.n_failed}"
-        )
+        verdict = "DETECTED" if ok else "MISSED"
+        lines.append(f"fault-injection {verdict} violations={campaign.n_failed}")
     text = "\n".join(lines) + "\n"
-    if args.out:
+    if args.out is not None:
         path = _resolve_out(args.out)
         path.write_text(text, encoding="utf-8")
         print(f"wrote {campaign.n_trials} trial lines to {path}")
@@ -391,8 +389,16 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 0 if ok else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, since 2 reports a failed verification."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rrdps",
         description="Key-rate analysis for delayed-interference QKD with "
         "correlated pulse sources",

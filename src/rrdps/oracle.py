@@ -82,6 +82,8 @@ _CHUNK_AMPLITUDES = 2**16
 # floor on random state pairs.
 CHECK_TOL = 1e-9
 FIDELITY_TOL = 1e-12
+# Most a stored vector's norm may differ from 1.
+_NORM_TOL = 1e-12
 
 
 def _window(corr_len: int, k: int) -> int:
@@ -116,7 +118,7 @@ def _check_tables(corr_len: int, tables: Sequence[np.ndarray]) -> None:
         if table.shape != shape:
             raise ValueError(f"pulse {k} table has shape {table.shape}, not {shape}")
     for k, table in enumerate(tables, start=1):
-        if not np.all(np.abs(_norms(table) - 1.0) <= 1e-12):
+        if not np.all(np.abs(_norms(table) - 1.0) <= _NORM_TOL):
             raise ValueError(f"pulse {k} holds a state that is not normalized")
 
 
@@ -142,6 +144,9 @@ class EmissionFamily:
         tables = (np.atleast_1d(np.asarray(t, dtype=complex)) for t in self.tables)
         object.__setattr__(self, "tables", tuple(tables))
         _require_integer("corr_len", self.corr_len, 0)
+        if self.seed is not None:
+            # -1 is the report line's "no seed".
+            _require_integer("seed", self.seed, 0)
         _check_tables(self.corr_len, self.tables)
 
     @property
@@ -254,10 +259,14 @@ def _tail_overlap(
     return float(prod.mean())
 
 
-def _probability(p: np.ndarray, what: str) -> list[float]:
-    """The entries of ``p`` clipped to [0, 1], as floats; the first entry
-    outside by more than 1e-12 raises."""
-    inside = (-1e-12 <= p) & (p <= 1.0 + 1e-12)
+def _probability(p: np.ndarray, what: str, factors: int) -> list[float]:
+    """The entries of ``p`` clipped to [0, 1], as floats.  ``p`` reads an
+    overlap or amplitude product of ``factors`` stored vectors: at most 1 in
+    modulus on unit vectors, so at most ``(1 + _NORM_TOL)**factors`` on the
+    tables ``EmissionFamily`` admits.  The first entry outside [0, 1] by
+    more than that bound minus 1, plus 1e-12 for rounding, raises."""
+    margin = (1.0 + _NORM_TOL) ** factors - 1.0 + 1e-12
+    inside = (-margin <= p) & (p <= 1.0 + margin)
     if not inside.all():
         bad = p[np.argmin(inside)].item()
         raise ArithmeticError(f"{what} {bad} outside [0, 1] tolerance")
@@ -318,8 +327,8 @@ class ProofChainCheck:
 
     The caps and floors are those the security layer derives from the
     (possibly overridden) characterization; the probability and overlap
-    fields are exact state-vector quantities.  Each ``ok_*`` flag compares
-    one side of the chain at ``CHECK_TOL``.
+    fields are exact state-vector quantities.  ``failed`` compares each
+    side of the chain at ``CHECK_TOL``.
     """
 
     n_pulses: int
@@ -342,39 +351,21 @@ class ProofChainCheck:
     seed: Optional[int] = None
 
     @property
-    def ok_ref_cap(self) -> bool:
-        return self.p_minus_ref <= self.minus_ref_cap + CHECK_TOL
-
-    @property
-    def ok_plus_vac(self) -> bool:
-        return self.plus_vac_prob >= self.plus_vac_floor - CHECK_TOL
-
-    @property
-    def ok_fidelity_floor(self) -> bool:
-        return self.fidelity >= self.fidelity_floor - CHECK_TOL
-
-    @property
-    def ok_side_channel(self) -> bool:
-        return self.a1 >= self.a1_floor - CHECK_TOL
-
-    @property
-    def ok_transfer(self) -> bool:
-        return self.p_minus_act <= self.transfer_value + CHECK_TOL
-
-    @property
-    def ok_act_cap(self) -> bool:
-        return self.p_minus_act <= self.minus_act_cap + CHECK_TOL
+    def failed(self) -> tuple[str, ...]:
+        """The names of the inequalities that fail, in chain order."""
+        chain = (
+            ("ref_cap", self.p_minus_ref <= self.minus_ref_cap + CHECK_TOL),
+            ("plus_vac", self.plus_vac_prob >= self.plus_vac_floor - CHECK_TOL),
+            ("fidelity_floor", self.fidelity >= self.fidelity_floor - CHECK_TOL),
+            ("side_channel", self.a1 >= self.a1_floor - CHECK_TOL),
+            ("transfer", self.p_minus_act <= self.transfer_value + CHECK_TOL),
+            ("act_cap", self.p_minus_act <= self.minus_act_cap + CHECK_TOL),
+        )
+        return tuple(name for name, holds in chain if not holds)
 
     @property
     def passed(self) -> bool:
-        return (
-            self.ok_ref_cap
-            and self.ok_plus_vac
-            and self.ok_fidelity_floor
-            and self.ok_side_channel
-            and self.ok_transfer
-            and self.ok_act_cap
-        )
+        return not self.failed
 
     def line(self) -> str:
         hist = "".join(str(b) for b in self.history) or "-"
@@ -431,10 +422,12 @@ def _proof_chain_checks(
     base = _overlaps(states, 1).real
     plus = states[:, 0, 0] + states[:, 1, 0]
     plus = np.hypot(plus.real, plus.imag)
-    p_ref = _probability((1.0 - base) / 2.0, "minus probability")
-    p_act = _probability((1.0 - base * g) / 2.0, "minus probability")
-    fid = _probability((1.0 + g) / 2.0, "fidelity")
-    plus_vac = _probability(plus * plus / 4.0, "joint probability")
+    # base and plus read the two states, g two states per window pulse.
+    tail = 2 * corr_len
+    p_ref = _probability((1.0 - base) / 2.0, "minus probability", 2)
+    p_act = _probability((1.0 - base * g) / 2.0, "minus probability", 2 + tail)
+    fid = _probability((1.0 + g) / 2.0, "fidelity", tail)
+    plus_vac = _probability(plus * plus / 4.0, "joint probability", 2)
     a1 = np.minimum(1.0, g).tolist()
     exact = (p_ref, p_act, fid, map(_transfer, p_ref, fid), a1, plus_vac)
     fields = ("minus_ref", "fidelity", "minus_act", "a1_floor", "plus_vac_floor")

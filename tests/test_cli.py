@@ -384,6 +384,30 @@ class TestOracleCommand:
             assert f"{flag} {named.get(flag, '4')}" in err
         assert not out.exists()
 
+    def test_empty_out_rejected_before_first_trial(self, monkeypatch, capsys):
+        # keyrate, sweep and simulate reject an empty output path too; an
+        # empty --out must not send the report to stdout.
+        def ran(*args, **kwargs):
+            raise AssertionError("a campaign ran before --out was checked")
+
+        monkeypatch.setattr(cli, "run_family_campaign", ran)
+        assert cli.main(["oracle", "--trials", "3", "--out", ""]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--out must be a nonempty string" in err
+
+
+def assert_usage_error(capsys, argv, message):
+    """argparse rejects argv with exit code 1, since 2 reports a failed
+    verification, and prints its usage and message on stderr."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: rrdps")
+    assert message in err
+
 
 class TestTopLevel:
     def test_version_flag(self, capsys):
@@ -418,9 +442,27 @@ class TestTopLevel:
         )
         assert out.stdout.splitlines()[-1] == "[False, False]"
 
-    def test_unknown_command_rejected(self):
-        with pytest.raises(SystemExit):
-            cli.main(["frobnicate"])
+    def test_unknown_command_rejected(self, capsys):
+        assert_usage_error(capsys, ["frobnicate"], "invalid choice: 'frobnicate'")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["oracle", "--trials", "abc"], "invalid int value: 'abc'"),
+            (["oracle", "--fault-injection", "x"], "invalid float value: 'x'"),
+            (["keyrate"], "the following arguments are required: --config"),
+        ],
+        ids=["trials-abc", "injection-x", "keyrate-no-config"],
+    )
+    def test_bad_arguments_are_usage_errors(self, capsys, argv, message):
+        assert_usage_error(capsys, argv, message)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["oracle", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: rrdps")
 
 
 SWEEP_CFG = {

@@ -90,6 +90,23 @@ BAD_INPUTS = {
     "family-seed-negative": (
         lambda: orc.random_family(2, 0, 3, seed=-1), "seed must be >= 0, got -1"
     ),
+    # The report line prints a family's seed, and -1 there means "no seed".
+    "emission-family-seed-str": (
+        lambda: orc.EmissionFamily(1, FAMILY.tables, seed="abc"),
+        "seed must be an integer, got 'abc'",
+    ),
+    "emission-family-seed-bool": (
+        lambda: orc.EmissionFamily(1, FAMILY.tables, seed=True),
+        "seed must be an integer, got True",
+    ),
+    "emission-family-seed-float": (
+        lambda: orc.EmissionFamily(1, FAMILY.tables, seed=1.5),
+        "seed must be an integer, got 1.5",
+    ),
+    "emission-family-seed-negative": (
+        lambda: orc.EmissionFamily(1, FAMILY.tables, seed=-5),
+        "seed must be >= 0, got -5",
+    ),
     "fidelity-seed-negative": (
         lambda: orc.verify_fidelity_proposition(2, 1, -1), "seed must be >= 0, got -1"
     ),

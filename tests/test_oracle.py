@@ -407,20 +407,10 @@ def analysis_cases():
             yield fam, t, hist
 
 
-FLAGS = (
-    "ok_ref_cap",
-    "ok_plus_vac",
-    "ok_fidelity_floor",
-    "ok_side_channel",
-    "ok_transfer",
-    "ok_act_cap",
-)
-
-
 class TestClosedForms:
     def test_fields_match_dense_reference(self):
         # Under the measured characterization and with every per-lag
-        # deficit denied, so that the flags are exercised both ways.
+        # deficit denied, so that the checks are exercised both ways.
         n_cases = n_failed = 0
         for fam, t, hist in analysis_cases():
             act, ref, tails = kron_blocks(fam, t, hist)
@@ -451,9 +441,7 @@ class TestClosedForms:
                 assert chk.transfer_value == pytest.approx(
                     dense.transfer_value, abs=1e-6
                 )
-                assert [getattr(chk, f) for f in FLAGS] == [
-                    getattr(dense, f) for f in FLAGS
-                ]
+                assert chk.failed == dense.failed
                 n_failed += not chk.passed
             n_cases += 1
         assert n_cases == 3 * 23  # 23 (n, lc, t, history) per family kind
@@ -475,7 +463,7 @@ class TestClosedForms:
             b = orc.check_proof_chain(rotated, t, hist)
             for name in ("p_minus_act", "p_minus_ref", "fidelity", "a1", "plus_vac_prob"):
                 assert getattr(b, name) == pytest.approx(getattr(a, name), abs=1e-12), name
-            assert [getattr(b, f) for f in FLAGS] == [getattr(a, f) for f in FLAGS]
+            assert b.failed == a.failed
             n_cases += 1
         assert n_cases == 2 * 23
 
@@ -682,6 +670,18 @@ class TestSquares:
         assert orc.check_proof_chain(fam, 1, ()).plus_vac_prob == x * x
 
 
+# Each inequality of the proof chain, in chain order: its name in `failed`,
+# its bound field, the exact field it bounds, and -1 for a cap, +1 for a floor.
+CHAIN = [
+    ("ref_cap", "minus_ref_cap", "p_minus_ref", -1),
+    ("plus_vac", "plus_vac_floor", "plus_vac_prob", 1),
+    ("fidelity_floor", "fidelity_floor", "fidelity", 1),
+    ("side_channel", "a1_floor", "a1", 1),
+    ("transfer", "transfer_value", "p_minus_act", -1),
+    ("act_cap", "minus_act_cap", "p_minus_act", -1),
+]
+
+
 class TestProofChain:
     def test_coherent_side_channel_is_tight(self):
         # Context-independent overlaps make a1 meet its floor exactly.
@@ -744,9 +744,36 @@ class TestProofChain:
     def test_probability_range(self):
         # Entries within 1e-12 of [0, 1] are clipped; the first beyond raises.
         p = np.array([-1e-12, 0.25, 1.0 + 1e-12])
-        assert orc._probability(p, "fidelity") == [0.0, 0.25, 1.0]
+        assert orc._probability(p, "fidelity", 0) == [0.0, 0.25, 1.0]
         with pytest.raises(ArithmeticError, match=r"^fidelity 1\.5 outside"):
-            orc._probability(np.array([0.5, 1.5, -0.5]), "fidelity")
+            orc._probability(np.array([0.5, 1.5, -0.5]), "fidelity", 0)
+
+    def test_probability_margin_grows_with_the_stored_vectors_read(self):
+        # Four stored vectors of norm up to 1 + 1e-12 reach 1 + 4e-12, and
+        # rounding adds 1e-12.
+        p = np.array([-4.5e-12, 1.0 + 4.5e-12])
+        assert orc._probability(p, "fidelity", 4) == [0.0, 1.0]
+        for bad in (-5.5e-12, 1.0 + 5.5e-12):
+            with pytest.raises(ArithmeticError, match="^fidelity"):
+                orc._probability(np.array([bad]), "fidelity", 4)
+
+    @pytest.mark.parametrize("corr_len", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "scale", [1.0 + 0.9e-12, 1.0 - 0.9e-12], ids=["long", "short"]
+    )
+    def test_every_admitted_family_gets_a_record(self, corr_len, scale):
+        # Vacuum states scaled to the edge of the norm check: the minus
+        # probability multiplies 2 + 2 * corr_len of their norms.
+        tables = [
+            np.zeros((2, 2 ** orc._window(corr_len, k), 3), complex)
+            for k in range(1, corr_len + 3)
+        ]
+        for table in tables:
+            table[..., 0] = scale
+        fam = orc.EmissionFamily(corr_len, tables)
+        for t, hist in analyzed_pulses(fam):
+            chk = orc.check_proof_chain(fam, t, hist)
+            assert chk.passed, chk.line()
 
     def test_corrupted_characterization_detected(self):
         fam = orc.coherent_family(3, 1, mu=0.2, delta=0.5, fock_dim=12)
@@ -756,7 +783,27 @@ class TestProofChain:
         )
         chk = orc.check_proof_chain(fam, t=1, history=(), characterization=lying)
         assert not chk.passed
-        assert not chk.ok_side_channel
+        assert "side_channel" in chk.failed
+
+    @pytest.mark.parametrize(
+        "name, bound, exact, side", CHAIN, ids=[c[0] for c in CHAIN]
+    )
+    def test_each_inequality_reads_its_own_fields(self, name, bound, exact, side):
+        # The dense-reference test reads both of its sides through `failed`,
+        # so it cannot see a comparison that reads the wrong field.
+        assert len({c[1] for c in CHAIN}) == len(CHAIN)
+        chk = orc.check_proof_chain(orc.coherent_family(3, 1, 0.1, 0.2, 12), 1, ())
+        assert chk.failed == ()
+        past = getattr(chk, exact) + side * 10 * orc.CHECK_TOL
+        assert dataclasses.replace(chk, **{bound: past}).failed == (name,)
+
+    def test_failures_are_named_in_chain_order(self):
+        chk = orc.check_proof_chain(orc.coherent_family(3, 1, 0.1, 0.2, 12), 1, ())
+        moved = {
+            bound: getattr(chk, exact) + side * 10 * orc.CHECK_TOL
+            for _, bound, exact, side in CHAIN
+        }
+        assert dataclasses.replace(chk, **moved).failed == tuple(c[0] for c in CHAIN)
 
     def test_line_format(self):
         fam = orc.random_family(2, 0, 3, seed=4)
@@ -959,18 +1006,21 @@ class TestCampaigns:
             assert len(set(layouts)) < len(layouts)
 
     def test_flag_implications(self):
-        # The bounds make three flags follow from others; a campaign that
+        # The bounds make three checks follow from others; a campaign that
         # breaks one of these implications has a wrong check.
         n_failed = 0
         for seed in (1, 2, 3):
             for eps_scale in (None, 0.0, 0.5, 0.9):
                 camp = orc.run_family_campaign(60, seed, eps_scale=eps_scale)
                 for c in camp.checks:
-                    assert c.ok_ref_cap or not c.ok_plus_vac, c.line()
-                    assert c.ok_fidelity_floor or not c.ok_side_channel, c.line()
-                    assert c.ok_act_cap or not (
-                        c.ok_transfer and c.ok_ref_cap and c.ok_fidelity_floor
-                    ), c.line()
+                    failed = set(c.failed)
+                    if "ref_cap" in failed:
+                        assert "plus_vac" in failed, c.line()
+                    if "fidelity_floor" in failed:
+                        assert "side_channel" in failed, c.line()
+                    if "act_cap" in failed:
+                        premises = {"transfer", "ref_cap", "fidelity_floor"}
+                        assert failed & premises, c.line()
                 n_failed += camp.n_failed
         assert n_failed > 0
 
