@@ -47,7 +47,7 @@ import numpy as np
 from . import __version__
 from .oracle import run_family_campaign, verify_fidelity_proposition
 from .security import ProtocolConfig, key_rate
-from .simulate import run_simulation
+from .simulate import _MAX_BLOCKS, run_simulation
 from .sources import _coherent_point, optimize_mu, rate_at_mu
 
 
@@ -289,8 +289,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"{where}: eta must lie in [0, 1], got {eta}")
     n_blocks = _get(cfg, "n_blocks", int, where)
-    if n_blocks < 1:
-        raise ValueError(f"{where}: n_blocks must be >= 1, got {n_blocks}")
+    if not 1 <= n_blocks <= _MAX_BLOCKS:
+        raise ValueError(
+            f"{where}: n_blocks must lie in [1, {_MAX_BLOCKS}], got {n_blocks}"
+        )
     seed = _flag_or_key(
         args.seed, cfg, "seed", lambda v: _is(v, int) and v >= 0,
         "a non-negative integer", 'no seed (use --seed or a "seed" key)', where,

@@ -350,7 +350,7 @@ class ProofChainCheck:
     trial: Optional[int] = None
     seed: Optional[int] = None
 
-    @property
+    @cached_property
     def failed(self) -> tuple[str, ...]:
         """The names of the inequalities that fail, in chain order."""
         chain = (

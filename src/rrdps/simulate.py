@@ -11,7 +11,9 @@ Randomness is drawn from counter-keyed streams in fixed-size chunks with
 fixed shapes, so results are reproducible, independent of chunking, and a
 longer run extends a shorter one with the same seed.  Each group draws,
 per chunk, success, delay, first position and flip from one Philox
-stream.  The counts read only success and flip, from the stream's raw
+stream, whose key a session derives, per window of chunks, in one array
+pass equal to numpy's ``SeedSequence(entropy=seed, spawn_key=(group,
+chunk))``.  The counts read only success and flip, from the stream's raw
 words, and skip the delay and position draws by advancing its counter.
 No pulse bits are drawn: a flip decides an error whatever the bits are.
 """
@@ -34,14 +36,54 @@ from .security import (
 from .sources import _coherent_point
 
 _CHUNK = 4096
+_KEY_WINDOW = 16  # chunks keyed per pass; 64 was no faster and took 0.3 MB more
+# Every chunk index must fit the one 32-bit spawn word _stream_keys reads.
+_MAX_BLOCKS = 2**44 - 1
+_MASK = 0xFFFFFFFF
+
+
+def _hash(word, consts: list):
+    # SeedSequence's hash, with its running constant and multiplier in consts.
+    xor = consts[0]
+    consts[0] = xor * consts[1] & _MASK
+    word = (word ^ xor) * consts[0] & _MASK
+    return word ^ word >> 16
+
+
+def _mix(x, y):
+    # Each product is masked first, so that a Python int can meet an array.
+    x = ((0xCA01F9DD * x & _MASK) - (0x4973F715 * y & _MASK)) & _MASK
+    return x ^ x >> 16
+
+
+def _stream_keys(seed: int, groups: np.ndarray, chunks: np.ndarray) -> np.ndarray:
+    """``SeedSequence(entropy=seed, spawn_key=(group, chunk)).generate_state(2,
+    np.uint64)`` for uint32 arrays ``groups`` and ``chunks`` broadcast
+    together, by numpy's algorithm, on arrays only for the spawn words."""
+    seed = int(seed)
+    # The seed's 32-bit words, least significant first, padded to the
+    # 4-word pool because a spawn key follows them.
+    words = [seed >> s & _MASK for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words)) + [groups, chunks]
+    consts = [0x43B0D7E5, 0x931E8875]
+    pool = [_hash(word, consts) for word in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], consts))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hash(word, consts))
+    consts = [0x8B51F9DD, 0x58F38DED]
+    lo0, hi0, lo1, hi1 = (_hash(word, consts).astype(np.uint64) for word in pool)
+    return np.stack([lo0 | hi0 << 32, lo1 | hi1 << 32], axis=-1)
 
 
 def _stream(seed: int, key: int, chunk: int) -> np.random.Generator:
     # Key w feeds the draws of group w; key 0 is kept for the pulse bits,
     # which only the tests' per-block transcript draws.
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(key, chunk)))
-    )
+    key = _stream_keys(seed, np.uint32([key]), np.uint32([chunk]))[0]
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _full_draw(
@@ -60,18 +102,18 @@ def _full_draw(
 
 
 def _count_draw(
-    cfg: ProtocolConfig, q_success: float, seed: int, group: int, chunk: int
+    cfg: ProtocolConfig, q_success: float, bitgen: np.random.Philox, seed: int,
+    group: int, chunk: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    # (succ, flip) equal to those of _full_draw, read from raw words without
-    # drawing delay and u.  numpy draws delay by Lemire's method from the
-    # 32-bit halves of the _CHUNK // 2 words after succ's; a half x is
-    # rejected, and costs further words, when (x * span) mod 2**32 is below
-    # 2**32 mod span.  Without a rejection, succ and delay end on a Philox
-    # counter step (four words) and u takes one word per value, so flip
-    # starts _CHUNK // 4 steps later.  Any rejection, or a span too wide for
-    # 32-bit halves, takes the full draw.
+    # (succ, flip) equal to those of _full_draw, read from raw words of the
+    # stream's Philox bitgen without drawing delay and u.  numpy draws delay
+    # by Lemire's method from the 32-bit halves of the _CHUNK // 2 words
+    # after succ's; a half x is rejected, and costs further words, when
+    # (x * span) mod 2**32 is below 2**32 mod span.  Without a rejection,
+    # succ and delay end on a Philox counter step (four words) and u takes
+    # one word per value, so flip starts _CHUNK // 4 steps later.  Any
+    # rejection, or a span too wide for 32-bit halves, takes the full draw.
     span = cfg.group_size - 1
-    bitgen = _stream(seed, group, chunk).bit_generator
     words = bitgen.random_raw(_CHUNK + _CHUNK // 2)
     if span < 1 << 32:
         halves = words[_CHUNK:].view(np.uint32) * np.uint32(span)  # mod 2**32
@@ -85,8 +127,11 @@ def _count_draw(
 
 def _below(words: np.ndarray, p: float) -> np.ndarray:
     # Generator.random() < p for the doubles drawn from these words: each is
-    # (word >> 11) * 2**-53, and scaling by 2**53 is exact.
-    return (words >> 11) < math.ceil(p * 2**53)
+    # (word >> 11) * 2**-53, below p exactly when the word is below
+    # ceil(p * 2**53) << 11, which overflows at p = 1, where all of them are.
+    if p >= 1.0:
+        return np.ones(words.shape, dtype=bool)
+    return words < math.ceil(p * 2**53) << 11
 
 
 @dataclass(frozen=True)
@@ -129,19 +174,28 @@ def run_simulation(
     """
     _require_covered(cfg, source)
     _require(q_success, "q_success must lie in [0, 1], got {}")
-    _require_integer("n_blocks", n_blocks, 1)
+    _require_integer("n_blocks", n_blocks, 1, _MAX_BLOCKS)
     _require_integer("seed", seed, 0)
     n_success = np.zeros(cfg.n_groups, dtype=np.int64)
     n_errors = np.zeros(cfg.n_groups, dtype=np.int64)
-    for c, start in enumerate(range(0, n_blocks, _CHUNK)):
-        count = min(_CHUNK, n_blocks - start)
-        # A flip always turns the sifted parity into an error, so the
-        # counts need only the success and flip draws.
-        for w in range(cfg.n_groups):
-            succ, flip = _count_draw(cfg, q_success, seed, w + 1, c)
-            succ = succ[:count]
-            n_success[w] += int(np.count_nonzero(succ))
-            n_errors[w] += int(np.count_nonzero(succ & flip[:count]))
+    n_chunks = -(-n_blocks // _CHUNK)
+    groups = np.arange(1, cfg.n_groups + 1, dtype=np.uint32)
+    bitgen = np.random.Philox(key=0)
+    start = bitgen.state  # counter 0 and an empty buffer, whatever the key
+    for first in range(0, n_chunks, _KEY_WINDOW):
+        chunks = np.arange(first, min(first + _KEY_WINDOW, n_chunks), dtype=np.uint32)
+        keys = _stream_keys(seed, groups, chunks[:, None]).tolist()
+        for c, chunk_keys in zip(chunks.tolist(), keys):
+            count = min(_CHUNK, n_blocks - c * _CHUNK)
+            # A flip always turns the sifted parity into an error, so the
+            # counts need only the success and flip draws.
+            for w, key in enumerate(chunk_keys):
+                start["state"]["key"] = key
+                bitgen.state = start
+                succ, flip = _count_draw(cfg, q_success, bitgen, seed, w + 1, c)
+                succ = succ[:count]
+                n_success[w] += int(np.count_nonzero(succ))
+                n_errors[w] += int(np.count_nonzero(succ & flip[:count]))
     total_suc = int(n_success.sum())
     total_err = int(n_errors.sum())
     e_hat = total_err / total_suc if total_suc > 0 else 0.0

@@ -615,6 +615,8 @@ LATE_ERRORS = [
     ("simulate", dict(SIM_CFG, mu_mode="optimize", eta=1.5)),
     ("simulate", dict(SIM_CFG, mu_mode="optimize", n_blocks=0)),
     ("simulate", dict(SIM_CFG, n_blocks=0)),
+    ("simulate", dict(SIM_CFG, mu_mode="optimize", n_blocks=2**44)),
+    ("simulate", dict(SIM_CFG, n_blocks=2**44)),
 ]
 
 
@@ -630,8 +632,9 @@ def test_config_errors_precede_rate_evaluation(tmp_path, monkeypatch, capsys):
         out = tmp_path / f"r{i}.csv"
         assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1, payload
         assert not out.exists()
-    # A bad seed or output path, from the config or from a flag, is named
-    # after the config; a flag that overrides a bad key does not hide it.
+    # A bad seed, output path or block count, from the config or from a
+    # flag, is named after the config; a flag that overrides a bad key does
+    # not hide it.
     seed, path = "seed must be a non-negative integer", "output_path must be a nonempty"
     bad_keys = [
         (dict(SIM_CFG, seed=-3), [], seed),
@@ -642,6 +645,7 @@ def test_config_errors_precede_rate_evaluation(tmp_path, monkeypatch, capsys):
         (dict(SIM_CFG, seed=True), ["--seed", "1"], seed),
         (dict(SIM_CFG, output_path=3), [], path),
         (dict(SIM_CFG, output_path=""), [], path),
+        (dict(SIM_CFG, n_blocks=2**44), [], "n_blocks must lie in [1, 17592186044415]"),
     ]
     capsys.readouterr()
     for i, (payload, flags, message) in enumerate(bad_keys):

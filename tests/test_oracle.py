@@ -805,6 +805,16 @@ class TestProofChain:
         }
         assert dataclasses.replace(chk, **moved).failed == tuple(c[0] for c in CHAIN)
 
+    def test_verdict_is_computed_once(self):
+        # A failing check, so that each evaluation would build a new tuple.
+        chk = orc.check_proof_chain(orc.coherent_family(3, 1, 0.1, 0.2, 12), 1, ())
+        bad = dataclasses.replace(chk, minus_act_cap=-1.0)
+        fresh = dataclasses.replace(bad)
+        text = repr(fresh)
+        assert bad.failed is bad.failed and bad.failed == ("act_cap",)
+        assert bad == fresh and repr(bad) == text
+        assert fresh.line() == bad.line() and repr(fresh) == text
+
     def test_line_format(self):
         fam = orc.random_family(2, 0, 3, seed=4)
         line = orc.check_proof_chain(fam, t=1, history=()).line()

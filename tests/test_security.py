@@ -395,6 +395,7 @@ class TestKeyRate:
         q_list = [0.2] * 3
         assert sec.key_rate(cfg, short, q_list) == sec.key_rate(cfg, padded, q_list)
         monkeypatch.setattr(sec, "_group_rate", evaluated)
+        monkeypatch.setattr(sim, "_stream_keys", evaluated)
         monkeypatch.setattr(sim, "_count_draw", evaluated)
         long = self._bounds((0.1,) * 3, 0.9)
         message = "^source corr_len 3 exceeds the protocol's corr_len 2,"

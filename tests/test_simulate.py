@@ -81,7 +81,14 @@ class TestRecords:
 
     @pytest.mark.parametrize(
         "bad",
-        [{"q_success": 1.5}, {"n_blocks": True}, {"n_blocks": 0}, {"seed": -1}],
+        [
+            {"q_success": 1.5},
+            {"n_blocks": True},
+            {"n_blocks": 0},
+            # Past 2**44 - 1 blocks a chunk index needs a second spawn word.
+            {"n_blocks": 2**44},
+            {"seed": -1},
+        ],
         ids=lambda bad: "-".join(["counts", *(f"{k}={v}" for k, v in bad.items())]),
     )
     def test_bad_arguments_rejected(self, bad):
@@ -105,33 +112,43 @@ class TestRunSimulation:
 
     def test_counts_draw_no_pulse_bits(self, monkeypatch):
         keys = []
-        real = sim._stream
+        real = sim._stream_keys
 
-        def recording(seed, key, chunk):
-            keys.append(key)
-            return real(seed, key, chunk)
+        def recording(seed, groups, chunks):
+            keys.extend(np.unique(groups).tolist())
+            return real(seed, groups, chunks)
 
-        monkeypatch.setattr(sim, "_stream", recording)
+        monkeypatch.setattr(sim, "_stream_keys", recording)
         sim.run_simulation(self.CFG, _bounds(0.2, 0.2, 1), 0.4, 5000, seed=6)
         assert sorted(set(keys)) == [1, 2]
         keys.clear()
         list(iter_block_records(self.CFG, 0.4, 5000, seed=6))
         assert sorted(set(keys)) == [0, 1, 2]
 
-    def test_counts_match_records(self):
+    def test_counts_match_records(self, monkeypatch):
+        # Also at a seed wider than 32 bits, and over several chunks with a
+        # window of two, so that the session derives its keys in several
+        # passes, the last one short.
         bounds = _bounds(0.2, 0.2, 1)
-        res = sim.run_simulation(self.CFG, bounds, 0.4, 700, seed=6)
-        ns = [0] * self.CFG.n_groups
-        ne = [0] * self.CFG.n_groups
-        for rec in iter_block_records(self.CFG, 0.4, 700, seed=6):
-            for o in rec.outcomes:
-                if o.success:
-                    ns[o.group - 1] += 1
-                    ne[o.group - 1] += int(o.flipped)
-        assert res.n_success == tuple(ns)
-        assert res.n_errors == tuple(ne)
-        assert res.q_hat == tuple(n / 700 for n in ns)
-        assert res.e_bit_hat == sum(ne) / sum(ns)
+        cases = [
+            (700, 6, sim._KEY_WINDOW),
+            (700, 2**40, sim._KEY_WINDOW),
+            (5 * sim._CHUNK + 300, 6, 2),
+        ]
+        for n_blocks, seed, window in cases:
+            monkeypatch.setattr(sim, "_KEY_WINDOW", window)
+            res = sim.run_simulation(self.CFG, bounds, 0.4, n_blocks, seed)
+            ns = [0] * self.CFG.n_groups
+            ne = [0] * self.CFG.n_groups
+            for rec in iter_block_records(self.CFG, 0.4, n_blocks, seed):
+                for o in rec.outcomes:
+                    if o.success:
+                        ns[o.group - 1] += 1
+                        ne[o.group - 1] += int(o.flipped)
+            assert res.n_success == tuple(ns)
+            assert res.n_errors == tuple(ne)
+            assert res.q_hat == tuple(n / n_blocks for n in ns)
+            assert res.e_bit_hat == sum(ne) / sum(ns)
 
     def test_deterministic(self):
         bounds = _bounds(0.2, 0.2, 1)
@@ -258,7 +275,8 @@ class TestCountDraw:
         ]
         for q, e_bit, seed, w, c in streams:
             cfg = sec.ProtocolConfig(group_size=group_size, corr_len=1, e_bit=e_bit)
-            succ, flip = sim._count_draw(cfg, q, seed, w, c)
+            bitgen = sim._stream(seed, w, c).bit_generator
+            succ, flip = sim._count_draw(cfg, q, bitgen, seed, w, c)
             want_succ, _delay, _u, want_flip = full(cfg, q, seed, w, c)
             assert np.array_equal(succ, want_succ)
             assert np.array_equal(flip, want_flip)
@@ -270,12 +288,56 @@ class TestCountDraw:
             assert 0 < len(ran) < len(streams)
 
     def test_threshold_exact_at_drawn_values(self):
-        # p at, or one ulp either side of, a value that random() returns.
+        # p at, or one ulp either side of, a value that random() returns,
+        # and at both ends of [0, 1], one ulp below 1 and a multiple of
+        # 2**-53.  The edge words give random()'s smallest and largest
+        # values and those next to 3 * 2**-53.
         words = np.random.Philox(5).random_raw(64)
         values = np.random.Generator(np.random.Philox(5)).random(64)
-        for v in values[values < 0.5][:8]:
-            for p in (np.nextafter(v, 0.0), v, np.nextafter(v, 1.0)):
-                assert np.array_equal(sim._below(words, p), values < p)
+        drawn = [
+            p
+            for v in values[values < 0.5][:8]
+            for p in (np.nextafter(v, 0.0), v, np.nextafter(v, 1.0))
+        ]
+        edges = [0, 2**11 - 1, 3 * 2**11 - 1, 3 * 2**11, 2**64 - 2**12, 2**64 - 1]
+        edges = np.array(edges, dtype=np.uint64)
+        words = np.concatenate([words, edges])
+        values = np.concatenate([values, (edges >> 11) * 2.0**-53])
+        for p in [*drawn, 0.0, 1.0, np.nextafter(1.0, 0.0), 3 * 2.0**-53]:
+            assert np.array_equal(sim._below(words, p), values < p), p
+
+
+class TestStreamKeys:
+    @pytest.mark.parametrize(
+        "seed", [0, 1, 7, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 1]
+    )
+    def test_equal_seed_sequence_keys(self, seed):
+        # 2**128 + 1 has five 32-bit words, more than the pool holds.
+        groups = np.array([0, 1, 2, 11, 2**32 - 1], dtype=np.uint32)
+        chunks = np.arange(3 * sim._KEY_WINDOW + 5, dtype=np.uint32)
+        keys = sim._stream_keys(seed, groups, chunks[:, None])
+        assert keys.shape == (len(chunks), len(groups), 2)
+        for c in [*range(0, len(chunks), 7), len(chunks) - 1]:
+            for i, w in enumerate(groups.tolist()):
+                ss = np.random.SeedSequence(entropy=seed, spawn_key=(w, c))
+                assert np.array_equal(keys[c, i], ss.generate_state(2, np.uint64))
+        top = np.array([2**32 - 1], dtype=np.uint32)
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(2, 2**32 - 1))
+        want = ss.generate_state(2, np.uint64)
+        assert np.array_equal(sim._stream_keys(seed, groups[2:3], top)[0], want)
+
+    def test_rekeyed_philox_matches_stream(self):
+        # A session re-keys one Philox from stream to stream, after drawing,
+        # by setting a fresh Philox's state with the stream's key; each
+        # stream then starts where a new one would.
+        bitgen = np.random.Philox(key=0)
+        start = bitgen.state
+        for seed, w, c in [(1, 1, 0), (1, 2, 5), (2**40, 11, 300)]:
+            key = sim._stream_keys(seed, np.uint32([w]), np.uint32([c]))[0]
+            start["state"]["key"] = key.tolist()
+            bitgen.state = start
+            want = sim._stream(seed, w, c).bit_generator.random_raw(9)
+            assert np.array_equal(bitgen.random_raw(9), want)
 
 
 class TestSimulateCoherent:
